@@ -1,5 +1,13 @@
 """Best-constant estimation and the partial-inequality relation checkers.
 
+Every ratio in the package comes from one kernel, ``scan``: it evaluates d
+on each nondegenerate (tuple, z) candidate and on the candidate's sections,
+folds the ratio into a running best, and records the first and the largest
+violation of a given constant.  The best-constant estimates, the simplex
+and strong-simplex checks, the partial-existence check and the calibration
+of the prescribed-constant constructions differ only in the candidates
+they feed it.
+
 Estimates are certified lower bounds: every reported value is realized by a
 stored witness whose ratio can be recomputed from the witness alone.  On
 finite spaces the scan is exhaustive and hence exact.  On continuous spaces
@@ -11,11 +19,12 @@ lexicographic tie-break, so results do not depend on evaluation order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .core import (
     FAIL,
@@ -36,7 +45,6 @@ from .core import (
 
 EXACT = "exact"
 SAMPLED = "sampled"
-ANALYTIC = "analytic"
 
 _BATCHES = 8
 _REFINE_ROUNDS = 20
@@ -55,7 +63,11 @@ class Witness:
 
 @dataclass(frozen=True)
 class ConstantEstimate:
-    """A certified lower bound for K*_n (k = n) or K*_{n,k} (k < n)."""
+    """A certified lower bound for K*_n (k = n) or K*_{n,k} (k < n).
+
+    ``trials`` counts the nondegenerate candidates folded by the scan,
+    before refinement.
+    """
 
     n: int
     k: int
@@ -70,10 +82,6 @@ class ConstantEstimate:
 def as_distance(obj) -> NDistance:
     """Accept an NDistance or anything carrying one in a ``distance`` field."""
     return getattr(obj, "distance", obj)
-
-
-def recipe_of(obj):
-    return getattr(obj, "witness_recipe", None)
 
 
 def ratio(d, t: tuple, z: Point, indices: Iterable[int] | None = None) -> float:
@@ -95,28 +103,26 @@ def ratio(d, t: tuple, z: Point, indices: Iterable[int] | None = None) -> float:
     return num / den
 
 
-def _eval_candidate(d: NDistance, t: tuple, z: Point, k: int):
-    """Largest ratio over k-element index sets at (t, z), with the index set.
+@functools.lru_cache(maxsize=None)
+def _positions(n: int) -> tuple[int, ...]:
+    return tuple(range(1, n + 1))
 
-    The maximizing set is the one summing the k smallest sections (ties to
-    the lowest positions).  Returns None on degenerate tuples.
+
+def _eval_candidate(ev: Callable[[tuple], float], t: tuple, z: Point, k: int):
+    """(d(t), sum of the k smallest sections at z, their 1-based positions).
+
+    Ties between equal sections go to the lowest positions.  Returns None
+    on degenerate tuples.
     """
     if distinct_count(t) < 2:
         return None
-    ev = d.evaluator
     num = ev(t)
     n = len(t)
-    secs = [ev(section(t, i, z)) for i in range(1, n + 1)]
     if k == n:
-        idx = tuple(range(1, n + 1))
-        den = sum(secs)
-    else:
-        chosen = sorted(sorted(range(n), key=lambda j: (secs[j], j))[:k])
-        idx = tuple(j + 1 for j in chosen)
-        den = sum(secs[j] for j in chosen)
-    if den == 0.0:
-        return math.inf, idx
-    return num / den, idx
+        return num, sum([ev(section(t, i, z)) for i in range(1, n + 1)]), _positions(n)
+    secs = [ev(section(t, i, z)) for i in range(1, n + 1)]
+    chosen = sorted(sorted(range(n), key=lambda j: (secs[j], j))[:k])
+    return num, sum(secs[j] for j in chosen), tuple(j + 1 for j in chosen)
 
 
 def _better(a, b):
@@ -133,13 +139,47 @@ def _better(a, b):
     return a if (a[1], a[2]) <= (b[1], b[2]) else b
 
 
+def scan(
+    ev: Callable[[tuple], float],
+    pairs: Iterable[tuple[tuple, Point]],
+    k: int,
+    constant: float = math.inf,
+    tol: float = 1e-9,
+):
+    """Fold (tuple, z) candidates: d(t) against the sum of its k smallest sections.
+
+    Degenerate tuples are skipped; the ratio is ``inf`` where the section
+    sum vanishes.  Returns ``(best, first, worst, checked)``: the max of
+    (ratio, t, z, idx) under ``_better``; the first and the largest (first
+    of equals) violation of num <= constant * den by more than ``tol``, as
+    (violation, t, z, num, den); and the number of candidates folded.
+    """
+    evaluate = _eval_candidate
+    best = first = worst = None
+    checked = 0
+    for t, z in pairs:
+        res = evaluate(ev, t, z, k)
+        if res is None:
+            continue
+        checked += 1
+        num, den, idx = res
+        r = num / den if den != 0.0 else math.inf
+        if best is None or r >= best[0]:
+            best = _better(best, (r, t, z, idx))
+        violation = num - constant * den
+        if violation > tol:
+            if first is None:
+                first = worst = (violation, t, z, num, den)
+            elif violation > worst[0]:
+                worst = (violation, t, z, num, den)
+    return best, first, worst, checked
+
+
 def _analytic_constant(d: NDistance, k: int) -> float | None:
     if k == d.arity and d.known_constant is not None:
         return d.known_constant
     if d.known_k_constants is not None and k in d.known_k_constants:
         return d.known_k_constants[k]
-    if k == d.arity:
-        return d.known_constant
     return None
 
 
@@ -167,76 +207,39 @@ def _estimate(dist, d: NDistance, space: Space, k: int, budget: int, seed: int, 
     if mode not in ("auto", "exact", "sampled"):
         raise ValueError(f"unknown mode: {mode}")
     n = d.arity
-    analytic = _analytic_constant(d, k)
-    if mode == "auto":
-        mode = "exact" if space.kind == "finite" else "sampled"
-    if mode == "exact":
-        if space.kind != "finite":
-            raise ValueError("exact mode needs a finite space")
-        lb, wit, trials = _exact_scan(d, space, n, k)
-        method = EXACT
-    elif space.kind == "finite" and space.size ** (n + 1) <= max(budget, _ENUM_FLOOR):
-        # sampling includes the full enumeration whenever it fits the budget
-        lb, wit, trials = _exact_scan(d, space, n, k)
-        method = EXACT
+    if mode == "exact" and space.kind != "finite":
+        raise ValueError("exact mode needs a finite space")
+    # sampling includes the full enumeration whenever it fits the budget
+    exhaustive = space.kind == "finite" and (
+        mode != "sampled" or space.size ** (n + 1) <= max(budget, _ENUM_FLOOR)
+    )
+    if exhaustive:
+        pairs = ((t, z) for t in space.iter_tuples(n) for z in space.labels)
     else:
-        lb, wit, trials = _sampled_scan(dist, d, space, n, k, budget, seed)
-        method = SAMPLED
-    return ConstantEstimate(n, k, lb, wit, analytic, method, trials, seed)
-
-
-def _exact_scan(d: NDistance, space: Space, n: int, k: int):
-    best = None
-    trials = 0
-    for t in space.iter_tuples(n):
-        if distinct_count(t) < 2:
-            continue
-        for z in space.labels:
-            trials += 1
-            r, idx = _eval_candidate(d, t, z, k)
-            if best is None or r > best[0]:
-                # lexicographic enumeration: the first max is the smallest witness
-                best = (r, t, z, idx)
-    lb = best[0]
-    return lb, Witness(best[1], best[2], lb, best[3]), trials
-
-
-def _sampled_scan(dist, d: NDistance, space: Space, n: int, k: int, budget: int, seed: int):
-    best = None
-    trials = 0
-
-    candidates: list[tuple[tuple, Point]] = []
-    recipe = recipe_of(dist)
-    if recipe is not None:
-        candidates.append(recipe(space))
-    candidates.extend(structured_pairs(space, n))
-    for t, z in candidates:
-        res = _eval_candidate(d, t, z, k)
-        trials += 1
-        if res is not None:
-            best = _better(best, (res[0], t, z, res[1]))
-
-    remaining = max(0, budget - trials)
-    base, extra = divmod(remaining, _BATCHES)
-    for b in range(_BATCHES):
-        rng = random.Random(derive_seed(seed, 100 + b))
-        local = None
-        for _ in range(base + (1 if b < extra else 0)):
-            t, z = sample_pair(space, n, rng)
-            res = _eval_candidate(d, t, z, k)
-            trials += 1
-            if res is not None:
-                local = _better(local, (res[0], t, z, res[1]))
-        best = _better(best, local)
-
+        pairs = _sampled_pairs(dist, space, n, budget, seed)
+    best, _, _, trials = scan(d.evaluator, pairs, k)
     if best is None:
         raise ValueError("no nondegenerate candidate found within budget")
     if space.kind != "finite" and math.isfinite(best[0]):
-        best = _refine(d, space, n, k, best)
-    return best[0], Witness(best[1], best[2], best[0], best[3]), trials
+        best = _refine(d.evaluator, space, n, k, best)
+    witness = Witness(best[1], best[2], best[0], best[3])
+    method = EXACT if exhaustive else SAMPLED
+    return ConstantEstimate(n, k, best[0], witness, _analytic_constant(d, k), method, trials, seed)
 
 
-def _refine(d: NDistance, space: Space, n: int, k: int, best):
+def _sampled_pairs(dist, space: Space, n: int, budget: int, seed: int):
+    """The witness recipe, the structured families, then seeded batches up to ``budget``."""
+    recipe = getattr(dist, "witness_recipe", None)
+    head = ([recipe(space)] if recipe is not None else []) + structured_pairs(space, n)
+    yield from head
+    base, extra = divmod(max(0, budget - len(head)), _BATCHES)
+    for b in range(_BATCHES):
+        rng = random.Random(derive_seed(seed, 100 + b))
+        for _ in range(base + (1 if b < extra else 0)):
+            yield sample_pair(space, n, rng)
+
+
+def _refine(ev: Callable[[tuple], float], space: Space, n: int, k: int, best):
     """Cyclic coordinate descent around the best candidate, shrinking steps."""
     planar = space.kind == "plane"
 
@@ -261,10 +264,11 @@ def _refine(d: NDistance, space: Space, n: int, k: int, best):
                 trial = list(cur)
                 trial[ci] += delta
                 t, z = rebuild(trial)
-                res = _eval_candidate(d, t, z, k)
+                res = _eval_candidate(ev, t, z, k)
                 if res is None:
                     continue
-                r, idx = res
+                num, den, idx = res
+                r = num / den if den != 0.0 else math.inf
                 if r > cur_best[0]:
                     cur = trial
                     cur_best = (r, t, z, idx)
@@ -280,23 +284,22 @@ def check_partial_existence(dist, space: Space, k: int, budget: int = 4096, seed
     """Search for an infinite partial ratio: a witness killing every k-term sum.
 
     k = 1 always fails on a genuine n-distance (take t = (x, z, ..., z)); for
-    k >= 2 at most one section can vanish, so the check passes.
+    k >= 2 at most one section can vanish, so the check passes.  The whole
+    budget is scanned, and a failure reports the lexicographically smallest
+    infinite-ratio witness.
     """
     d = as_distance(dist)
     n = d.arity
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
     prop = f"partial-constant-exists(k={k})"
-    checked = 0
-    for t, z in iter_pairs(space, n, budget, seed):
-        if distinct_count(t) < 2:
-            continue
-        r, idx = _eval_candidate(d, t, z, k)
-        checked += 1
-        if math.isinf(r):
-            ce = {"tuple": t, "z": z, "indices": idx, "ratio": "inf"}
-            return PropertyVerdict(prop, FAIL, counterexample=ce, details={"checked": checked})
-    return PropertyVerdict(prop, PASS, details={"checked": checked})
+    best, _, _, checked = scan(d.evaluator, iter_pairs(space, n, budget, seed), k)
+    details = {"checked": checked}
+    if best is not None and math.isinf(best[0]):
+        _, t, z, idx = best
+        ce = {"tuple": t, "z": z, "indices": idx, "ratio": "inf"}
+        return PropertyVerdict(prop, FAIL, counterexample=ce, details=details)
+    return PropertyVerdict(prop, PASS, details=details)
 
 
 # ---------------------------------------------------------------------------

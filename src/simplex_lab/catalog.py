@@ -76,6 +76,22 @@ def _standard_witness(n: int) -> Callable[[Space], tuple[tuple, Point]]:
     return recipe
 
 
+def _diameter_evaluator(g: Callable[[Point, Point], float]) -> Callable[[tuple], float]:
+    # largest pairwise ground distance; exactly 0.0 on constant tuples
+    def ev(t: tuple) -> float:
+        s = sorted(set(t))
+        if len(s) == 1:
+            return 0.0
+        return max(g(p, q) for p, q in itertools.combinations(s, 2))
+
+    return ev
+
+
+def _largest_gap(t: tuple) -> float:
+    xs = sorted(t)
+    return max(xs[i + 1] - xs[i] for i in range(len(xs) - 1))
+
+
 # ---------------------------------------------------------------------------
 # the entries
 
@@ -102,14 +118,7 @@ def cardinality(n: int) -> CatalogEntry:
 
 def diameter(n: int, d2: str = "abs") -> CatalogEntry:
     """Largest pairwise ground distance among the arguments."""
-    g = ground_distance(d2)
-
-    def ev(t: tuple) -> float:
-        s = sorted(set(t))
-        if len(s) == 1:
-            return 0.0
-        return max(g(p, q) for p, q in itertools.combinations(s, 2))
-
+    ev = _diameter_evaluator(ground_distance(d2))
     d = NDistance(f"diameter[{d2}]", n, space_kind_for_ground(d2), ev, 1.0 / (n - 1), _standard_k_constants(n))
     return CatalogEntry(d, _standard_witness(n), standard=True, repetition_invariant=True, nonincreasing=True)
 
@@ -205,14 +214,7 @@ def chebyshev_diameter(n: int, q: int = 2) -> CatalogEntry:
     """Diameter under the Chebyshev ground distance on R^q, q in {1, 2}."""
     if q not in (1, 2):
         raise ValueError("q must be 1 or 2")
-    g = ground_distance("chebyshev")
-
-    def ev(t: tuple) -> float:
-        s = sorted(set(t))
-        if len(s) == 1:
-            return 0.0
-        return max(g(p, q_) for p, q_ in itertools.combinations(s, 2))
-
+    ev = _diameter_evaluator(ground_distance("chebyshev"))
     kind = "real-line" if q == 1 else "plane"
     d = NDistance(f"chebyshev-diameter[q={q}]", n, kind, ev, 1.0 / (n - 1), _standard_k_constants(n))
     return CatalogEntry(d, _standard_witness(n), standard=True, repetition_invariant=True, nonincreasing=True)
@@ -231,13 +233,8 @@ def largest_inner_interval(n: int) -> CatalogEntry:
     Nonstandard for n >= 3: best constant 2/n, best partial constants 2/k.
     Repetition-invariant but not nonincreasing under identification.
     """
-
-    def ev(t: tuple) -> float:
-        xs = sorted(t)
-        return max(xs[i + 1] - xs[i] for i in range(len(xs) - 1))
-
     kk = {k: 2.0 / k for k in range(2, n + 1)}
-    d = NDistance("inner-interval", n, "real-line", ev, 2.0 / n, kk)
+    d = NDistance("inner-interval", n, "real-line", _largest_gap, 2.0 / n, kk)
     return CatalogEntry(
         d, _inner_interval_witness(n), standard=(n == 2), repetition_invariant=True, nonincreasing=(n == 2)
     )
@@ -251,8 +248,7 @@ def inner_interval_power(n: int, p: int) -> CatalogEntry:
         raise ValueError(f"not an n-distance for n < 2^p (n={n}, p={p})")
 
     def ev(t: tuple) -> float:
-        xs = sorted(t)
-        return max(xs[i + 1] - xs[i] for i in range(len(xs) - 1)) ** p
+        return _largest_gap(t) ** p
 
     kk = {k: 2.0 / k for k in range(2, n + 1)} if p == 1 else {n: (2.0**p) / n}
     d = NDistance(f"inner-interval-power[p={p}]", n, "real-line", ev, (2.0**p) / n, kk)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import FiniteSpace, NDistance, Point, Space, distinct_count, section
+from .analysis import scan
+from .core import FiniteSpace, NDistance, Point, Space, distinct_count
 
 _S_TOL = 1e-12
 
@@ -73,19 +74,10 @@ def single_anchor_distance(base, e: str, s: float, space: FiniteSpace) -> Prescr
 
     ev = base_dist.evaluator
     others = tuple(x for x in space.labels if x != e)
-    sup = 0.0
-    argmax: tuple | None = None
-    for t in itertools.product(others, repeat=n):
-        if distinct_count(t) < 2:
-            continue
-        num = ev(t)
-        den = sum(ev(section(t, i, e)) for i in range(1, n + 1))
-        r = num / den
-        if r > sup:  # strict: ties keep the lexicographically first tuple
-            sup = r
-            argmax = t
-    if argmax is None:
+    best = scan(ev, ((t, e) for t in itertools.product(others, repeat=n)), n)[0]
+    if best is None:
         raise ValueError("no nondegenerate anchor-free tuple exists")
+    sup, witness_t = best[0], best[1]
     scale = sup / s
 
     def scaled(t: tuple) -> float:
@@ -95,7 +87,6 @@ def single_anchor_distance(base, e: str, s: float, space: FiniteSpace) -> Prescr
     k_constants = None
     if base_dist.name == "drastic":
         k_constants = {k: max(n * s / k, 1.0 / (k - 1)) for k in range(2, n + 1)}
-    witness_t = argmax
     dist = NDistance(
         name=f"single-anchor[{base_dist.name},s={s:g}]",
         arity=n,

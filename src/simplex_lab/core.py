@@ -401,35 +401,18 @@ def check_simplex(
     tol: float = 1e-9,
 ) -> PropertyVerdict:
     """Axiom (iii) with a given constant: d(t) <= constant * sum of sections."""
+    from .analysis import scan
+
     prop = f"simplex({d.name},K={constant:g})"
-    n = d.arity
-    ev = d.evaluator
-    first_ce = None
-    worst = None
-    worst_violation = 0.0
-    max_ratio = 0.0
-    checked = 0
-    for t, z in iter_pairs(space, n, budget, seed):
-        if distinct_count(t) < 2:
-            continue
-        lhs = ev(t)
-        den = sum(ev(section(t, i, z)) for i in range(1, n + 1))
-        violation = lhs - constant * den
-        if den > 0.0 and lhs / den > max_ratio:
-            max_ratio = lhs / den
-        if violation > tol:
-            ce = {"tuple": t, "z": z, "value": lhs, "section_sum": den, "violation": violation}
-            if first_ce is None:
-                first_ce = ce
-            if violation > worst_violation:
-                worst_violation = violation
-                worst = ce
-        checked += 1
-    if first_ce is not None:
-        return PropertyVerdict(
-            prop, FAIL, counterexample=first_ce, worst=worst, details={"checked": checked, "max_ratio": max_ratio}
-        )
-    return PropertyVerdict(prop, PASS, details={"checked": checked, "max_ratio": max_ratio})
+    best, first, worst, checked = scan(d.evaluator, iter_pairs(space, d.arity, budget, seed), d.arity, constant, tol)
+    details = {"checked": checked, "max_ratio": best[0] if best else 0.0}
+    if first is None:
+        return PropertyVerdict(prop, PASS, details=details)
+    ce, worst_ce = (
+        {"tuple": t, "z": z, "value": num, "section_sum": den, "violation": violation}
+        for violation, t, z, num, den in (first, worst)
+    )
+    return PropertyVerdict(prop, FAIL, counterexample=ce, worst=worst_ce, details=details)
 
 
 def check_axioms(d: NDistance, space: Space, budget: int = 4096, seed: int = 0) -> list[PropertyVerdict]:

@@ -25,9 +25,6 @@ class Circle:
     center: tuple[float, float]
     radius: float
 
-    def encloses(self, p: tuple, tol: float = 1e-9) -> bool:
-        return math.hypot(p[0] - self.center[0], p[1] - self.center[1]) <= self.radius + tol
-
 
 def smallest_enclosing_circle(points) -> Circle:
     """Minimal-radius circle enclosing all the points (at least one required)."""

@@ -28,7 +28,7 @@ from .core import (
     iter_tuples,
     section,
 )
-from .analysis import as_distance
+from .analysis import as_distance, scan
 
 
 def compositions(n: int, k: int) -> list[tuple[int, ...]]:
@@ -113,38 +113,26 @@ def check_strong_k_simplex(
     comps = compositions(n, k)
     per_comp = max(1, budget // len(comps))
     checked = 0
-    first_ce = None
-    worst = None
     max_ratio = 0.0
+    first = worst = None  # (composition, violation)
     for ci, comp in enumerate(comps):
-        red = reduced_evaluator(d, comp)
-        for values, z in iter_pairs(space, k, per_comp, derive_seed(seed, 200 + ci)):
-            if distinct_count(values) < 2:
-                continue
-            lhs = red(values)
-            total = sum(red(section(values, i, z)) for i in range(1, k + 1))
-            checked += 1
-            if total > 0.0:
-                r = lhs / total
-                if r > max_ratio:
-                    max_ratio = r
-            violation = lhs - constant * total
-            if violation > tol:
-                ce = {
-                    "composition": comp,
-                    "values": values,
-                    "z": z,
-                    "lhs": lhs,
-                    "rhs": constant * total,
-                }
-                if first_ce is None:
-                    first_ce = ce
-                if worst is None or violation > worst[0]:
-                    worst = (violation, ce)
+        pairs = iter_pairs(space, k, per_comp, derive_seed(seed, 200 + ci))
+        best, c_first, c_worst, c_checked = scan(reduced_evaluator(d, comp), pairs, k, constant, tol)
+        checked += c_checked
+        if best is not None:
+            max_ratio = max(max_ratio, best[0])
+        if c_first is not None:
+            first = first or (comp, c_first)
+            if worst is None or c_worst[0] > worst[1][0]:
+                worst = (comp, c_worst)
     details = {"checked": checked, "compositions": len(comps), "max_ratio": max_ratio}
-    if first_ce is not None:
-        return PropertyVerdict(prop, FAIL, counterexample=first_ce, worst=worst[1], details=details)
-    return PropertyVerdict(prop, PASS, details=details)
+    if first is None:
+        return PropertyVerdict(prop, PASS, details=details)
+    ce, worst_ce = (
+        {"composition": comp, "values": values, "z": z, "lhs": lhs, "rhs": constant * total}
+        for comp, (_, values, z, lhs, total) in (first, worst)
+    )
+    return PropertyVerdict(prop, FAIL, counterexample=ce, worst=worst_ce, details=details)
 
 
 def check_lemma_mixed_bound(
@@ -311,8 +299,9 @@ def check_nonincreasing_identification(
                     continue
                 u = t[:i] + (t[j],) + t[i + 1 :]
                 checked += 1
-                if ev(u) > base + tol:
-                    ce = {"tuple": t, "identified": u, "before": base, "after": ev(u)}
+                after = ev(u)
+                if after > base + tol:
+                    ce = {"tuple": t, "identified": u, "before": base, "after": after}
                     if first_ce is None:
                         first_ce = ce
         if first_ce is not None:

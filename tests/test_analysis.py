@@ -1,12 +1,17 @@
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplex_lab import catalog
 from simplex_lab.analysis import (
     EXACT,
     SAMPLED,
     Witness,
+    _better,
+    _eval_candidate,
     check_attainment_transfer,
     check_partial_bound,
     check_partial_existence,
@@ -15,7 +20,9 @@ from simplex_lab.analysis import (
     estimate_best_constant,
     estimate_partial_constant,
     ratio,
+    scan,
 )
+from simplex_lab.constructions import strong_extremal_distance
 from simplex_lab.core import (
     NOT_APPLICABLE,
     DegenerateTupleError,
@@ -116,6 +123,41 @@ def test_sampled_on_continuous_space():
     again = estimate_best_constant(entry, RealLine(), budget=20_000, seed=42)
     assert again == est
     assert est.trials > 0
+
+
+# few distinct values, so that equal ratios and the tie-break are common
+_SCAN_CASES = {
+    "cardinality": (catalog.make("cardinality", 3).distance, ("a", "b", "c")),
+    "diameter": (catalog.make("diameter", 3).distance, (0.0, 0.5, 1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3))
+def test_scan_best_is_the_better_reduction_in_any_order(case, data, k):
+    d, alphabet = _SCAN_CASES[case]
+    point = st.sampled_from(alphabet)
+    pairs = data.draw(st.lists(st.tuples(st.tuples(point, point, point), point), max_size=40))
+    folded = []
+    for t, z in pairs:
+        res = _eval_candidate(d.evaluator, t, z, k)
+        if res is not None:
+            idx = res[2]
+            folded.append((ratio(d, t, z, idx), t, z, idx))
+    best, _, _, checked = scan(d.evaluator, data.draw(st.permutations(pairs)), k)
+    assert best == functools.reduce(_better, folded, None)
+    assert checked == len(folded)
+
+
+def test_exhaustive_tie_break_is_lexicographic():
+    # the labels y1, y2, y3, e are not in sorted order: the witness is the
+    # smallest maximizing (tuple, z), not the first in label order
+    d = strong_extremal_distance(5, 3)
+    est = estimate_best_constant(d, d.space)
+    assert est.method == EXACT
+    assert est.lower_bound == 0.25
+    assert (est.witness.points, est.witness.z) == (("e", "e", "e", "e", "y1"), "e")
 
 
 def test_partial_existence():

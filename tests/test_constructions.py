@@ -58,6 +58,14 @@ def test_single_anchor_drastic_scale():
     assert d(*("a", "a", "a", "a")) == 0.0
 
 
+def test_single_anchor_witness_is_lexicographically_first():
+    # every nondegenerate anchor-free drastic tuple ties at ratio 1/5
+    space = FiniteSpace(tuple("abcde"))
+    d = single_anchor_distance(catalog.make("drastic", 5), "a", 0.4, space)
+    assert d.witness_recipe(space) == (("b", "b", "b", "b", "c"), "a")
+    assert d.scale == 0.5
+
+
 def test_single_anchor_constant_is_prescribed():
     base = catalog.make("drastic", 4)
     for s in (1 / 3, 0.4, 0.5, 1.0):
