@@ -65,8 +65,6 @@ from .properties import (
     strong_threshold,
 )
 from .constructions import (
-    PrescribedDistance,
-    StrongExtremalDistance,
     single_anchor_distance,
     strong_extremal_distance,
     two_anchor_distance,
@@ -87,11 +85,9 @@ __all__ = [
     "PASS",
     "Plane",
     "Point",
-    "PrescribedDistance",
     "PropertyVerdict",
     "RealLine",
     "Space",
-    "StrongExtremalDistance",
     "Witness",
     "available_ids",
     "check_attainment_transfer",

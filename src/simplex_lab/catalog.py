@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable, Mapping
 
 from .core import FiniteSpace, NDistance, Plane, Point, RealLine, Space
 from .geometry import (
@@ -34,6 +35,10 @@ class CatalogEntry:
     property status is known, ``None`` when open.  Checkers verify them.
     ``constant_bounds`` brackets the best constant when no closed form is
     known (lower may be None; upper is exclusive for line-count).
+
+    The builders in ``constructions`` also set ``space`` (the label space
+    the distance is built on), ``exact_evaluator`` (rational values, when
+    known) and ``params`` (the construction's own numbers).
     """
 
     distance: NDistance
@@ -42,6 +47,9 @@ class CatalogEntry:
     repetition_invariant: bool | None = None
     nonincreasing: bool | None = None
     constant_bounds: tuple[float | None, float | None] | None = None
+    space: FiniteSpace | None = None
+    exact_evaluator: Callable[[tuple], Fraction] | None = None
+    params: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -283,8 +291,13 @@ def available_ids() -> tuple[str, ...]:
 
 
 def make(distance_id: str, n: int, **params) -> CatalogEntry:
-    """Build a catalog entry by string id; raises KeyError on unknown ids."""
+    """Build a catalog entry by string id.
+
+    Raises KeyError on unknown ids and ValueError on arities below 2.
+    """
     key = _ALIASES.get(distance_id, distance_id)
     if key not in _FACTORIES:
         raise KeyError(f"unknown distance id {distance_id!r}; known ids: {', '.join(available_ids())}")
+    if n < 2:
+        raise ValueError(f"arity n must be at least 2, got {n}")
     return _FACTORIES[key](n, **params)

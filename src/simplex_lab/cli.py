@@ -29,7 +29,6 @@ DEFAULT_BUDGET = 100_000
 DEFAULT_SEED = 42
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-_CONSTRUCTION_IDS = ("single-anchor", "two-anchor", "strong-extremal")
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +36,11 @@ _CONSTRUCTION_IDS = ("single-anchor", "two-anchor", "strong-extremal")
 
 
 def parse_value(text: str):
-    """int, float, fraction 'p/q', or bare string, in that order."""
+    """int, float, fraction 'p/q', or bare string, in that order.
+
+    Raises ValueError on a fraction with a zero denominator or one too
+    large for a float.
+    """
     try:
         return int(text)
     except ValueError:
@@ -46,13 +49,17 @@ def parse_value(text: str):
         return float(text)
     except ValueError:
         pass
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
-            return int(num) / int(den)
-        except ValueError:
-            pass
-    return text
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den)
+    except ValueError:
+        return text
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    try:
+        return num / den
+    except OverflowError:
+        raise ValueError(f"fraction {text!r} is out of float range") from None
 
 
 def parse_distance_spec(spec: str) -> tuple[str, dict]:
@@ -116,14 +123,16 @@ def default_space_for(space_kind: str) -> Space:
     return Plane()
 
 
-def build_distance(dist_id: str, params: dict, n: int, space: Space | None):
-    """Resolve a distance spec to (object, space actually used)."""
+def build_distance(dist_id: str, params: dict, n: int, space: Space | None) -> tuple[catalog.CatalogEntry, Space]:
+    """Resolve a distance spec to (entry, space actually used)."""
     params = dict(params)
     if dist_id == "single-anchor":
         sp = space if space is not None else FiniteSpace(tuple(_LETTERS[:3]))
         if "s" not in params:
             raise ValueError("single-anchor needs s=<target constant>")
         s = float(params.pop("s"))
+        if sp.kind != "finite":
+            raise ValueError("single-anchor needs a finite space")
         base_id = str(params.pop("base", "drastic"))
         e = str(params.pop("e", sp.labels[0]))
         _reject_leftovers(dist_id, params)
@@ -360,7 +369,7 @@ def _base_config(args, command: str, space: Space, seed: int, extra: dict | None
 _VERIFY_CHECKS = ("axioms", "repetition", "nonincreasing", "strong")
 
 
-def resolve_strong_constant(dist, n: int, k: int, explicit: float | None) -> tuple[float, str]:
+def resolve_strong_constant(entry: catalog.CatalogEntry, n: int, k: int, explicit: float | None) -> tuple[float, str]:
     """Pick the constant M for the strong k-simplex check.
 
     Order: explicit flag; the optimal formula for standard repetition-
@@ -369,11 +378,11 @@ def resolve_strong_constant(dist, n: int, k: int, explicit: float | None) -> tup
     """
     if explicit is not None:
         return float(explicit), "explicit"
-    if getattr(dist, "standard", None) is True and getattr(dist, "repetition_invariant", None) is True:
+    if entry.standard is True and entry.repetition_invariant is True:
         return properties.strong_constant_standard(n, k), "standard-formula"
-    d = analysis.as_distance(dist)
+    d = entry.distance
     kk = d.known_k_constants
-    if getattr(dist, "nonincreasing", None) is True and kk is not None and k in kk:
+    if entry.nonincreasing is True and kk is not None and k in kk:
         return kk[k], "best-k-constant"
     raise ValueError(
         f"no strong constant known for {d.name} at k={k}; pass --strong-constant"
@@ -385,7 +394,7 @@ def run_verify(args) -> dict:
     dist_id, params = parse_distance_spec(args.distance)
     space = parse_space(args.space) if args.space else None
     obj, space = build_distance(dist_id, params, args.n, space)
-    d = analysis.as_distance(obj)
+    d = obj.distance
     checks = [c.strip() for c in (args.checks or "axioms").split(",") if c.strip()]
     for c in checks:
         if c not in _VERIFY_CHECKS:
@@ -432,17 +441,16 @@ def run_constants(args) -> dict:
     dist_id, params = parse_distance_spec(args.distance)
     space = parse_space(args.space) if args.space else None
     obj, space = build_distance(dist_id, params, args.n, space)
-    d = analysis.as_distance(obj)
+    d = obj.distance
     tol = args.tolerance if args.tolerance is not None else default_tolerance(space)
     ks = parse_int_list(args.k, 2, d.arity) if args.k else []
 
-    entry_bounds = getattr(obj, "constant_bounds", None)
     strict = d.name == "line-count"
     full = analysis.estimate_best_constant(obj, space, budget=args.budget, seed=seed, mode=args.mode)
     rows = [
         constant_row(
             f"K*_{d.arity}", full.analytic, full, tol,
-            bounds=entry_bounds, strict_upper=strict,
+            bounds=obj.constant_bounds, strict_upper=strict,
         )
     ]
     verdicts = []

@@ -10,56 +10,25 @@ rationals so attainment can be checked without tolerances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .analysis import scan
-from .core import FiniteSpace, NDistance, Point, Space, distinct_count
+from .catalog import CatalogEntry
+from .core import FiniteSpace, NDistance, distinct_count
 
 _S_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PrescribedDistance:
-    """An n-distance engineered to have best constant exactly ``s``.
-
-    ``scale`` is the factor applied on the anchor-dependent branch of the
-    evaluator; ``witness_recipe`` reproduces a tuple attaining ``s``.
-    """
-
-    distance: NDistance
-    space: FiniteSpace
-    anchors: tuple[str, ...]
-    s: float
-    scale: float
-    base: NDistance | None = None
-    witness_recipe: Callable[[Space], tuple[tuple, Point]] | None = None
-    standard: bool | None = None
-    repetition_invariant: bool | None = None
-    nonincreasing: bool | None = None
-
-    @property
-    def name(self) -> str:
-        return self.distance.name
-
-    @property
-    def arity(self) -> int:
-        return self.distance.arity
-
-    def __call__(self, *points: Point) -> float:
-        return self.distance(*points)
-
-
-def single_anchor_distance(base, e: str, s: float, space: FiniteSpace) -> PrescribedDistance:
+def single_anchor_distance(base: CatalogEntry, e: str, s: float, space: FiniteSpace) -> CatalogEntry:
     """Shrink the values of tuples containing the anchor ``e``.
 
-    ``base`` must be a standard n-distance; s must lie in [1/(n-1), 1].
+    ``base`` must be a standard catalog entry; s must lie in [1/(n-1), 1].
     The scale is calibrated against the exact supremum of the base ratio
     over anchor-free tuples with z = e, so the new best constant is s and
     is attained at the maximizing tuple (stored as the witness recipe).
+    ``params["scale"]`` is the factor applied to tuples containing ``e``.
     """
-    base_dist = getattr(base, "distance", base)
+    base_dist = base.distance
     n = base_dist.arity
     if space.kind != "finite":
         raise ValueError("this construction needs a finite space")
@@ -67,7 +36,7 @@ def single_anchor_distance(base, e: str, s: float, space: FiniteSpace) -> Prescr
         raise ValueError("needs at least 3 labels")
     if e not in space.labels:
         raise ValueError(f"anchor {e!r} is not a label of the space")
-    if getattr(base, "standard", None) is not True:
+    if base.standard is not True:
         raise ValueError("the base distance must be standard")
     if not 1.0 / (n - 1) - _S_TOL <= s <= 1.0 + _S_TOL:
         raise ValueError(f"s must lie in [1/(n-1), 1] = [{1.0 / (n - 1)}, 1], got {s}")
@@ -95,27 +64,25 @@ def single_anchor_distance(base, e: str, s: float, space: FiniteSpace) -> Prescr
         known_constant=s,
         known_k_constants=k_constants,
     )
-    return PrescribedDistance(
-        distance=dist,
-        space=space,
-        anchors=(e,),
-        s=s,
-        scale=scale,
-        base=base_dist,
-        witness_recipe=lambda _space: (witness_t, e),
+    return CatalogEntry(
+        dist,
+        lambda _space: (witness_t, e),
         standard=abs(s - 1.0 / (n - 1)) < _S_TOL,
-        repetition_invariant=getattr(base, "repetition_invariant", None),
+        repetition_invariant=base.repetition_invariant,
         nonincreasing=None,
+        space=space,
+        params={"scale": scale},
     )
 
 
-def two_anchor_distance(a: str, b: str, s: float, n: int, space: FiniteSpace) -> PrescribedDistance:
+def two_anchor_distance(a: str, b: str, s: float, n: int, space: FiniteSpace) -> CatalogEntry:
     """Three-valued distance keyed on joint presence of two anchors.
 
     d = 0 on constant tuples, C when both anchors occur, 1 otherwise, with
-    C = 2/(1/s - n + 2) >= 2.  Valid for s in [1/(n-1), 1/(n-2)); the best
-    constant is s, attained at (a, b, c, ..., c) with z = c, and the k-term
-    partial constants are 1/(1/s - n + k) for every k.
+    C = 2/(1/s - n + 2) >= 2 stored as ``params["scale"]``.  Valid for s in
+    [1/(n-1), 1/(n-2)); the best constant is s, attained at (a, b, c, ..., c)
+    with z = c, and the k-term partial constants are 1/(1/s - n + k) for
+    every k.
     """
     if space.kind != "finite":
         raise ValueError("this construction needs a finite space")
@@ -147,57 +114,27 @@ def two_anchor_distance(a: str, b: str, s: float, n: int, space: FiniteSpace) ->
         known_constant=s,
         known_k_constants=k_constants,
     )
-    return PrescribedDistance(
-        distance=dist,
-        space=space,
-        anchors=(a, b),
-        s=s,
-        scale=scale,
-        base=None,
-        witness_recipe=lambda _space: ((a, b) + (c,) * (n - 2), c),
+    return CatalogEntry(
+        dist,
+        lambda _space: ((a, b) + (c,) * (n - 2), c),
         standard=abs(s - 1.0 / (n - 1)) < _S_TOL,
         repetition_invariant=True,
         nonincreasing=True,
+        space=space,
+        params={"scale": scale},
     )
 
 
-@dataclass(frozen=True)
-class StrongExtremalDistance:
+def strong_extremal_distance(n: int, k: int) -> CatalogEntry:
     """Distance on {y1..yk, e} making the strong k-simplex constant sharp.
 
     Values are set-determined: 0 on constants, (m-1)/(k-1) on anchor-free
     tuples with m distinct values, ``a`` when e occurs but some yi is
     missing, ``b`` when every label occurs.  Standard and repetition
     invariant, and the ratio at (y1..yk, z=e) over any grouping equals
-    1/(k a), the optimal strong constant, exactly.
+    1/(k a), the optimal strong constant, exactly.  ``params`` holds the
+    fractions ``a`` and ``b``; ``exact_evaluator`` the rational values.
     """
-
-    distance: NDistance
-    space: FiniteSpace
-    n: int
-    k: int
-    a: Fraction
-    b: Fraction
-    exact_evaluator: Callable[[tuple], Fraction]
-    witness_recipe: Callable[[Space], tuple[tuple, Point]]
-    strong_witness: tuple[tuple, Point]
-    standard: bool = True
-    repetition_invariant: bool = True
-    nonincreasing: bool = False
-
-    @property
-    def name(self) -> str:
-        return self.distance.name
-
-    @property
-    def arity(self) -> int:
-        return self.distance.arity
-
-    def __call__(self, *points: Point) -> float:
-        return self.distance(*points)
-
-
-def strong_extremal_distance(n: int, k: int) -> StrongExtremalDistance:
     if n < 3 or not 2 <= k <= n - 1:
         raise ValueError(f"needs n >= 3 and 2 <= k <= n-1, got n={n}, k={k}")
     labels = tuple(f"y{i}" for i in range(1, k + 1)) + ("e",)
@@ -228,14 +165,13 @@ def strong_extremal_distance(n: int, k: int) -> StrongExtremalDistance:
         known_k_constants={j: 1.0 / (j - 1) for j in range(2, n + 1)},
     )
     y1, y2 = labels[0], labels[1]
-    return StrongExtremalDistance(
-        distance=dist,
+    return CatalogEntry(
+        dist,
+        lambda _space: ((y1,) + (y2,) * (n - 1), y2),
+        standard=True,
+        repetition_invariant=True,
+        nonincreasing=False,
         space=space,
-        n=n,
-        k=k,
-        a=a,
-        b=b,
         exact_evaluator=exact,
-        witness_recipe=lambda _space: ((y1,) + (y2,) * (n - 1), y2),
-        strong_witness=(labels[:k], "e"),
+        params={"a": a, "b": b},
     )

@@ -227,7 +227,7 @@ def test_criterion_06_strong_simplex():
     num = d.exact_evaluator(("y1", "y2", "y2", "y2"))
     den = d.exact_evaluator(("e", "y2", "y2", "y2")) + d.exact_evaluator(("y1", "e", "e", "e"))
     assert num / den == Fraction(7, 6)
-    assert Fraction(7, 6) == 1 / (2 * d.a)
+    assert Fraction(7, 6) == 1 / (2 * d.params["a"])
     v = check_strong_k_simplex(
         d, k=2, constant=float(Fraction(7, 6)), space=d.space, budget=20_000, seed=SEED
     )

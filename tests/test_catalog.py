@@ -29,6 +29,14 @@ def test_available_ids_and_aliases():
         catalog.make("no-such-distance", 3)
 
 
+@pytest.mark.parametrize("dist_id", catalog.available_ids())
+def test_make_rejects_arity_below_two(dist_id):
+    # checked before the factory runs: the factories divide by n - 1
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            catalog.make(dist_id, n)
+
+
 def test_drastic_values():
     d = catalog.make("drastic", 4)
     assert d("a", "a", "a", "a") == 0.0

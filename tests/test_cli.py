@@ -6,6 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from simplex_lab.cli import parse_distance_spec, parse_value
 
 CLI = [sys.executable, "-m", "simplex_lab"]
 
@@ -49,6 +53,52 @@ def test_config_error_exit_two():
     assert r.stdout == ""
     assert "error:" in r.stderr
     assert "n < 2^p" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("table1", "--n", "1"),
+        ("constants", "--distance", "drastic", "--n", "1"),
+        ("constants", "--distance", "two-anchor:s=1/0"),
+        ("verify", "--distance", "cardinality", "--checks", "strong", "--strong-constant", "1/0"),
+        ("constants", "--distance", "single-anchor:s=0.4", "--space", "real"),
+    ],
+)
+def test_bad_input_exits_two_without_traceback(args):
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert "error:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_parse_value_forms():
+    assert parse_value("3") == 3
+    assert parse_value("0.25") == 0.25
+    assert parse_value("1/4") == 0.25
+    assert parse_value("abs") == "abs"
+    assert parse_value("a/b") == "a/b"
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_value("1/0")
+    with pytest.raises(ValueError, match="float range"):
+        parse_value("1" * 400 + "/1")
+
+
+_SPEC_TEXT = st.text() | st.from_regex(r"[a-z-]*(:([a-z]*=-?[0-9]*/?-?[0-9]*,?)*)?", fullmatch=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_SPEC_TEXT)
+@example(text="1/0")
+@example(text="two-anchor:s=1/0")
+def test_parsers_return_or_raise_value_error(text):
+    # any text either parses or is a config error (exit 2), never another exception
+    for parse in (parse_value, parse_distance_spec):
+        try:
+            parse(text)
+        except ValueError:
+            pass
 
 
 def test_unknown_distance_exit_two():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -29,6 +30,27 @@ ABE = FiniteSpace(("a", "b", "e"))
 ABCD = FiniteSpace(("a", "b", "c", "d"))
 
 
+def test_constructions_return_catalog_entries():
+    # (entry, space, params, flags (standard, repetition_invariant, nonincreasing))
+    base = catalog.make("drastic", 4)
+    open_base = dataclasses.replace(catalog.make("cardinality", 4), repetition_invariant=None)
+    cases = [
+        (single_anchor_distance(base, "e", 1 / 3, ABE), ABE, {"scale"}, (True, True, None)),
+        (single_anchor_distance(base, "e", 0.5, ABE), ABE, {"scale"}, (False, True, None)),
+        (single_anchor_distance(open_base, "e", 0.5, ABE), ABE, {"scale"}, (False, None, None)),
+        (two_anchor_distance("a", "b", 1 / 3, 4, ABCD), ABCD, {"scale"}, (True, True, True)),
+        (two_anchor_distance("a", "b", 0.4, 4, ABCD), ABCD, {"scale"}, (False, True, True)),
+        (strong_extremal_distance(4, 2), FiniteSpace(("y1", "y2", "e")), {"a", "b"}, (True, True, False)),
+    ]
+    for entry, space, params, flags in cases:
+        assert type(entry) is catalog.CatalogEntry, entry.name
+        assert entry.space == space, entry.name
+        assert set(entry.params) == params, entry.name
+        assert (entry.standard, entry.repetition_invariant, entry.nonincreasing) == flags, entry.name
+        assert entry.constant_bounds is None
+        assert (entry.exact_evaluator is not None) == entry.name.startswith("strong-extremal")
+
+
 # --- single anchor -------------------------------------------------------
 
 
@@ -51,8 +73,8 @@ def test_single_anchor_drastic_scale():
     # is 1/(n s); tuples with the anchor keep the base value
     base = catalog.make("drastic", 4)
     d = single_anchor_distance(base, "e", 0.5, ABE)
-    assert d.scale == pytest.approx(1 / (4 * 0.5))
-    assert d.s == 0.5
+    assert d.params["scale"] == pytest.approx(1 / (4 * 0.5))
+    assert d.distance.known_constant == 0.5
     assert d(*("a", "b", "a", "b")) == pytest.approx(1.0)  # anchor absent: base value
     assert d(*("a", "b", "e", "b")) == pytest.approx(0.5)  # anchor present: shrunk by C
     assert d(*("a", "a", "a", "a")) == 0.0
@@ -63,7 +85,7 @@ def test_single_anchor_witness_is_lexicographically_first():
     space = FiniteSpace(tuple("abcde"))
     d = single_anchor_distance(catalog.make("drastic", 5), "a", 0.4, space)
     assert d.witness_recipe(space) == (("b", "b", "b", "b", "c"), "a")
-    assert d.scale == 0.5
+    assert d.params["scale"] == 0.5
 
 
 def test_single_anchor_constant_is_prescribed():
@@ -122,7 +144,7 @@ def test_two_anchor_validation():
 def test_two_anchor_values():
     d = two_anchor_distance("a", "b", 0.4, 4, ABCD)
     C = 2.0 / (1.0 / 0.4 - 4 + 2)
-    assert d.scale == pytest.approx(C)
+    assert d.params["scale"] == pytest.approx(C)
     assert C >= 2.0
     assert d(*("c", "c", "c", "c")) == 0.0
     assert d(*("a", "b", "c", "c")) == pytest.approx(C)  # both anchors present
@@ -167,8 +189,8 @@ def test_strong_extremal_validation():
 
 def test_strong_extremal_rational_values():
     d = strong_extremal_distance(4, 2)
-    assert d.a == Fraction(3, 7)
-    assert d.b == Fraction(6, 7)
+    assert d.params["a"] == Fraction(3, 7)
+    assert d.params["b"] == Fraction(6, 7)
     assert d.exact_evaluator(("y1", "y1", "y1", "y1")) == 0
     assert d.exact_evaluator(("y1", "y2", "y1", "y2")) == 1  # e-free, 2 values
     assert d.exact_evaluator(("y1", "e", "e", "e")) == Fraction(3, 7)
@@ -208,5 +230,5 @@ def test_strong_extremal_attains_strong_constant():
 def test_strong_extremal_exact_ratio_is_rational():
     # 1/(k a) with a = (k-1)(n-1)/(k(n-1)+1): at n=4, k=2 this is 7/6
     d = strong_extremal_distance(4, 2)
-    assert 1 / (2 * d.a) == Fraction(7, 6)
+    assert 1 / (2 * d.params["a"]) == Fraction(7, 6)
     assert float(Fraction(7, 6)) == pytest.approx(strong_constant_standard(4, 2), abs=1e-15)
