@@ -90,7 +90,7 @@ def _diameter_evaluator(g: Callable[[Point, Point], float]) -> Callable[[tuple],
         s = sorted(set(t))
         if len(s) == 1:
             return 0.0
-        return max(g(p, q) for p, q in itertools.combinations(s, 2))
+        return max(itertools.starmap(g, itertools.combinations(s, 2)))
 
     return ev
 

@@ -137,6 +137,7 @@ def build_distance(dist_id: str, params: dict, n: int, space: Space | None) -> t
         e = str(params.pop("e", sp.labels[0]))
         _reject_leftovers(dist_id, params)
         base = catalog.make(base_id, n)
+        _check_space_compatible(base.distance, sp)
         return constructions.single_anchor_distance(base, e, s, sp), sp
     if dist_id == "two-anchor":
         sp = space if space is not None else FiniteSpace(tuple(_LETTERS[:4]))
@@ -152,7 +153,10 @@ def build_distance(dist_id: str, params: dict, n: int, space: Space | None) -> t
     if dist_id == "strong-extremal":
         if "k" not in params:
             raise ValueError("strong-extremal needs k=<block count>")
-        k = int(params.pop("k"))
+        k = params.pop("k")
+        if not isinstance(k, (int, float)) or not math.isfinite(k) or k != int(k):
+            raise ValueError(f"strong-extremal needs an integer k, got {k!r}")
+        k = int(k)
         _reject_leftovers(dist_id, params)
         obj = constructions.strong_extremal_distance(n, k)
         return obj, obj.space  # lives on its own label space

@@ -3,11 +3,19 @@
 The smallest enclosing circle uses the randomized incremental construction
 (expected linear time).  Input points are deduplicated and sorted before a
 fixed-seed shuffle, so every result is a deterministic function of the point
-set alone.
+set alone.  That shuffle's permutation depends only on the number of points,
+so it is drawn once per length and cached (Welzl 1991 needs a random order,
+not a fresh one per call).
+
+The euclidean Fermat value first tests the cheapest data point for
+optimality (Vardi & Zhang 2000) and runs Weiszfeld only when it fails.
+Line keys are exact: coordinates are scaled by one power of two into
+integers, so near-collinear floats are never merged or split by rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -31,13 +39,20 @@ def smallest_enclosing_circle(points) -> Circle:
     pts = sorted({(float(p[0]), float(p[1])) for p in points})
     if not pts:
         raise ValueError("at least one point required")
-    rng = random.Random(_SHUFFLE_SEED)
-    rng.shuffle(pts)
+    pts = [pts[i] for i in _shuffle_order(len(pts))]
     c = None
     for i, p in enumerate(pts):
         if c is None or not _inside(c, p):
             c = _circle_one_boundary(pts[: i + 1], p)
     return Circle((c[0], c[1]), c[2])
+
+
+@functools.lru_cache
+def _shuffle_order(m: int) -> tuple[int, ...]:
+    # the permutation random.Random(_SHUFFLE_SEED).shuffle applies to any m-list
+    order = list(range(m))
+    random.Random(_SHUFFLE_SEED).shuffle(order)
+    return tuple(order)
 
 
 def _inside(c: tuple, p: tuple) -> bool:
@@ -118,32 +133,29 @@ def _cross(ax: float, ay: float, bx: float, by: float, px: float, py: float) -> 
 def count_lines(points) -> int:
     """Number of distinct straight lines through pairs of distinct points.
 
-    Lines get canonical (a, b, c) keys for ax + by = c.  Integer coordinates
-    take an exact gcd-normalized path; otherwise keys are unit-normalized and
-    rounded, which is robust at the 1e-9 scale used here.
+    Every float is a dyadic rational, so multiplying all coordinates by the
+    largest denominator (a power of two) makes them exact integers.  Lines
+    then get exact gcd-normalized (a, b, c) keys for ax + by = c, and
+    near-collinear points are told apart however close they are.
     """
-    pts = sorted({(float(p[0]), float(p[1])) for p in points})
+    pts = {(float(p[0]), float(p[1])) for p in points}
     if len(pts) < 2:
         return 0
+    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in pts]
+    scale = max(max(xd, yd) for (_, xd), (_, yd) in ratios)
+    pts = [(xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in ratios]
     return len({_line_key(p, q) for p, q in itertools.combinations(pts, 2)})
 
 
 def _line_key(p: tuple, q: tuple) -> tuple:
+    # p != q, so a and b are not both 0 and the gcd is positive
     a = q[1] - p[1]
     b = p[0] - q[0]
     c = a * p[0] + b * p[1]
-    if p[0].is_integer() and p[1].is_integer() and q[0].is_integer() and q[1].is_integer():
-        ia, ib, ic = int(a), int(b), int(c)
-        g = math.gcd(math.gcd(abs(ia), abs(ib)), abs(ic)) or 1
-        ia, ib, ic = ia // g, ib // g, ic // g
-        if ia < 0 or (ia == 0 and ib < 0):
-            ia, ib, ic = -ia, -ib, -ic
-        return (ia, ib, ic)
-    h = math.hypot(a, b)
-    a, b, c = a / h, b / h, c / h
-    if a < -1e-12 or (abs(a) <= 1e-12 and b < 0):
-        a, b, c = -a, -b, -c
-    return (round(a, 9), round(b, 9), round(c, 9))
+    g = math.gcd(a, b, c)
+    if a < 0 or (a == 0 and b < 0):
+        g = -g
+    return (a // g, b // g, c // g)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +166,12 @@ def fermat_value(points, ground: str = "abs") -> float:
     """min over x of the summed ground distance from the points to x.
 
     * ``abs`` (reals): exact, any median minimizes the sum.
-    * ``euclidean`` (plane): Weiszfeld iteration with vertex-stall handling,
-      tolerance 1e-10, at most 10^4 iterations; the best value found is
-      returned even if the iteration did not converge.
+    * ``euclidean`` (plane): the cheapest data point v is returned at once
+      when it passes the vertex optimality test |sum over p != v of
+      k_p (p - v)/|p - v|| <= k_v (k: multiplicities).  Otherwise Weiszfeld
+      iteration with vertex-stall handling, tolerance 1e-10, at most 10^4
+      iterations; the best value found is returned even if the iteration
+      did not converge.
     * ``chebyshev`` (plane): exact via the rotation u = x+y, v = x-y, which
       makes the objective separable into two median problems.
     * ``discrete`` (finite labels): exact, the minimizer is a modal label.
@@ -190,7 +205,19 @@ def _weiszfeld(pts: list, tol: float = 1e-10, max_iter: int = 10_000) -> float:
     def cost(q: tuple) -> float:
         return sum(math.hypot(p[0] - q[0], p[1] - q[1]) for p in pts)
 
-    best = min(cost(p) for p in dict.fromkeys(pts))  # vertex minima
+    counts = Counter(pts)
+    v = min(counts, key=cost)
+    best = cost(v)
+    # Vardi & Zhang: v is a minimizer iff the unit vectors towards the other
+    # points, weighted by multiplicity, sum to a length of at most k_v
+    gx = gy = 0.0
+    for p, k in counts.items():
+        if p != v:
+            d = math.hypot(p[0] - v[0], p[1] - v[1])
+            gx += k * (p[0] - v[0]) / d
+            gy += k * (p[1] - v[1]) / d
+    if math.hypot(gx, gy) <= counts[v]:
+        return best
     m = len(pts)
     x = (sum(p[0] for p in pts) / m, sum(p[1] for p in pts) / m)
     best = min(best, cost(x))
@@ -237,7 +264,7 @@ def ground_distance(kind: str):
     if kind == "abs":
         return lambda x, y: abs(x - y)
     if kind == "euclidean":
-        return lambda x, y: math.hypot(x[0] - y[0], x[1] - y[1])
+        return math.dist
     if kind == "chebyshev":
         def cheb(x, y):
             if isinstance(x, tuple):

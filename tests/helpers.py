@@ -45,10 +45,32 @@ def brute_circle(points):
     return best
 
 
-def grid_fermat(points, ground="abs", rounds=8):
-    """Minimum total ground distance to a free point, by grid refinement.
+def _golden_min(f, lo, hi, iters=60):
+    """Minimum value of a convex function on [lo, hi] by golden-section search."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - r * (hi - lo), lo + r * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - r * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + r * (hi - lo)
+            fd = f(d)
+    return min(fc, fd)
 
-    Good to about 1e-6 after the default number of rounds; used only to
+
+def grid_fermat(points, ground="abs", rounds=8):
+    """Minimum total ground distance to a free point.
+
+    On the line by grid refinement, good to about 1e-6 after the default
+    number of rounds.  In the plane by nested golden-section search over the
+    bounding box: the cost is convex, so min over y is convex in x and both
+    searches keep the minimizer bracketed.  A grid refined around its best
+    point can lose the minimizer when the level sets are long and thin, as
+    they are near a data point that is nearly optimal.  Used only to
     cross-check the closed-form and iterative solvers.
     """
     pts = [p for p in points]
@@ -79,22 +101,8 @@ def grid_fermat(points, ground="abs", rounds=8):
 
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    lox, hix = min(xs) - 1.0, max(xs) + 1.0
-    loy, hiy = min(ys) - 1.0, max(ys) + 1.0
 
-    def cost(z):
-        return sum(g(p, z) for p in pts)
+    def column_min(x):
+        return _golden_min(lambda y: sum(g(p, (x, y)) for p in pts), min(ys) - 1.0, max(ys) + 1.0)
 
-    best = (lox, loy)
-    for _ in range(rounds):
-        grid = [
-            (lox + (hix - lox) * i / 24.0, loy + (hiy - loy) * j / 24.0)
-            for i in range(25)
-            for j in range(25)
-        ]
-        best = min(grid, key=cost)
-        sx = (hix - lox) / 24.0
-        sy = (hiy - loy) / 24.0
-        lox, hix = best[0] - sx, best[0] + sx
-        loy, hiy = best[1] - sy, best[1] + sy
-    return cost(best)
+    return _golden_min(column_min, min(xs) - 1.0, max(xs) + 1.0)

@@ -63,6 +63,9 @@ def test_config_error_exit_two():
         ("constants", "--distance", "two-anchor:s=1/0"),
         ("verify", "--distance", "cardinality", "--checks", "strong", "--strong-constant", "1/0"),
         ("constants", "--distance", "single-anchor:s=0.4", "--space", "real"),
+        ("constants", "--distance", "strong-extremal:k=inf"),
+        ("constants", "--distance", "strong-extremal:k=2.5"),
+        ("constants", "--distance", "single-anchor:s=0.5,base=diameter", "--n", "4", "--space", "finite:5"),
     ],
 )
 def test_bad_input_exits_two_without_traceback(args):

@@ -1,11 +1,16 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_circle, grid_fermat
 from simplex_lab.core import CIRCLE_POINTS
 from simplex_lab.geometry import (
+    _SHUFFLE_SEED,
+    _shuffle_order,
     count_lines,
     fermat_value,
     ground_distance,
@@ -51,6 +56,35 @@ def test_circle_is_order_independent():
         assert (c.center, c.radius) == (base.center, base.radius)
 
 
+def test_cached_shuffle_order_is_the_seeded_shuffle():
+    # the cache is exact only because shuffle's permutation depends on the length alone
+    for m in range(1, 9):
+        items = [(float(i), -float(i)) for i in range(m)]
+        want = items[:]
+        random.Random(_SHUFFLE_SEED).shuffle(want)
+        assert [items[i] for i in _shuffle_order(m)] == want
+
+
+_COORD = st.floats(-3, 3, allow_nan=False) | st.integers(-3, 3).map(float)
+_POINT = st.tuples(_COORD, _COORD)
+
+
+@st.composite
+def _points_with_repeats(draw, max_size=7):
+    pool = draw(st.lists(_POINT, min_size=1, max_size=max_size))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=_points_with_repeats())
+def test_circle_matches_brute_force_property(pts):
+    got = smallest_enclosing_circle(pts)
+    want = brute_circle(pts)
+    assert got.radius == pytest.approx(want[2], abs=1e-7)
+    for x, y in pts:
+        assert math.hypot(x - got.center[0], y - got.center[1]) <= got.radius * (1 + 1e-12) + 1e-12
+
+
 def test_circle_points_lie_on_radius_five():
     assert len(CIRCLE_POINTS) == 8
     for x, y in CIRCLE_POINTS:
@@ -70,6 +104,45 @@ def test_count_lines():
     # grid with collinear triples: 3x3 grid has 20 lines
     grid = [(i, j) for i in range(3) for j in range(3)]
     assert count_lines(grid) == 20
+
+
+def test_count_lines_near_collinear_is_exact():
+    # 1e-10 off the x-axis is still off it: three lines, not two
+    assert count_lines([(0, 0), (1, 1e-10), (2, 0)]) == 3
+    assert count_lines([(0.0, 0.0), (0.5, 0.25), (1.0, 0.5)]) == 1
+
+
+def _exact_line_count(pts):
+    # lines through a triple of points, by the cross product in exact rationals
+    q = [(Fraction(x), Fraction(y)) for x, y in dict.fromkeys((float(x), float(y)) for x, y in pts)]
+    if len(q) < 3:
+        return len(q) - 1
+    (ax, ay), (bx, by), (cx, cy) = q
+    return 1 if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0 else 3
+
+
+@st.composite
+def _near_collinear_triples(draw):
+    # c on the segment ab, either exactly (dyadic data) or up to float rounding,
+    # optionally moved by a few ulps
+    dyadic = st.integers(-64, 64).map(lambda i: i / 16)
+    coord = dyadic | st.floats(-3, 3, allow_nan=False)
+    a = draw(st.tuples(coord, coord))
+    b = draw(st.tuples(coord, coord))
+    t = draw(dyadic | st.floats(-2, 2, allow_nan=False))
+    c = [a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])]
+    for i in range(2):
+        for _ in range(draw(st.integers(0, 2))):
+            c[i] = math.nextafter(c[i], math.inf if draw(st.booleans()) else -math.inf)
+    return [a, b, tuple(c)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(pts=_near_collinear_triples())
+@example(pts=[(0.0, 0.0), (1.0, 1e-10), (2.0, 0.0)])
+@example(pts=[(0.1, 0.2), (0.3, 0.6), (0.2, 0.4)])
+def test_count_lines_matches_exact_oracle(pts):
+    assert count_lines(pts) == _exact_line_count(pts)
 
 
 def test_count_lines_float_and_int_agree():
@@ -115,6 +188,37 @@ def test_fermat_euclidean():
         assert fermat_value(pts, "euclidean") == pytest.approx(
             grid_fermat(pts, "euclidean"), abs=1e-4
         )
+
+
+@st.composite
+def _fermat_inputs(draw):
+    # either free points, or one point carrying at least half the multiplicity
+    coord = st.floats(-2, 2, allow_nan=False)
+    others = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=5))
+    if not draw(st.booleans()):
+        return tuple(others)
+    v = draw(st.tuples(coord, coord))
+    return (v,) * draw(st.integers(len(others), len(others) + 2)) + tuple(others)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pts=_fermat_inputs())
+def test_fermat_euclidean_matches_grid_property(pts):
+    assert fermat_value(pts, "euclidean") == pytest.approx(grid_fermat(pts, "euclidean"), abs=1e-4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    v=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    others=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=5),
+    extra=st.integers(1, 3),
+)
+def test_fermat_euclidean_majority_point_is_exact(v, others, extra):
+    # a point carrying more than half the multiplicity is the minimizer, and
+    # the vertex test returns its cost exactly, without iterating towards it
+    v = (float(v[0]), float(v[1]))
+    pts = (v,) * (len(others) + extra) + tuple((float(x), float(y)) for x, y in others)
+    assert fermat_value(pts, "euclidean") == sum(math.hypot(p[0] - v[0], p[1] - v[1]) for p in sorted(pts))
 
 
 def test_fermat_chebyshev():
