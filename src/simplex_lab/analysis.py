@@ -11,10 +11,11 @@ they feed it.
 Estimates are certified lower bounds: every reported value is realized by a
 stored witness whose ratio can be recomputed from the witness alone.  On
 finite spaces the scan is exhaustive and hence exact.  On continuous spaces
-the scan folds structured extremal families, the entry's own witness recipe,
-and seeded uniform batches, then locally refines the best candidate by
-cyclic coordinate descent.  The fold is a max-reduction with a total
-lexicographic tie-break, so results do not depend on evaluation order.
+the scan folds the entry's own witness recipe, then the candidates of
+``core.iter_pairs`` (the structured extremal families, then seeded samples),
+and locally refines the best candidate by cyclic coordinate descent.  The
+fold is a max-reduction with a total lexicographic tie-break, so results do
+not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -35,18 +35,17 @@ from .core import (
     Point,
     PropertyVerdict,
     Space,
-    derive_seed,
     distinct_count,
     iter_pairs,
-    sample_pair,
     section,
+    # not called here: bench/tracing.py patches both names on this module
+    sample_pair,
     structured_pairs,
 )
 
 EXACT = "exact"
 SAMPLED = "sampled"
 
-_BATCHES = 8
 _REFINE_ROUNDS = 20
 _ENUM_FLOOR = 4096  # finite spaces at least this small always get enumerated
 
@@ -216,7 +215,9 @@ def _estimate(dist, d: NDistance, space: Space, k: int, budget: int, seed: int, 
     if exhaustive:
         pairs = ((t, z) for t in space.iter_tuples(n) for z in space.labels)
     else:
-        pairs = _sampled_pairs(dist, space, n, budget, seed)
+        recipe = getattr(dist, "witness_recipe", None)
+        head = [recipe(space)] if recipe is not None else []
+        pairs = itertools.chain(head, iter_pairs(space, n, budget - len(head), seed))
     best, _, _, trials = scan(d.evaluator, pairs, k)
     if best is None:
         raise ValueError("no nondegenerate candidate found within budget")
@@ -225,18 +226,6 @@ def _estimate(dist, d: NDistance, space: Space, k: int, budget: int, seed: int, 
     witness = Witness(best[1], best[2], best[0], best[3])
     method = EXACT if exhaustive else SAMPLED
     return ConstantEstimate(n, k, best[0], witness, _analytic_constant(d, k), method, trials, seed)
-
-
-def _sampled_pairs(dist, space: Space, n: int, budget: int, seed: int):
-    """The witness recipe, the structured families, then seeded batches up to ``budget``."""
-    recipe = getattr(dist, "witness_recipe", None)
-    head = ([recipe(space)] if recipe is not None else []) + structured_pairs(space, n)
-    yield from head
-    base, extra = divmod(max(0, budget - len(head)), _BATCHES)
-    for b in range(_BATCHES):
-        rng = random.Random(derive_seed(seed, 100 + b))
-        for _ in range(base + (1 if b < extra else 0)):
-            yield sample_pair(space, n, rng)
 
 
 def _refine(ev: Callable[[tuple], float], space: Space, n: int, k: int, best):

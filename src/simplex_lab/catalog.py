@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .core import FiniteSpace, NDistance, Plane, Point, RealLine, Space
+from .core import FiniteSpace, NDistance, Point, Space
 from .geometry import (
     count_lines,
     fermat_value,

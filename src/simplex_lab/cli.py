@@ -100,6 +100,14 @@ def parse_space(spec: str) -> Space:
     return cls(float(low), float(high))
 
 
+def positive_int(text: str) -> int:
+    """argparse type for --budget: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def parse_int_list(text: str, low: int, high: int, what: str = "k") -> list[int]:
     """'3' | '2,3' | '2..5' -> validated list of ints in [low, high]."""
     if ".." in text:
@@ -381,7 +389,10 @@ def resolve_strong_constant(entry: catalog.CatalogEntry, n: int, k: int, explici
     with known partial constants.  Anything else needs the flag.
     """
     if explicit is not None:
-        return float(explicit), "explicit"
+        constant = float(explicit)
+        if not math.isfinite(constant):
+            raise ValueError(f"--strong-constant must be finite, got {explicit!r}")
+        return constant, "explicit"
     if entry.standard is True and entry.repetition_invariant is True:
         return properties.strong_constant_standard(n, k), "standard-formula"
     d = entry.distance
@@ -533,20 +544,19 @@ _FAMILY_IDS = (
 
 
 def _build_family(family: str, arities: list[int]):
-    """-> (members, d2 override or None, space)."""
+    """-> (members, space)."""
     if family not in _FAMILY_IDS:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(_FAMILY_IDS)}")
     if family == "arithmetic-mean-doubled":
         # binary member replaced by twice the distance, per the passing variant
         doubled = core.NDistance("doubled-mean", 2, "real-line", lambda t: abs(t[0] - t[1]))
         members = [doubled] + [catalog.make("arithmetic-mean", m).distance for m in arities if m >= 3]
-        return members, None, RealLine()
+        return members, RealLine()
     members = [catalog.make(family, m).distance for m in arities]
-    kind = members[0].space_kind
-    space = default_space_for(kind)
+    space = default_space_for(members[0].space_kind)
     if family in ("cardinality", "drastic"):
         space = FiniteSpace(tuple(_LETTERS[:4]))
-    return members, None, space
+    return members, space
 
 
 def run_multidistance(args) -> dict:
@@ -554,12 +564,10 @@ def run_multidistance(args) -> dict:
     arities = parse_int_list(args.arities, 2, 12, what="arity")
     if arities[0] != 2:
         raise ValueError("the arity range must start at 2 (the binary member)")
-    members, d2, space = _build_family(args.family, arities)
-    verdicts = [
-        properties.check_multidistance(members, space, d2=d2, budget=args.budget // 5, seed=seed)
-    ]
+    members, space = _build_family(args.family, arities)
+    verdicts = [properties.check_multidistance(members, space, budget=args.budget // 5, seed=seed)]
     two = members[0].evaluator
-    g = (lambda x, z: two((x, z))) if d2 is None else d2
+    g = lambda x, z: two((x, z))
     for member in members:
         if member.arity < 3:
             continue
@@ -588,7 +596,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", help="finite:3 | finite:a,b,c | real[:lo,hi] | plane[:lo,hi]")
     p.add_argument("--n", type=int, default=4, help="arity (default 4)")
     p.add_argument("--k", help="k selection: '3' | '2,3' | '2..5'")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=None, help="default 42, or $SIMPLEX_LAB_SEED")
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")

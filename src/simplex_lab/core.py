@@ -9,7 +9,6 @@ matching the usual mathematical convention for arguments x_1, ..., x_n.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence, Union

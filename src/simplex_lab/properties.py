@@ -3,22 +3,19 @@
 The strong k-variable inequality quantifies over groupings: split the n
 arguments into k nonempty blocks, collapse each block to its value, and
 bound the collapsed distance by M times the sum of its k sections.  The
-checkers here enumerate all compositions (ordered block sizes) and reuse
-the shared candidate streams for the k collapsed values.
+checkers here enumerate all compositions (ordered block sizes) and draw
+the k collapsed values from the shared candidate stream, ``core.iter_pairs``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
-    NDistance,
     Point,
     PropertyVerdict,
     Space,
@@ -207,29 +204,10 @@ def _canonical_value_sets(space: Space, n: int, budget: int, seed: int) -> list[
                 break
             out.extend(itertools.combinations(space.labels, m))
         return out
-    if space.kind == "plane":
-        base = [((0.0, 0.0), (1.0, 0.0))]
-        if n >= 3:
-            base.append(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
-
-        def snap(p):  # rounding makes accidental duplicates detectable
-            return (round(p[0], 6), round(p[1], 6))
-
-    else:
-        base = [(0.0, 1.0)]
-        if n >= 3:
-            base.append((0.0, 1.0, 2.0))
-
-        def snap(p):
-            return round(p, 6)
-
-    rng = random.Random(derive_seed(seed, 400))
-    for _ in range(max(0, budget)):
-        m = rng.randint(2, n)
-        vals = sorted({snap(space.sample(rng)) for _ in range(m)})
-        if len(vals) >= 2:
-            base.append(tuple(vals))
-    return base
+    # prefixes of 2..n points, so that sets of every size get expanded
+    tuples = iter_tuples(space, n, budget, derive_seed(seed, 400))
+    prefixes = (set(t[: 2 + i % (n - 1)]) for i, t in enumerate(tuples))
+    return [tuple(sorted(v)) for v in prefixes if len(v) >= 2]
 
 
 def check_repetition_invariance(
@@ -245,7 +223,7 @@ def check_repetition_invariance(
     checked = 0
     if space.kind == "finite" and space.size ** n <= 100_000:
         groups: dict[frozenset, tuple[tuple, float]] = {}
-        for t in iter_tuples(space, n, space.size**n, seed):
+        for t in space.iter_tuples(n):
             key = frozenset(t)
             if len(key) < 2:
                 continue
@@ -368,7 +346,7 @@ def check_multidistance(
                 break
         suff_holds = True
         suff_equal = True
-        for x, z in _pair_stream(space, max(1, budget // (4 * len(members))), derive_seed(seed, 700 + n)):
+        for x, z in iter_tuples(space, 2, max(1, budget // (4 * len(members))), derive_seed(seed, 700 + n)):
             if x == z:
                 continue
             dn = ev((x,) + (z,) * (n - 1))
@@ -389,21 +367,6 @@ def check_multidistance(
     if first_ce is not None:
         return PropertyVerdict(prop, FAIL, counterexample=first_ce, details=details)
     return PropertyVerdict(prop, PASS, details=details)
-
-
-def _pair_stream(space: Space, budget: int, seed: int):
-    if space.kind == "finite":
-        for x in space.labels:
-            for z in space.labels:
-                yield x, z
-        return
-    rng = random.Random(seed)
-    if space.kind == "real-line":
-        yield 0.0, 1.0
-    else:
-        yield (0.0, 0.0), (1.0, 0.0)
-    for _ in range(budget):
-        yield space.sample(rng), space.sample(rng)
 
 
 def check_multi_to_ndistance(
@@ -430,7 +393,7 @@ def check_multi_to_ndistance(
             prop, NOT_APPLICABLE, details={"reason": "not nonincreasing", "counterexample": noninc.counterexample}
         )
     ev = d.evaluator
-    for x, z in _pair_stream(space, max(1, budget // 4), derive_seed(seed, 800)):
+    for x, z in iter_tuples(space, 2, max(1, budget // 4), derive_seed(seed, 800)):
         if x == z:
             continue
         if d2(x, z) > ev((x,) + (z,) * (n - 1)) + tol:

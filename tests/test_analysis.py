@@ -29,7 +29,9 @@ from simplex_lab.core import (
     FiniteSpace,
     Plane,
     RealLine,
+    distinct_count,
     evaluate,
+    iter_pairs,
     simplex_denominator,
 )
 
@@ -123,6 +125,21 @@ def test_sampled_on_continuous_space():
     again = estimate_best_constant(entry, RealLine(), budget=20_000, seed=42)
     assert again == est
     assert est.trials > 0
+
+
+@pytest.mark.parametrize(
+    "entry, space",
+    [(catalog.make("diameter", 4), RealLine()), (catalog.make("diameter", 4, d2="euclidean"), Plane())],
+    ids=["line", "plane"],
+)
+@pytest.mark.parametrize("budget", [1, 5, 300])
+def test_sampled_estimate_folds_recipe_then_iter_pairs(entry, space, budget):
+    # the sampled candidates are the recipe, then iter_pairs for the rest of the budget
+    pairs = [entry.witness_recipe(space)] + list(iter_pairs(space, 4, budget - 1, 7))
+    assert len(pairs) == budget
+    est = estimate_best_constant(entry, space, budget=budget, seed=7)
+    assert est.method == SAMPLED
+    assert est.trials == sum(distinct_count(t) >= 2 for t, _ in pairs)
 
 
 # few distinct values, so that equal ratios and the tie-break are common

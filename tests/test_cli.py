@@ -66,6 +66,10 @@ def test_config_error_exit_two():
         ("constants", "--distance", "strong-extremal:k=inf"),
         ("constants", "--distance", "strong-extremal:k=2.5"),
         ("constants", "--distance", "single-anchor:s=0.5,base=diameter", "--n", "4", "--space", "finite:5"),
+        ("verify", "--distance", "cardinality", "--budget", "0"),
+        ("multidistance", "--family", "cardinality", "--budget", "0"),
+        ("table1", "--budget", "-1"),
+        ("verify", "--distance", "cardinality", "--n", "4", "--checks", "strong", "--strong-constant", "nan"),
     ],
 )
 def test_bad_input_exits_two_without_traceback(args):

@@ -121,6 +121,18 @@ def test_repetition_invariance_pass_and_fail():
     assert ce["value_a"] != pytest.approx(ce["value_b"])
 
 
+@pytest.mark.parametrize("space", [RealLine(), Plane()], ids=["line", "plane"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_repetition_invariance_sees_every_set_size(space, m):
+    # depends on multiplicities only on m-value sets: the check must expand sets of size m
+    def ev(t):
+        return float(len(set(t)) > 1) + (t.count(t[0]) if len(set(t)) == m else 0.0)
+
+    v = check_repetition_invariance(NDistance(f"multiplicity-on-{m}-sets", 5, space.kind, ev), space)
+    assert v.failed
+    assert len(set(v.counterexample["tuple_a"])) == m
+
+
 def test_repetition_invariance_fermat():
     v = check_repetition_invariance(catalog.make("fermat", 4), UNIT)
     assert v.failed
