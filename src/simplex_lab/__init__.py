@@ -28,7 +28,6 @@ from .core import (
     distinct_count,
     evaluate,
     section,
-    simplex_denominator,
 )
 from .geometry import (
     Circle,
@@ -118,7 +117,6 @@ __all__ = [
     "ratio",
     "reduced_evaluator",
     "section",
-    "simplex_denominator",
     "single_anchor_distance",
     "smallest_enclosing_circle",
     "strong_constant_general",

@@ -27,9 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .core import (
-    FAIL,
-    NOT_APPLICABLE,
-    PASS,
     DegenerateTupleError,
     NDistance,
     Point,
@@ -213,7 +210,7 @@ def _estimate(dist, d: NDistance, space: Space, k: int, budget: int, seed: int, 
         mode != "sampled" or space.size ** (n + 1) <= max(budget, _ENUM_FLOOR)
     )
     if exhaustive:
-        pairs = ((t, z) for t in space.iter_tuples(n) for z in space.labels)
+        pairs = iter_pairs(space, n, space.size ** (n + 1), seed)
     else:
         recipe = getattr(dist, "witness_recipe", None)
         head = [recipe(space)] if recipe is not None else []
@@ -283,12 +280,11 @@ def check_partial_existence(dist, space: Space, k: int, budget: int = 4096, seed
         raise ValueError(f"k must be in 1..{n}")
     prop = f"partial-constant-exists(k={k})"
     best, _, _, checked = scan(d.evaluator, iter_pairs(space, n, budget, seed), k)
-    details = {"checked": checked}
+    ce = None
     if best is not None and math.isinf(best[0]):
         _, t, z, idx = best
         ce = {"tuple": t, "z": z, "indices": idx, "ratio": "inf"}
-        return PropertyVerdict(prop, FAIL, counterexample=ce, details=details)
-    return PropertyVerdict(prop, PASS, details=details)
+    return PropertyVerdict.of(prop, {"checked": checked}, ce)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +308,7 @@ def check_partial_bound(full: ConstantEstimate, partial: ConstantEstimate, tol: 
     kn = _estimate_value(full)
     knk = _estimate_value(partial)
     if not (n - 1.0 / kn < k <= n):
-        return PropertyVerdict(
-            prop, NOT_APPLICABLE, details={"reason": "k outside (n - 1/K*, n]", "k": k, "full": kn}
-        )
+        return PropertyVerdict.of(prop, {"reason": "k outside (n - 1/K*, n]", "k": k, "full": kn})
     upper = 1.0 / (1.0 / kn - n + k)
     back = 1.0 / (1.0 / knk + n - k)
     lower = 1.0 / (k - 1)
@@ -339,10 +333,8 @@ def check_partial_bound(full: ConstantEstimate, partial: ConstantEstimate, tol: 
         "checks": checks,
         "equalities": equalities,
     }
-    if all(checks.values()):
-        return PropertyVerdict(prop, PASS, details=details)
-    bad = {name: ok for name, ok in checks.items() if not ok}
-    return PropertyVerdict(prop, FAIL, counterexample={"failed": sorted(bad)}, details=details)
+    bad = sorted(name for name, ok in checks.items() if not ok)
+    return PropertyVerdict.of(prop, details, {"failed": bad} if bad else None)
 
 
 def check_symmetrization(full: ConstantEstimate, partial: ConstantEstimate, tol: float = 1e-6) -> PropertyVerdict:
@@ -352,11 +344,9 @@ def check_symmetrization(full: ConstantEstimate, partial: ConstantEstimate, tol:
     kn = _estimate_value(full)
     knk = _estimate_value(partial)
     bound = (k / n) * knk
-    ok = kn <= bound + tol
     details = {"full": kn, "partial": knk, "bound": bound, "equality": abs(kn - bound) <= tol}
-    if ok:
-        return PropertyVerdict(prop, PASS, details=details)
-    return PropertyVerdict(prop, FAIL, counterexample={"full": kn, "bound": bound}, details=details)
+    ce = None if kn <= bound + tol else {"full": kn, "bound": bound}
+    return PropertyVerdict.of(prop, details, ce)
 
 
 def check_attainment_transfer(dist, witness: Witness, k: int, kstar: float | None = None, tol: float = 1e-9) -> PropertyVerdict:
@@ -374,13 +364,9 @@ def check_attainment_transfer(dist, witness: Witness, k: int, kstar: float | Non
     if kstar is None:
         raise ValueError("the best constant is needed (no metadata, none given)")
     if not (n - 1.0 / kstar < k <= n):
-        return PropertyVerdict(prop, NOT_APPLICABLE, details={"reason": "k outside (n - 1/K*, n]"})
+        return PropertyVerdict.of(prop, {"reason": "k outside (n - 1/K*, n]"})
     if abs(witness.ratio - kstar) > tol:
-        return PropertyVerdict(
-            prop,
-            NOT_APPLICABLE,
-            details={"reason": "witness does not attain K*", "ratio": witness.ratio, "kstar": kstar},
-        )
+        return PropertyVerdict.of(prop, {"reason": "witness does not attain K*", "ratio": witness.ratio, "kstar": kstar})
     t, z = witness.points, witness.z
     ev = d.evaluator
     num = ev(t)
@@ -405,9 +391,7 @@ def check_attainment_transfer(dist, witness: Witness, k: int, kstar: float | Non
         "attained_sets": tuple(attained_sets),
         "transfer_possible": len(unchanged) >= n - k,
     }
-    if mismatches:
-        return PropertyVerdict(prop, FAIL, counterexample=mismatches[0], details=details)
-    return PropertyVerdict(prop, PASS, details=details)
+    return PropertyVerdict.of(prop, details, mismatches[0] if mismatches else None)
 
 
 def check_sufficient_standard(dist, full: ConstantEstimate, partial: ConstantEstimate, tol: float = 1e-9) -> PropertyVerdict:
@@ -422,7 +406,7 @@ def check_sufficient_standard(dist, full: ConstantEstimate, partial: ConstantEst
     n, k = full.n, partial.k
     prop = f"sufficient-standard(k={k})"
     if k >= n:
-        return PropertyVerdict(prop, NOT_APPLICABLE, details={"reason": "needs k < n"})
+        return PropertyVerdict.of(prop, {"reason": "needs k < n"})
     kn = _estimate_value(full)
     cond_a_bound = kn < 1.0 / (n - k) - tol if n - k >= 1 else False
     cond_a_witness = False
@@ -442,10 +426,9 @@ def check_sufficient_standard(dist, full: ConstantEstimate, partial: ConstantEst
         "partial": _estimate_value(partial),
     }
     if not (cond_a and cond_b):
-        return PropertyVerdict(prop, NOT_APPLICABLE, details={**details, "reason": "preconditions not met"})
+        return PropertyVerdict.of(prop, {**details, "reason": "preconditions not met"})
     standard_ok = abs(kn - 1.0 / (n - 1)) <= 1e-6
     details["standard_implied"] = True
     details["cross_check"] = standard_ok
-    if standard_ok:
-        return PropertyVerdict(prop, PASS, details=details)
-    return PropertyVerdict(prop, FAIL, counterexample={"full": kn, "expected": 1.0 / (n - 1)}, details=details)
+    ce = None if standard_ok else {"full": kn, "expected": 1.0 / (n - 1)}
+    return PropertyVerdict.of(prop, details, ce)

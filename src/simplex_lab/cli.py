@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -370,7 +371,6 @@ def _base_config(args, command: str, space: Space, seed: int, extra: dict | None
         "n": args.n,
         "budget": args.budget,
         "seed": seed,
-        "tolerance": args.tolerance,
         "format": args.format,
     }
     if extra:
@@ -438,11 +438,7 @@ def run_verify(args) -> dict:
                 v = properties.check_strong_k_simplex(
                     obj, k, constant, space, budget=max(64, args.budget // 2), seed=seed
                 )
-                details = dict(v.details or {})
-                details["constant_origin"] = origin
-                verdicts.append(
-                    core.PropertyVerdict(v.property, v.status, v.counterexample, v.worst, details)
-                )
+                verdicts.append(dataclasses.replace(v, details={**(v.details or {}), "constant_origin": origin}))
 
     config = _base_config(
         args, "verify", space, seed,
@@ -477,7 +473,7 @@ def run_constants(args) -> dict:
 
     config = _base_config(
         args, "constants", space, seed,
-        {"distance": dist_id, "params": params, "k": ks, "mode": args.mode},
+        {"distance": dist_id, "params": params, "k": ks, "mode": args.mode, "tolerance": args.tolerance},
     )
     return make_report("constants", config, rows, [verdict_json(v) for v in verdicts])
 
@@ -572,9 +568,7 @@ def run_multidistance(args) -> dict:
         if member.arity < 3:
             continue
         v = properties.check_multi_to_ndistance(member, g, space, budget=args.budget // 5, seed=seed)
-        verdicts.append(
-            core.PropertyVerdict(f"{v.property}(n={member.arity})", v.status, v.counterexample, v.worst, v.details)
-        )
+        verdicts.append(dataclasses.replace(v, property=f"{v.property}(n={member.arity})"))
     config = {
         "command": "multidistance",
         "family": args.family,
@@ -582,7 +576,6 @@ def run_multidistance(args) -> dict:
         "space": space_json(space),
         "budget": args.budget,
         "seed": seed,
-        "tolerance": args.tolerance,
         "format": args.format,
     }
     return make_report("multidistance", config, [], [verdict_json(v) for v in verdicts])
@@ -598,7 +591,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", help="k selection: '3' | '2,3' | '2..5'")
     p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=None, help="default 42, or $SIMPLEX_LAB_SEED")
-    p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report to FILE instead of stdout")
 
@@ -618,10 +610,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--distance", required=True)
     p.add_argument("--mode", choices=("auto", "exact", "sampled"), default="auto")
+    p.add_argument("--tolerance", type=float, default=None, help="row tolerance; default 1e-9, 1e-6 on the plane")
     p.set_defaults(run=run_constants)
 
     p = sub.add_parser("table1", help="reproduce the catalog's constants table")
     _add_common(p)
+    p.add_argument("--tolerance", type=float, default=None, help="row tolerance; default 1e-9, 1e-6 on the plane")
     p.set_defaults(run=run_table1)
 
     p = sub.add_parser("multidistance", help="check a family of distances indexed by arity")

@@ -179,19 +179,6 @@ def evaluate(d: NDistance, t: tuple) -> float:
     return d.evaluator(t)
 
 
-def simplex_denominator(d: NDistance, t: tuple, z: Point) -> float:
-    """Sum of ``d`` over the n sections of ``t`` at ``z``.
-
-    Positive whenever ``t`` is nondegenerate: at most one section can
-    collapse to a constant tuple (two collapsing positions would force all
-    entries of ``t`` to equal ``z``).
-    """
-    if distinct_count(t) < 2:
-        raise DegenerateTupleError("all points equal; the simplex ratio is undefined")
-    ev = d.evaluator
-    return sum(ev(section(t, i, z)) for i in range(1, len(t) + 1))
-
-
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -205,6 +192,25 @@ class PropertyVerdict:
     counterexample: dict | None = None  # first counterexample found
     worst: dict | None = None  # maximal violation within budget
     details: dict | None = None
+
+    @classmethod
+    def of(
+        cls, prop: str, details: dict | None = None, counterexample: dict | None = None, worst: dict | None = None
+    ) -> PropertyVerdict:
+        """The one verdict rule: the status follows from the evidence.
+
+        A counterexample fails.  Otherwise a ``"reason"`` in ``details``
+        (a precondition that was not met) or ``checked == 0`` (no candidate
+        was checked) is NOT_APPLICABLE.  Anything else passes.
+        """
+        if counterexample is not None:
+            status = FAIL
+        elif details is not None and ("reason" in details or details.get("checked") == 0):
+            status = NOT_APPLICABLE
+            details = {"reason": "no candidate checked", **details}
+        else:
+            status = PASS
+        return cls(prop, status, counterexample, worst, details)
 
     @property
     def passed(self) -> bool:
@@ -351,13 +357,15 @@ def check_identity(d: NDistance, space: Space, budget: int = 4096, seed: int = 0
     """Axiom (i): d(t) = 0 exactly when all points of t coincide (and d >= 0)."""
     prop = f"identity({d.name})"
     checked = 0
+    ce = None
     for t in iter_tuples(space, d.arity, budget, seed):
         v = d.evaluator(t)
         degenerate = distinct_count(t) == 1
         if v < 0 or (degenerate != (v == 0.0)):
-            return PropertyVerdict(prop, FAIL, counterexample={"tuple": t, "value": v})
+            ce = {"tuple": t, "value": v}
+            break
         checked += 1
-    return PropertyVerdict(prop, PASS, details={"checked": checked})
+    return PropertyVerdict.of(prop, {"checked": checked}, ce)
 
 
 def check_symmetry(
@@ -370,6 +378,7 @@ def check_symmetry(
     n = d.arity
     rng = random.Random(derive_seed(seed, 2))
     checked = 0
+    ce = None
     for t in iter_tuples(space, n, budget, seed):
         base = d.evaluator(t)
         if n <= 4:
@@ -381,14 +390,14 @@ def check_symmetry(
                 rng.shuffle(q)
                 perms.append(tuple(q))
         for q in perms:
-            if abs(d.evaluator(tuple(q)) - base) > tol:
-                return PropertyVerdict(
-                    prop,
-                    FAIL,
-                    counterexample={"tuple": t, "permuted": tuple(q), "value": base, "permuted_value": d.evaluator(tuple(q))},
-                )
+            value = d.evaluator(tuple(q))
+            if abs(value - base) > tol:
+                ce = {"tuple": t, "permuted": tuple(q), "value": base, "permuted_value": value}
+                break
+        if ce is not None:
+            break
         checked += 1
-    return PropertyVerdict(prop, PASS, details={"checked": checked, "tolerance": tol})
+    return PropertyVerdict.of(prop, {"checked": checked, "tolerance": tol}, ce)
 
 
 def check_simplex(
@@ -405,13 +414,13 @@ def check_simplex(
     prop = f"simplex({d.name},K={constant:g})"
     best, first, worst, checked = scan(d.evaluator, iter_pairs(space, d.arity, budget, seed), d.arity, constant, tol)
     details = {"checked": checked, "max_ratio": best[0] if best else 0.0}
-    if first is None:
-        return PropertyVerdict(prop, PASS, details=details)
-    ce, worst_ce = (
-        {"tuple": t, "z": z, "value": num, "section_sum": den, "violation": violation}
-        for violation, t, z, num, den in (first, worst)
-    )
-    return PropertyVerdict(prop, FAIL, counterexample=ce, worst=worst_ce, details=details)
+    ce = worst_ce = None
+    if first is not None:
+        ce, worst_ce = (
+            {"tuple": t, "z": z, "value": num, "section_sum": den, "violation": violation}
+            for violation, t, z, num, den in (first, worst)
+        )
+    return PropertyVerdict.of(prop, details, ce, worst_ce)
 
 
 def check_axioms(d: NDistance, space: Space, budget: int = 4096, seed: int = 0) -> list[PropertyVerdict]:

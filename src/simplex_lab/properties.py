@@ -13,9 +13,6 @@ import itertools
 from typing import Callable, Sequence
 
 from .core import (
-    FAIL,
-    NOT_APPLICABLE,
-    PASS,
     Point,
     PropertyVerdict,
     Space,
@@ -123,13 +120,13 @@ def check_strong_k_simplex(
             if worst is None or c_worst[0] > worst[1][0]:
                 worst = (comp, c_worst)
     details = {"checked": checked, "compositions": len(comps), "max_ratio": max_ratio}
-    if first is None:
-        return PropertyVerdict(prop, PASS, details=details)
-    ce, worst_ce = (
-        {"composition": comp, "values": values, "z": z, "lhs": lhs, "rhs": constant * total}
-        for comp, (_, values, z, lhs, total) in (first, worst)
-    )
-    return PropertyVerdict(prop, FAIL, counterexample=ce, worst=worst_ce, details=details)
+    ce = worst_ce = None
+    if first is not None:
+        ce, worst_ce = (
+            {"composition": comp, "values": values, "z": z, "lhs": lhs, "rhs": constant * total}
+            for comp, (_, values, z, lhs, total) in (first, worst)
+        )
+    return PropertyVerdict.of(prop, details, ce, worst_ce)
 
 
 def check_lemma_mixed_bound(
@@ -158,11 +155,7 @@ def check_lemma_mixed_bound(
     prop = f"mixed-bound(k={k}, p={p})"
     flags = getattr(dist, "standard", None), getattr(dist, "repetition_invariant", None)
     if flags[0] is not True or flags[1] is not True:
-        return PropertyVerdict(
-            prop,
-            NOT_APPLICABLE,
-            details={"reason": "needs standard=True and repetition_invariant=True", "flags": flags},
-        )
+        return PropertyVerdict.of(prop, {"reason": "needs standard=True and repetition_invariant=True", "flags": flags})
     a_coef = (k + p) / ((k - 1) * (k + p - 1))
     b_coef = (p + 1) / ((k - 1) * (k + p - 1))
     ev = d.evaluator
@@ -186,9 +179,7 @@ def check_lemma_mixed_bound(
         elif abs(lhs - rhs) <= tol and lhs > 0.0 and equality is None:
             equality = {"tuple": t, "z": z, "value": lhs}
     details = {"checked": checked, "coefficients": (a_coef, b_coef), "equality_example": equality}
-    if first_ce is not None:
-        return PropertyVerdict(prop, FAIL, counterexample=first_ce, details=details)
-    return PropertyVerdict(prop, PASS, details=details)
+    return PropertyVerdict.of(prop, details, first_ce)
 
 
 # ---------------------------------------------------------------------------
@@ -220,36 +211,29 @@ def check_repetition_invariance(
     ev = d.evaluator
     if tol is None:
         tol = 0.0 if space.kind == "finite" else 1e-12
-    checked = 0
+    # (value set, tuple) pairs: every tuple of a small finite space, else the
+    # expansions of canonical value sets over all compositions
     if space.kind == "finite" and space.size ** n <= 100_000:
-        groups: dict[frozenset, tuple[tuple, float]] = {}
-        for t in space.iter_tuples(n):
-            key = frozenset(t)
-            if len(key) < 2:
-                continue
-            v = ev(t)
-            checked += 1
-            if key not in groups:
-                groups[key] = (t, v)
-            elif abs(v - groups[key][1]) > tol:
-                ref_t, ref_v = groups[key]
-                ce = {"tuple_a": ref_t, "value_a": ref_v, "tuple_b": t, "value_b": v}
-                return PropertyVerdict(prop, FAIL, counterexample=ce, details={"checked": checked})
-        return PropertyVerdict(prop, PASS, details={"checked": checked})
-    for values in _canonical_value_sets(space, n, budget, seed):
-        m = len(values)
-        comps = compositions(n, m)
-        ref = None
-        for comp in comps:
-            t = expand_composition(values, comp)
-            v = ev(t)
-            checked += 1
-            if ref is None:
-                ref = (t, v)
-            elif abs(v - ref[1]) > tol:
-                ce = {"tuple_a": ref[0], "value_a": ref[1], "tuple_b": t, "value_b": v}
-                return PropertyVerdict(prop, FAIL, counterexample=ce, details={"checked": checked})
-    return PropertyVerdict(prop, PASS, details={"checked": checked})
+        keyed = ((frozenset(t), t) for t in space.iter_tuples(n))
+    else:
+        keyed = (
+            (values, expand_composition(values, comp))
+            for values in _canonical_value_sets(space, n, budget, seed)
+            for comp in compositions(n, len(values))
+        )
+    checked = 0
+    ce = None
+    groups: dict = {}  # value set -> its first (tuple, value)
+    for key, t in keyed:
+        if len(key) < 2:
+            continue
+        v = ev(t)
+        checked += 1
+        ref_t, ref_v = groups.setdefault(key, (t, v))
+        if abs(v - ref_v) > tol:
+            ce = {"tuple_a": ref_t, "value_a": ref_v, "tuple_b": t, "value_b": v}
+            break
+    return PropertyVerdict.of(prop, {"checked": checked}, ce)
 
 
 def check_nonincreasing_identification(
@@ -284,17 +268,13 @@ def check_nonincreasing_identification(
                         first_ce = ce
         if first_ce is not None:
             break
-    if first_ce is not None:
-        return PropertyVerdict(prop, FAIL, counterexample=first_ce, details={"checked": checked})
-    rep = check_repetition_invariance(dist, space, seed=seed)
-    if rep.failed:
-        return PropertyVerdict(
-            prop,
-            FAIL,
-            counterexample=rep.counterexample,
-            details={"checked": checked, "reason": "repetition invariance is implied but fails"},
-        )
-    return PropertyVerdict(prop, PASS, details={"checked": checked})
+    details = {"checked": checked}
+    if first_ce is None:
+        rep = check_repetition_invariance(dist, space, seed=seed)
+        if rep.failed:
+            first_ce = rep.counterexample
+            details["reason"] = "repetition invariance is implied but fails"
+    return PropertyVerdict.of(prop, details, first_ce)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +309,7 @@ def check_multidistance(
         g = d2
     prop = "multidistance"
     per_arity = {}
+    total = 0
     first_ce = None
     for d in members:
         n = d.arity
@@ -361,12 +342,10 @@ def check_multidistance(
             "sufficient": suff_holds,
             "sufficient_equality": suff_holds and suff_equal,
         }
+        total += checked
         if ce and first_ce is None:
             first_ce = ce
-    details = {"per_arity": per_arity}
-    if first_ce is not None:
-        return PropertyVerdict(prop, FAIL, counterexample=first_ce, details=details)
-    return PropertyVerdict(prop, PASS, details=details)
+    return PropertyVerdict.of(prop, {"checked": total, "per_arity": per_arity}, first_ce)
 
 
 def check_multi_to_ndistance(
@@ -389,18 +368,15 @@ def check_multi_to_ndistance(
     prop = "multidistance-to-ndistance"
     noninc = check_nonincreasing_identification(dist, space, budget // 4, seed, tol=1e-9)
     if noninc.failed:
-        return PropertyVerdict(
-            prop, NOT_APPLICABLE, details={"reason": "not nonincreasing", "counterexample": noninc.counterexample}
-        )
+        return PropertyVerdict.of(prop, {"reason": "not nonincreasing", "counterexample": noninc.counterexample})
     ev = d.evaluator
     for x, z in iter_tuples(space, 2, max(1, budget // 4), derive_seed(seed, 800)):
         if x == z:
             continue
         if d2(x, z) > ev((x,) + (z,) * (n - 1)) + tol:
-            return PropertyVerdict(
+            return PropertyVerdict.of(
                 prop,
-                NOT_APPLICABLE,
-                details={
+                {
                     "reason": "g exceeds the repeated-argument value",
                     "x": x,
                     "z": z,
@@ -409,6 +385,4 @@ def check_multi_to_ndistance(
                 },
             )
     simplex = check_simplex(d, space, constant=1.0, budget=budget, seed=seed, tol=tol)
-    if simplex.failed:
-        return PropertyVerdict(prop, FAIL, counterexample=simplex.counterexample, details=simplex.details)
-    return PropertyVerdict(prop, PASS, details=simplex.details)
+    return PropertyVerdict.of(prop, simplex.details, simplex.counterexample)

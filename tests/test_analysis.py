@@ -32,7 +32,6 @@ from simplex_lab.core import (
     distinct_count,
     evaluate,
     iter_pairs,
-    simplex_denominator,
 )
 
 ABC = FiniteSpace(("a", "b", "c"))
@@ -140,6 +139,28 @@ def test_sampled_estimate_folds_recipe_then_iter_pairs(entry, space, budget):
     est = estimate_best_constant(entry, space, budget=budget, seed=7)
     assert est.method == SAMPLED
     assert est.trials == sum(distinct_count(t) >= 2 for t, _ in pairs)
+
+
+# scan candidates are (ratio, t, z, idx), idx being a function of (t, z);
+# few ratios, inf among them, so that equal ratios and the tie-break are common
+_CANDIDATE = st.none() | st.builds(
+    lambda r, t, z: (r, t, z, (1, 2)),
+    st.sampled_from([0.0, 0.25, 0.5, math.inf]),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(0, 2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_CANDIDATE, b=_CANDIDATE, c=_CANDIDATE)
+def test_better_is_total_associative_and_commutative(a, b, c):
+    ab = _better(a, b)
+    if a is None or b is None:
+        assert ab == (b if a is None else a)
+    else:  # the larger ratio, then the smaller (t, z)
+        assert ab == min(a, b, key=lambda x: (-x[0], x[1], x[2]))
+    assert ab == _better(b, a)
+    assert _better(ab, c) == _better(a, _better(b, c))
 
 
 # few distinct values, so that equal ratios and the tie-break are common

@@ -70,6 +70,7 @@ def test_config_error_exit_two():
         ("multidistance", "--family", "cardinality", "--budget", "0"),
         ("table1", "--budget", "-1"),
         ("verify", "--distance", "cardinality", "--n", "4", "--checks", "strong", "--strong-constant", "nan"),
+        ("verify", "--distance", "arithmetic-mean", "--n", "3", "--checks", "repetition", "--tolerance", "100"),
     ],
 )
 def test_bad_input_exits_two_without_traceback(args):
@@ -186,6 +187,19 @@ def test_multidistance_family_fail():
     assert v["status"] == "fail"
     ce = v["counterexample"]
     assert ce["lhs"] > ce["rhs"]
+
+
+def test_multidistance_verdict_that_checked_nothing_does_not_pass():
+    # --budget 4 leaves the simplex check of the converse direction no candidate
+    r = run_cli("multidistance", "--family", "line-count", "--budget", "4")
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    converse = {v["property"]: v for v in report["verdicts"] if v["property"] != "multidistance"}
+    assert sorted(converse) == [f"multidistance-to-ndistance(n={n})" for n in (3, 4, 5)]
+    for v in converse.values():
+        assert v["status"] == "not-applicable"
+        assert v["details"]["checked"] == 0
+        assert v["details"]["reason"] == "no candidate checked"
 
 
 def test_json_deterministic_modulo_timestamp():

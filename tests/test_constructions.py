@@ -17,7 +17,6 @@ from simplex_lab.core import (
     check_simplex,
     evaluate,
     section,
-    simplex_denominator,
 )
 from simplex_lab.properties import (
     check_nonincreasing_identification,

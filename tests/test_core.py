@@ -3,13 +3,16 @@ import math
 import pytest
 
 from simplex_lab import catalog
+from simplex_lab.analysis import ratio
 from simplex_lab.core import (
     FAIL,
+    NOT_APPLICABLE,
     PASS,
     DegenerateTupleError,
     FiniteSpace,
     NDistance,
     Plane,
+    PropertyVerdict,
     RealLine,
     check_axioms,
     check_identity,
@@ -21,7 +24,6 @@ from simplex_lab.core import (
     iter_tuples,
     point_kind,
     section,
-    simplex_denominator,
 )
 
 ABC = FiniteSpace(("a", "b", "c"))
@@ -82,12 +84,13 @@ def test_simplex_denominator_counts_unchanged_sections():
     # replacing position i of (a,b,c) by z=a leaves section 1 == (a,b,c)
     d = catalog.make("cardinality", 3).distance
     t = ("a", "b", "c")
-    assert simplex_denominator(d, t, "a") == pytest.approx(4.0)
     # brute check: sections are (a,b,c), (a,a,c), (a,b,a) -> 2 + 1 + 1
     vals = [d.evaluator(section(t, i, "a")) for i in (1, 2, 3)]
     assert vals == [2.0, 1.0, 1.0]
+    assert sum(vals) == pytest.approx(4.0)
+    assert ratio(d, t, "a") == pytest.approx(2.0 / 4.0)
     with pytest.raises(DegenerateTupleError):
-        simplex_denominator(d, ("a", "a", "a"), "b")
+        ratio(d, ("a", "a", "a"), "b")
 
 
 def test_evaluator_zero_on_constant_tuples():
@@ -127,7 +130,7 @@ def test_check_simplex_pass_and_fail():
     # the stored violation must be reproducible from the counterexample itself
     d = entry.distance
     num = evaluate(d, tuple(ce["tuple"]))
-    den = simplex_denominator(d, tuple(ce["tuple"]), ce["z"])
+    den = sum(evaluate(d, section(tuple(ce["tuple"]), i, ce["z"])) for i in (1, 2, 3))
     assert num == pytest.approx(ce["value"])
     assert den == pytest.approx(ce["section_sum"])
     assert num - 0.4 * den == pytest.approx(ce["violation"])
@@ -139,6 +142,31 @@ def test_check_axioms_bundle():
     names = [v.property for v in verdicts]
     assert any("identity" in p for p in names)
     assert any("symmetry" in p for p in names)
+
+
+def test_verdict_rule_fails_on_a_counterexample():
+    # a counterexample decides, whatever else the details say
+    ce, worst = {"tuple": ("a", "b")}, {"tuple": ("b", "a")}
+    for details in (None, {"checked": 4}, {"checked": 0}, {"checked": 4, "reason": "implied check fails"}):
+        v = PropertyVerdict.of("p", details, ce, worst)
+        assert v == PropertyVerdict("p", FAIL, ce, worst, details)
+
+
+def test_verdict_rule_not_applicable_on_a_reason_or_nothing_checked():
+    unmet = PropertyVerdict.of("p", {"reason": "needs k < n", "checked": 5})
+    assert unmet == PropertyVerdict("p", NOT_APPLICABLE, details={"reason": "needs k < n", "checked": 5})
+    empty = PropertyVerdict.of("p", {"checked": 0, "max_ratio": 0.0})
+    assert empty.status == NOT_APPLICABLE and not empty.passed and not empty.failed
+    assert empty.details == {"checked": 0, "max_ratio": 0.0, "reason": "no candidate checked"}
+    # a checker that is given no candidate says so instead of passing
+    d = catalog.make("cardinality", 3).distance
+    for v in (check_identity(d, ABC, budget=0), check_simplex(d, ABC, budget=0)):
+        assert v.status == NOT_APPLICABLE and v.details["reason"] == "no candidate checked"
+
+
+def test_verdict_rule_passes_otherwise():
+    for details in (None, {}, {"checked": 3}, {"full": 0.5, "checks": {"lower": True}}):
+        assert PropertyVerdict.of("p", details) == PropertyVerdict("p", PASS, details=details)
 
 
 def test_derive_seed_is_deterministic_and_spread():
