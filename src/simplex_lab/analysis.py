@@ -249,15 +249,10 @@ def _refine(ev: Callable[[tuple], float], space: Space, n: int, k: int, best):
             for delta in (step, -step):
                 trial = list(cur)
                 trial[ci] += delta
-                t, z = rebuild(trial)
-                res = _eval_candidate(ev, t, z, k)
-                if res is None:
-                    continue
-                num, den, idx = res
-                r = num / den if den != 0.0 else math.inf
-                if r > cur_best[0]:
+                found = scan(ev, (rebuild(trial),), k)[0]
+                if found is not None and found[0] > cur_best[0]:
                     cur = trial
-                    cur_best = (r, t, z, idx)
+                    cur_best = found
         step *= 0.5
     return cur_best
 

@@ -17,6 +17,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import analysis, catalog, constructions, core, properties
 from .core import FiniteSpace, Plane, RealLine, Space
@@ -240,15 +241,14 @@ def verdict_json(v) -> dict:
     return out
 
 
-def constant_row(
-    name: str,
-    expected: float | None,
-    estimate,
-    tolerance: float,
-    bounds: tuple | None = None,
-    strict_upper: bool = False,
-) -> dict:
+def constant_row(name: str, estimate, tolerance: float, entry: catalog.CatalogEntry | None = None) -> dict:
+    """One report row: ``estimate`` against its analytic value or ``entry``'s bracket.
+
+    The bracket's upper end is exclusive for line-count, inclusive (with
+    ``tolerance``) for every other entry.
+    """
     observed = estimate.lower_bound
+    expected = estimate.analytic
     row = {
         "name": name,
         "expected": expected,
@@ -258,12 +258,13 @@ def constant_row(
         "tolerance": tolerance,
         "witness": witness_json(estimate.witness),
     }
+    bounds = entry.constant_bounds if entry is not None else None
     if bounds is not None:
         low, high = bounds
         row["bounds"] = [low, high]
         ok = low is None or observed >= low - tolerance
         if high is not None:
-            ok = ok and (observed < high if strict_upper else observed <= high + tolerance)
+            ok = ok and (observed < high if entry.name == "line-count" else observed <= high + tolerance)
         row["status"] = "pass" if ok else "fail"
     elif expected is None:
         row["status"] = "info"
@@ -299,36 +300,32 @@ def _flat_cell(value) -> str:
     return str(value)
 
 
+_ROW_COLUMNS = (
+    "name", "expected", "observed", "delta", "status", "method",
+    "tolerance", "bound_low", "bound_high", "witness_tuple", "witness_z", "witness_ratio",
+)
+_VERDICT_COLUMNS = ("property", "status", "counterexample")
+
+
+def _flat_row(row: dict) -> dict:
+    """A report row with its bounds and witness spread over the CSV columns."""
+    low, high = row.get("bounds") or (None, None)
+    wit = row.get("witness") or {}
+    return {**row, "bound_low": low, "bound_high": high,
+            "witness_tuple": wit.get("tuple"), "witness_z": wit.get("z"), "witness_ratio": wit.get("ratio")}
+
+
 def render_csv(report: dict) -> str:
+    """Rows, one per line; a report without rows lists its verdicts instead."""
+    if report["rows"]:
+        columns, records = _ROW_COLUMNS, [_flat_row(row) for row in report["rows"]]
+    else:
+        columns, records = _VERDICT_COLUMNS, report["verdicts"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if report["rows"]:
-        header = [
-            "name", "expected", "observed", "delta", "status", "method",
-            "tolerance", "bound_low", "bound_high", "witness_tuple", "witness_z", "witness_ratio",
-        ]
-        writer.writerow(header)
-        for row in report["rows"]:
-            bounds = row.get("bounds") or [None, None]
-            wit = row.get("witness") or {}
-            writer.writerow([
-                _flat_cell(row.get("name")),
-                _flat_cell(row.get("expected")),
-                _flat_cell(row.get("observed")),
-                _flat_cell(row.get("delta")),
-                _flat_cell(row.get("status")),
-                _flat_cell(row.get("method")),
-                _flat_cell(row.get("tolerance")),
-                _flat_cell(bounds[0]),
-                _flat_cell(bounds[1]),
-                _flat_cell(wit.get("tuple")),
-                _flat_cell(wit.get("z")),
-                _flat_cell(wit.get("ratio")),
-            ])
-    else:
-        writer.writerow(["property", "status", "counterexample"])
-        for v in report["verdicts"]:
-            writer.writerow([v["property"], v["status"], _flat_cell(v.get("counterexample"))])
+    writer.writerow(columns)
+    for record in records:
+        writer.writerow([_flat_cell(record.get(col)) for col in columns])
     return buf.getvalue()
 
 
@@ -364,18 +361,9 @@ def emit(report: dict, fmt: str, out: str | None) -> None:
 # subcommands
 
 
-def _base_config(args, command: str, space: Space, seed: int, extra: dict | None = None) -> dict:
-    config = {
-        "command": command,
-        "space": space_json(space),
-        "n": args.n,
-        "budget": args.budget,
-        "seed": seed,
-        "format": args.format,
-    }
-    if extra:
-        config.update(extra)
-    return config
+def _base_config(args, seed: int, **extra) -> dict:
+    """A report's ``config``: the flags every subcommand reads, then its own."""
+    return {"command": args.command, "budget": args.budget, "seed": seed, "format": args.format, **extra}
 
 
 _VERIFY_CHECKS = ("axioms", "repetition", "nonincreasing", "strong")
@@ -414,6 +402,8 @@ def run_verify(args) -> dict:
     for c in checks:
         if c not in _VERIFY_CHECKS:
             raise ValueError(f"unknown check {c!r}; known: {', '.join(_VERIFY_CHECKS)}")
+    if "strong" not in checks and (args.k is not None or args.strong_constant is not None):
+        raise ValueError("--k and --strong-constant need the strong check (--checks strong)")
     ks = parse_int_list(args.k, 2, d.arity) if args.k else list(range(2, d.arity + 1))
 
     verdicts = []
@@ -441,8 +431,8 @@ def run_verify(args) -> dict:
                 verdicts.append(dataclasses.replace(v, details={**(v.details or {}), "constant_origin": origin}))
 
     config = _base_config(
-        args, "verify", space, seed,
-        {"distance": dist_id, "params": params, "checks": checks, "k": ks if "strong" in checks else None},
+        args, seed, space=space_json(space), n=args.n, distance=dist_id, params=params, checks=checks,
+        k=ks if "strong" in checks else None,
     )
     return make_report("verify", config, [], [verdict_json(v) for v in verdicts])
 
@@ -456,75 +446,54 @@ def run_constants(args) -> dict:
     tol = args.tolerance if args.tolerance is not None else default_tolerance(space)
     ks = parse_int_list(args.k, 2, d.arity) if args.k else []
 
-    strict = d.name == "line-count"
     full = analysis.estimate_best_constant(obj, space, budget=args.budget, seed=seed, mode=args.mode)
-    rows = [
-        constant_row(
-            f"K*_{d.arity}", full.analytic, full, tol,
-            bounds=obj.constant_bounds, strict_upper=strict,
-        )
-    ]
+    rows = [constant_row(f"K*_{d.arity}", full, tol, obj)]
     verdicts = []
     for k in ks:
         part = analysis.estimate_partial_constant(obj, space, k, budget=args.budget, seed=seed, mode=args.mode)
-        rows.append(constant_row(f"K*_{d.arity},{k}", part.analytic, part, tol))
+        rows.append(constant_row(f"K*_{d.arity},{k}", part, tol))
         verdicts.append(analysis.check_partial_bound(full, part, tol=max(tol, 1e-6)))
         verdicts.append(analysis.check_symmetrization(full, part, tol=max(tol, 1e-6)))
 
     config = _base_config(
-        args, "constants", space, seed,
-        {"distance": dist_id, "params": params, "k": ks, "mode": args.mode, "tolerance": args.tolerance},
+        args, seed, space=space_json(space), n=args.n, distance=dist_id, params=params, k=ks, mode=args.mode,
+        tolerance=args.tolerance,
     )
     return make_report("constants", config, rows, [verdict_json(v) for v in verdicts])
 
 
-def _table1_specs(n: int) -> list[dict]:
+def _table1_specs(n: int) -> list[tuple[str, dict, Space]]:
+    """(id, params, space) of each table row at arity n."""
     finite = FiniteSpace(tuple(_LETTERS[:3]))
     line = RealLine()
     plane = Plane()
     specs = [
-        {"id": "drastic", "params": {}, "space": finite, "n": n},
-        {"id": "cardinality", "params": {}, "space": finite, "n": n},
-        {"id": "diameter", "params": {"d2": "abs"}, "space": line, "n": n},
-        {"id": "diameter", "params": {"d2": "euclidean"}, "space": plane, "n": n},
-        {"id": "sum-based", "params": {"d2": "abs"}, "space": line, "n": n},
-        {"id": "arithmetic-mean", "params": {}, "space": line, "n": n},
-        {"id": "enclosing-radius", "params": {}, "space": plane, "n": n},
-        {"id": "chebyshev-diameter", "params": {"q": 2}, "space": plane, "n": n},
-        {"id": "inner-interval", "params": {}, "space": line, "n": n},
-        {"id": "fermat", "params": {"d2": "abs"}, "space": line, "n": n},
+        ("drastic", {}, finite),
+        ("cardinality", {}, finite),
+        ("diameter", {"d2": "abs"}, line),
+        ("diameter", {"d2": "euclidean"}, plane),
+        ("sum-based", {"d2": "abs"}, line),
+        ("arithmetic-mean", {}, line),
+        ("enclosing-radius", {}, plane),
+        ("chebyshev-diameter", {"q": 2}, plane),
+        ("inner-interval", {}, line),
+        ("fermat", {"d2": "abs"}, line),
     ]
     if n >= 3:
-        specs.append({"id": "enclosing-area", "params": {}, "space": plane, "n": n})
-        specs.append({"id": "line-count", "params": {}, "space": plane, "n": n})
+        specs += [("enclosing-area", {}, plane), ("line-count", {}, plane)]
     return specs
 
 
 def run_table1(args) -> dict:
     seed = resolve_seed(args.seed)
     rows = []
-    for spec in _table1_specs(args.n):
-        entry = catalog.make(spec["id"], spec["n"], **spec["params"])
-        space = spec["space"]
+    for dist_id, params, space in _table1_specs(args.n):
+        entry = catalog.make(dist_id, args.n, **params)
         tol = args.tolerance if args.tolerance is not None else default_tolerance(space)
         est = analysis.estimate_best_constant(entry, space, budget=args.budget, seed=seed)
-        suffix = f"[{spec['params']['d2']}]" if "d2" in spec["params"] else ""
-        name = f"{spec['id']}{suffix} n={spec['n']}"
-        rows.append(
-            constant_row(
-                name, est.analytic, est, tol,
-                bounds=entry.constant_bounds,
-                strict_upper=spec["id"] == "line-count",
-            )
-        )
-    config = {
-        "command": "table1",
-        "n": args.n,
-        "budget": args.budget,
-        "seed": seed,
-        "tolerance": args.tolerance,
-        "format": args.format,
-    }
+        suffix = f"[{params['d2']}]" if "d2" in params else ""
+        rows.append(constant_row(f"{dist_id}{suffix} n={args.n}", est, tol, entry))
+    config = _base_config(args, seed, n=args.n, tolerance=args.tolerance)
     return make_report("table1", config, rows, [])
 
 
@@ -561,7 +530,9 @@ def run_multidistance(args) -> dict:
     if arities[0] != 2:
         raise ValueError("the arity range must start at 2 (the binary member)")
     members, space = _build_family(args.family, arities)
-    verdicts = [properties.check_multidistance(members, space, budget=args.budget // 5, seed=seed)]
+    # at least 64 candidates for each member's triangle scan
+    budget = max(64 * len(members), args.budget // 5)
+    verdicts = [properties.check_multidistance(members, space, budget=budget, seed=seed)]
     two = members[0].evaluator
     g = lambda x, z: two((x, z))
     for member in members:
@@ -569,60 +540,64 @@ def run_multidistance(args) -> dict:
             continue
         v = properties.check_multi_to_ndistance(member, g, space, budget=args.budget // 5, seed=seed)
         verdicts.append(dataclasses.replace(v, property=f"{v.property}(n={member.arity})"))
-    config = {
-        "command": "multidistance",
-        "family": args.family,
-        "arities": arities,
-        "space": space_json(space),
-        "budget": args.budget,
-        "seed": seed,
-        "format": args.format,
-    }
+    config = _base_config(args, seed, family=args.family, arities=arities, space=space_json(space))
     return make_report("multidistance", config, [], [verdict_json(v) for v in verdicts])
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
+# Every flag of every subcommand, specified once; each subcommand declares
+# only the flags its run_* reads (see _COMMANDS).
+_FLAGS = {
+    "--distance": {"required": True, "help": "id or id:key=val,..."},
+    "--family": {"required": True, "help": f"one of {', '.join(_FAMILY_IDS)}"},
+    "--space": {"help": "finite:3 | finite:a,b,c | real[:lo,hi] | plane[:lo,hi]"},
+    "--n": {"type": int, "default": 4, "help": "arity (default 4)"},
+    "--k": {"help": "k selection: '3' | '2,3' | '2..5'"},
+    "--arities": {"default": "2..5", "help": "arity range, e.g. 2..6"},
+    "--checks": {"default": "axioms", "help": f"comma list of {', '.join(_VERIFY_CHECKS)}"},
+    "--strong-constant": {"type": parse_value, "default": None},
+    "--mode": {"choices": ("auto", "exact", "sampled"), "default": "auto"},
+    "--tolerance": {"type": float, "default": None, "help": "row tolerance; default 1e-9, 1e-6 on the plane"},
+    "--budget": {"type": positive_int, "default": DEFAULT_BUDGET},
+    "--seed": {"type": int, "default": None, "help": "default 42, or $SIMPLEX_LAB_SEED"},
+    "--format": {"choices": ("json", "csv", "text"), "default": "json"},
+    "--out": {"default": None, "help": "write the report to FILE instead of stdout"},
+}
+_REPORT_FLAGS = ("--budget", "--seed", "--format", "--out")
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--space", help="finite:3 | finite:a,b,c | real[:lo,hi] | plane[:lo,hi]")
-    p.add_argument("--n", type=int, default=4, help="arity (default 4)")
-    p.add_argument("--k", help="k selection: '3' | '2,3' | '2..5'")
-    p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=None, help="default 42, or $SIMPLEX_LAB_SEED")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--out", default=None, help="write the report to FILE instead of stdout")
+
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], dict]
+    help: str
+    flags: tuple[str, ...]
+
+
+_COMMANDS = {
+    "verify": _Command(
+        run_verify, "axiom and property checks for one distance",
+        ("--distance", "--space", "--n", "--k", "--checks", "--strong-constant"),
+    ),
+    "constants": _Command(
+        run_constants, "estimate K*_n and partial constants with witnesses",
+        ("--distance", "--space", "--n", "--k", "--mode", "--tolerance"),
+    ),
+    "table1": _Command(run_table1, "reproduce the catalog's constants table", ("--n", "--tolerance")),
+    "multidistance": _Command(
+        run_multidistance, "check a family of distances indexed by arity", ("--family", "--arities"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="simplex-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="axiom and property checks for one distance")
-    _add_common(p)
-    p.add_argument("--distance", required=True, help="id or id:key=val,... (see 'constants' too)")
-    p.add_argument("--checks", default="axioms", help=f"comma list of {', '.join(_VERIFY_CHECKS)}")
-    p.add_argument("--strong-constant", type=parse_value, default=None)
-    p.set_defaults(run=run_verify)
-
-    p = sub.add_parser("constants", help="estimate K*_n and partial constants with witnesses")
-    _add_common(p)
-    p.add_argument("--distance", required=True)
-    p.add_argument("--mode", choices=("auto", "exact", "sampled"), default="auto")
-    p.add_argument("--tolerance", type=float, default=None, help="row tolerance; default 1e-9, 1e-6 on the plane")
-    p.set_defaults(run=run_constants)
-
-    p = sub.add_parser("table1", help="reproduce the catalog's constants table")
-    _add_common(p)
-    p.add_argument("--tolerance", type=float, default=None, help="row tolerance; default 1e-9, 1e-6 on the plane")
-    p.set_defaults(run=run_table1)
-
-    p = sub.add_parser("multidistance", help="check a family of distances indexed by arity")
-    _add_common(p)
-    p.add_argument("--family", required=True, help=f"one of {', '.join(_FAMILY_IDS)}")
-    p.add_argument("--arities", default="2..5", help="arity range, e.g. 2..6")
-    p.set_defaults(run=run_multidistance)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags + _REPORT_FLAGS:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(run=command.run)
     return parser
 
 

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from simplex_lab import catalog
-from simplex_lab.core import CIRCLE_POINTS, FiniteSpace, Plane, RealLine, check_axioms
+from simplex_lab.cli import default_space_for
+from simplex_lab.core import CIRCLE_POINTS, PASS, FiniteSpace, Plane, RealLine, check_axioms, check_identity, check_symmetry
+from simplex_lab.geometry import GROUND_KINDS
 
 
 def test_available_ids_and_aliases():
@@ -177,3 +179,34 @@ def test_catalog_axioms_quick_sweep():
         space = spaces[entry.distance.space_kind]
         for v in check_axioms(entry.distance, space, budget=256, seed=1):
             assert v.passed, (name, v.property, v.counterexample)
+
+
+# every catalog id, with each of its d2, q and p variants
+_VARIANTS = (
+    [(dist_id, {}) for dist_id in (
+        "drastic", "cardinality", "arithmetic-mean", "inner-interval", "line-count", "enclosing-radius",
+        "enclosing-area",
+    )]
+    + [(dist_id, {"d2": g}) for dist_id in ("diameter", "sum-based", "fermat") for g in GROUND_KINDS]
+    + [("chebyshev-diameter", {"q": q}) for q in (1, 2)]
+    + [("inner-interval-power", {"p": p}) for p in (1, 2)]
+)
+
+
+def test_variants_cover_the_catalog():
+    assert {dist_id for dist_id, _ in _VARIANTS} == set(catalog.available_ids())
+
+
+@pytest.mark.parametrize(
+    "dist_id, params", _VARIANTS, ids=[i + "".join(f"[{k}={v}]" for k, v in p.items()) for i, p in _VARIANTS]
+)
+def test_identity_and_symmetry_on_the_default_space(dist_id, params):
+    entry = catalog.make(dist_id, 4, **params)
+    space = default_space_for(entry.distance.space_kind)
+    # every fermat[euclidean] value is a Weiszfeld solve
+    budget = 256 if entry.name == "fermat[euclidean]" else 4096
+    for v in (
+        check_identity(entry.distance, space, budget=budget, seed=42),
+        check_symmetry(entry.distance, space, budget=budget // 8, seed=42),
+    ):
+        assert v.status == PASS and v.details["checked"] > 0, (v.property, v.counterexample, v.details)

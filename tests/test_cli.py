@@ -1,14 +1,18 @@
+import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from simplex_lab import cli
 from simplex_lab.cli import parse_distance_spec, parse_value
 
 CLI = [sys.executable, "-m", "simplex_lab"]
@@ -71,6 +75,15 @@ def test_config_error_exit_two():
         ("table1", "--budget", "-1"),
         ("verify", "--distance", "cardinality", "--n", "4", "--checks", "strong", "--strong-constant", "nan"),
         ("verify", "--distance", "arithmetic-mean", "--n", "3", "--checks", "repetition", "--tolerance", "100"),
+        # flags a subcommand does not read are not declared
+        ("table1", "--space", "plane"),
+        ("table1", "--k", "2"),
+        ("multidistance", "--family", "cardinality", "--n", "7"),
+        ("multidistance", "--family", "cardinality", "--k", "9"),
+        ("multidistance", "--family", "line-count", "--space", "real"),
+        # --k and --strong-constant are read by the strong check only
+        ("verify", "--distance", "cardinality", "--k", "3"),
+        ("verify", "--distance", "cardinality", "--checks", "axioms", "--strong-constant", "1/2"),
     ],
 )
 def test_bad_input_exits_two_without_traceback(args):
@@ -169,8 +182,7 @@ def test_table1_small_budget():
 
 def test_multidistance_family_pass():
     r = run_cli(
-        "multidistance", "--family", "cardinality", "--arities", "2..4",
-        "--space", "finite:4", "--budget", "4000",
+        "multidistance", "--family", "cardinality", "--arities", "2..4", "--budget", "4000",
     )
     assert r.returncode == 0, r.stderr
     report = json.loads(r.stdout)
@@ -190,10 +202,14 @@ def test_multidistance_family_fail():
 
 
 def test_multidistance_verdict_that_checked_nothing_does_not_pass():
-    # --budget 4 leaves the simplex check of the converse direction no candidate
+    # --budget 4 leaves the simplex check of the converse direction no
+    # candidate, while the triangle scan's floor still finds line-count's
+    # violation, as at --budget 4000
     r = run_cli("multidistance", "--family", "line-count", "--budget", "4")
-    assert r.returncode == 0, r.stderr
+    assert r.returncode == 1, r.stderr
     report = json.loads(r.stdout)
+    (v,) = [v for v in report["verdicts"] if v["property"] == "multidistance"]
+    assert v["status"] == "fail"
     converse = {v["property"]: v for v in report["verdicts"] if v["property"] != "multidistance"}
     assert sorted(converse) == [f"multidistance-to-ndistance(n={n})" for n in (3, 4, 5)]
     for v in converse.values():
@@ -291,3 +307,105 @@ def test_space_parser_variants():
     r = run_cli("verify", "--distance", "diameter", "--n", "3", "--space", "plane",
                 "--budget", "2000")
     assert r.returncode == 2  # line distance on planar points: rejected
+
+
+def _declared_flags() -> dict[str, tuple[set[str], set[str]]]:
+    """Each subcommand's (declared, required) flags, read from its --help usage."""
+    parser = cli.build_parser()
+    flags = {}
+    for command in ("verify", "constants", "table1", "multidistance"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        usage = out.getvalue().split("\n\n", 1)[0]
+        declared = set(re.findall(r"--[a-z][a-z-]*", usage)) - {"--help"}
+        optional = set(re.findall(r"\[(--[a-z][a-z-]*)", usage))
+        flags[command] = (declared, declared - optional)
+    return flags
+
+
+_DECLARED = _declared_flags()
+
+# A small value pool per flag: valid and invalid values, kept cheap (budget
+# at most 20, arity at most 5, arities within 2..5).  --out is left out so
+# that no file is written.
+_FLAG_VALUES = {
+    "--distance": (
+        "cardinality", "drastic", "arithmetic-mean", "inner-interval", "line-count", "enclosing-area",
+        "diameter:d2=euclidean", "fermat:d2=chebyshev", "sum-based:d2=discrete", "chebyshev-diameter:q=3",
+        "inner-interval-power:p=2", "inner-interval-power:p=x", "diameter:d2=1/2", "single-anchor:s=0.4",
+        "two-anchor:s=1/3", "strong-extremal:k=2", "single-anchor:s=x", "no-such", "diameter:bad", ":",
+    ),
+    "--family": (
+        "enclosing-radius", "arithmetic-mean", "arithmetic-mean-doubled", "line-count", "cardinality",
+        "drastic", "inner-interval", "no-such",
+    ),
+    "--space": ("finite:3", "finite:2", "finite:a,b", "finite:1", "real", "real:0,1", "plane", "plane:-1,1", "moon"),
+    "--n": ("1", "2", "3", "4", "5"),
+    "--k": ("2", "3", "2..3", "2,4", "5", "1", "x"),
+    "--arities": ("2", "2..3", "2..5", "2,3,4", "3..4", "2..x"),
+    "--checks": ("axioms", "repetition", "nonincreasing", "strong", "axioms,strong", "bogus", ""),
+    "--strong-constant": ("1/2", "1", "nan", "inf", "x"),
+    "--mode": ("auto", "exact", "sampled", "x"),
+    "--tolerance": ("1e-9", "0", "100", "x"),
+    "--budget": ("1", "4", "20", "0"),
+    "--seed": ("0", "7", "x"),
+    "--format": ("json", "csv", "text", "xml"),
+}
+
+
+def test_value_pool_covers_every_declared_flag():
+    declared = set().union(*(flags for flags, _ in _DECLARED.values()))
+    assert set(_FLAG_VALUES) == declared - {"--out"}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_DECLARED)))
+    declared, required = _DECLARED[command]
+    declared = sorted(declared & set(_FLAG_VALUES))
+    # the required flags, some declared ones, and at most one flag of any
+    # subcommand, declared by this one or not
+    flags = sorted(required)
+    flags += draw(st.lists(st.sampled_from(declared), max_size=4))
+    flags += draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=1))
+    argv = [command, "--budget", draw(st.sampled_from(("1", "4", "20")))]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+@example(argv=["table1", "--budget", "4", "--space", "plane"])
+@example(argv=["multidistance", "--budget", "4", "--family", "line-count", "--space", "real"])
+def test_any_argv_exits_zero_one_or_two(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            assert exc.code == 2, (argv, err.getvalue())
+            code = 2
+    assert code in (0, 1, 2), argv
+    assert (out.getvalue() == "") == (code == 2), (argv, err.getvalue())
+    if code == 2:
+        assert "error:" in err.getvalue(), argv
+
+
+def _readme_cli_flags() -> dict[str, set[str]]:
+    """Each subcommand's flags, from the usage block that opens the README's ## CLI section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    flags: dict[str, set[str]] = {}
+    for line in usage.splitlines():
+        if line.startswith("simplex-lab "):
+            command = line.split()[1]
+            flags[command] = set()
+        if flags:
+            flags[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def test_readme_lists_the_flags_each_subcommand_declares():
+    assert _readme_cli_flags() == {command: declared for command, (declared, _) in _DECLARED.items()}
