@@ -161,6 +161,8 @@ def build_distance(dist_id: str, params: dict, n: int, space: Space | None) -> t
         _reject_leftovers(dist_id, params)
         return constructions.two_anchor_distance(a, b, s, n, sp), sp
     if dist_id == "strong-extremal":
+        if space is not None:
+            raise ValueError("strong-extremal lives on its own label space; drop --space")
         if "k" not in params:
             raise ValueError("strong-extremal needs k=<block count>")
         k = params.pop("k")

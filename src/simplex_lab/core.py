@@ -9,6 +9,7 @@ matching the usual mathematical convention for arguments x_1, ..., x_n.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence, Union
@@ -53,8 +54,11 @@ class FiniteSpace:
     def iter_tuples(self, n: int) -> Iterator[tuple]:
         return itertools.product(self.labels, repeat=n)
 
-    def midpoint(self, x: str, y: str) -> None:
-        return None  # no betweenness on a bare alphabet
+
+def _check_box(low: float, high: float) -> None:
+    # also rejects nan bounds and a width that overflows to inf
+    if not 0 < high - low < math.inf:
+        raise ValueError(f"sampling box needs finite low < high, got [{low}, {high}]")
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,7 @@ class RealLine:
     kind: str = field(default="real-line", init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.low < self.high:
-            raise ValueError("empty sampling box")
+        _check_box(self.low, self.high)
 
     def sample(self, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
@@ -85,8 +88,7 @@ class Plane:
     kind: str = field(default="plane", init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.low < self.high:
-            raise ValueError("empty sampling box")
+        _check_box(self.low, self.high)
 
     def sample(self, rng: random.Random) -> tuple[float, float]:
         return (rng.uniform(self.low, self.high), rng.uniform(self.low, self.high))
@@ -369,12 +371,11 @@ def check_identity(d: NDistance, space: Space, budget: int = 4096, seed: int = 0
 
 
 def check_symmetry(
-    d: NDistance, space: Space, budget: int = 512, seed: int = 0, tol: float | None = None
+    d: NDistance, space: Space, budget: int = 512, seed: int = 0
 ) -> PropertyVerdict:
     """Axiom (ii): invariance under permutation of the arguments."""
     prop = f"symmetry({d.name})"
-    if tol is None:
-        tol = 0.0 if space.kind == "finite" else 1e-12
+    tol = 0.0 if space.kind == "finite" else 1e-12
     n = d.arity
     rng = random.Random(derive_seed(seed, 2))
     checked = 0

@@ -181,24 +181,21 @@ def fermat_value(points, ground: str = "abs") -> float:
         raise ValueError("at least one point required")
     if ground == "discrete":
         return float(len(pts) - max(Counter(pts).values()))
-    if ground == "abs":
-        m = pts[(len(pts) - 1) // 2]
-        return float(sum(abs(x - m) for x in pts))
+    if ground == "abs" or (ground in ("chebyshev", "euclidean") and not isinstance(pts[0], tuple)):
+        return float(_median_cost(pts))
     if ground == "chebyshev":
-        if not isinstance(pts[0], tuple):
-            m = pts[(len(pts) - 1) // 2]
-            return float(sum(abs(x - m) for x in pts))
         us = sorted(x + y for x, y in pts)
         vs = sorted(x - y for x, y in pts)
-        mu = us[(len(us) - 1) // 2]
-        mv = vs[(len(vs) - 1) // 2]
-        return (sum(abs(u - mu) for u in us) + sum(abs(v - mv) for v in vs)) / 2.0
+        return (_median_cost(us) + _median_cost(vs)) / 2.0
     if ground == "euclidean":
-        if not isinstance(pts[0], tuple):
-            m = pts[(len(pts) - 1) // 2]
-            return float(sum(abs(x - m) for x in pts))
         return _weiszfeld(pts)
     raise ValueError(f"unknown ground distance: {ground}")
+
+
+def _median_cost(xs: list) -> float:
+    """Summed |x - m| over sorted reals ``xs``, m a median of them."""
+    m = xs[(len(xs) - 1) // 2]
+    return sum(abs(x - m) for x in xs)
 
 
 def _weiszfeld(pts: list, tol: float = 1e-10, max_iter: int = 10_000) -> float:

@@ -202,15 +202,14 @@ def _canonical_value_sets(space: Space, n: int, budget: int, seed: int) -> list[
 
 
 def check_repetition_invariance(
-    dist, space: Space, budget: int = 200, seed: int = 0, tol: float | None = None
+    dist, space: Space, budget: int = 200, seed: int = 0
 ) -> PropertyVerdict:
     """d depends only on the underlying set of values, not on multiplicities."""
     d = as_distance(dist)
     n = d.arity
     prop = "repetition-invariance"
     ev = d.evaluator
-    if tol is None:
-        tol = 0.0 if space.kind == "finite" else 1e-12
+    tol = 0.0 if space.kind == "finite" else 1e-12
     # (value set, tuple) pairs: every tuple of a small finite space, else the
     # expansions of canonical value sets over all compositions
     if space.kind == "finite" and space.size ** n <= 100_000:
@@ -284,17 +283,14 @@ def check_nonincreasing_identification(
 def check_multidistance(
     family: Sequence,
     space: Space,
-    d2: Callable[[Point, Point], float] | None = None,
     budget: int = 20_000,
     seed: int = 0,
     tol: float = 1e-9,
 ) -> PropertyVerdict:
     """Verify the family {d_n} satisfies d_n(x) <= sum_i g(x_i, z) for all z.
 
-    ``g`` defaults to the arity-2 member.  Also records whether the
-    sufficient condition d_n(x, z, ..., z) <= g(x, z) holds (with equality
-    flagged), and spot-checks the intermediate bounds that interpolate
-    between g and the full sum.
+    ``g`` is the arity-2 member.  Also records whether the sufficient
+    condition d_n(x, z, ..., z) <= g(x, z) holds (with equality flagged).
     """
     members = sorted((as_distance(m) for m in family), key=lambda d: d.arity)
     if not members or members[0].arity != 2:
@@ -302,11 +298,8 @@ def check_multidistance(
     for a, b in zip(members, members[1:]):
         if b.arity != a.arity + 1:
             raise ValueError("member arities must be contiguous from 2")
-    if d2 is None:
-        two = members[0].evaluator
-        g = lambda x, z: two((x, z))
-    else:
-        g = d2
+    two = members[0].evaluator
+    g = lambda x, z: two((x, z))
     prop = "multidistance"
     per_arity = {}
     total = 0

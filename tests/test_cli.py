@@ -84,6 +84,12 @@ def test_config_error_exit_two():
         # --k and --strong-constant are read by the strong check only
         ("verify", "--distance", "cardinality", "--k", "3"),
         ("verify", "--distance", "cardinality", "--checks", "axioms", "--strong-constant", "1/2"),
+        # a sampling box must be finite and nonempty: nan or inf samples pass every comparison
+        ("verify", "--distance", "diameter", "--space", "real:-inf,inf", "--checks", "axioms,repetition,nonincreasing", "--budget", "100"),
+        ("verify", "--distance", "diameter", "--space", "real:-1e308,1e308", "--checks", "axioms,repetition,nonincreasing", "--budget", "100"),
+        ("verify", "--distance", "diameter:d2=euclidean", "--space", "plane:-inf,0"),
+        # strong-extremal lives on its own label space
+        ("constants", "--distance", "strong-extremal:k=2", "--n", "3", "--space", "real", "--budget", "100"),
     ],
 )
 def test_bad_input_exits_two_without_traceback(args):

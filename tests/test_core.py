@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +54,17 @@ def test_spaces():
     tuples = list(ABC.iter_tuples(2))
     assert tuples[0] == ("a", "a")
     assert len(tuples) == 9
+
+
+def test_catalog_import_loads_only_its_dependencies():
+    # the package __init__ re-exports nothing, so importing one module pulls in
+    # only the modules it imports itself
+    code = "import sys, simplex_lab.catalog; print(sorted(m for m in sys.modules if m.startswith('simplex_lab')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert r.returncode == 0, r.stderr
+    loaded = r.stdout.strip()
+    assert loaded == str(["simplex_lab", "simplex_lab.catalog", "simplex_lab.core", "simplex_lab.geometry"])
 
 
 def test_section_is_one_based():
