@@ -24,11 +24,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import (
     DegenerateTupleError,
-    NDistance,
     Point,
     PropertyVerdict,
     Space,
@@ -39,6 +38,9 @@ from .core import (
     sample_pair,
     structured_pairs,
 )
+
+if TYPE_CHECKING:
+    from .catalog import CatalogEntry
 
 EXACT = "exact"
 SAMPLED = "sampled"
@@ -75,25 +77,24 @@ class ConstantEstimate:
     seed: int
 
 
-def as_distance(obj) -> NDistance:
-    """Accept an NDistance or anything carrying one in a ``distance`` field."""
-    return getattr(obj, "distance", obj)
-
-
-def ratio(d, t: tuple, z: Point, indices: Iterable[int] | None = None) -> float:
+def ratio(entry: CatalogEntry, t: tuple, z: Point, indices: Iterable[int] | None = None) -> float:
     """d(t) divided by the sum of the sections at the 1-based ``indices``.
 
+    The indices must be distinct positions in 1..n; all n by default.
     Returns ``inf`` when every selected section vanishes: no finite constant
     can bound the corresponding partial inequality at this witness.
     """
-    d = as_distance(d)
+    ev = entry.distance.evaluator
     if distinct_count(t) < 2:
         raise DegenerateTupleError("the ratio needs a nondegenerate tuple")
-    idx = tuple(indices) if indices is not None else tuple(range(1, len(t) + 1))
+    n = len(t)
+    idx = tuple(indices) if indices is not None else tuple(range(1, n + 1))
     if not idx:
         raise ValueError("empty index set")
-    num = d.evaluator(t)
-    den = sum(d.evaluator(section(t, i, z)) for i in idx)
+    if len(set(idx)) != len(idx) or not all(1 <= i <= n for i in idx):
+        raise ValueError(f"indices must be distinct positions in 1..{n}, got {idx}")
+    num = ev(t)
+    den = sum(ev(section(t, i, z)) for i in idx)
     if den == 0.0:
         return math.inf
     return num / den
@@ -171,37 +172,29 @@ def scan(
     return best, first, worst, checked
 
 
-def _analytic_constant(d: NDistance, k: int) -> float | None:
-    if k == d.arity and d.known_constant is not None:
-        return d.known_constant
-    if d.known_k_constants is not None and k in d.known_k_constants:
-        return d.known_k_constants[k]
-    return None
-
-
 def estimate_best_constant(
-    dist, space: Space, budget: int = 100_000, seed: int = 42, mode: str = "auto"
+    entry: CatalogEntry, space: Space, budget: int = 100_000, seed: int = 42, mode: str = "auto"
 ) -> ConstantEstimate:
     """Estimate K*_n: the supremum of d(t)/sum-of-all-sections."""
-    d = as_distance(dist)
-    return _estimate(dist, d, space, d.arity, budget, seed, mode)
+    return _estimate(entry, space, entry.arity, budget, seed, mode)
 
 
 def estimate_partial_constant(
-    dist, space: Space, k: int, budget: int = 100_000, seed: int = 42, mode: str = "auto"
+    entry: CatalogEntry, space: Space, k: int, budget: int = 100_000, seed: int = 42, mode: str = "auto"
 ) -> ConstantEstimate:
     """Estimate K*_{n,k}: the supremum over k-term section sums (2 <= k <= n)."""
-    d = as_distance(dist)
-    if not 2 <= k <= d.arity:
-        raise ValueError(f"k must be in 2..{d.arity}, got {k}")
-    return _estimate(dist, d, space, k, budget, seed, mode)
+    n = entry.arity
+    if not 2 <= k <= n:
+        raise ValueError(f"k must be in 2..{n}, got {k}")
+    return _estimate(entry, space, k, budget, seed, mode)
 
 
-def _estimate(dist, d: NDistance, space: Space, k: int, budget: int, seed: int, mode: str) -> ConstantEstimate:
+def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int, mode: str) -> ConstantEstimate:
     if budget < 1:
         raise ValueError("budget must be positive")
     if mode not in ("auto", "exact", "sampled"):
         raise ValueError(f"unknown mode: {mode}")
+    d = entry.distance
     n = d.arity
     if mode == "exact" and space.kind != "finite":
         raise ValueError("exact mode needs a finite space")
@@ -212,7 +205,7 @@ def _estimate(dist, d: NDistance, space: Space, k: int, budget: int, seed: int, 
     if exhaustive:
         pairs = iter_pairs(space, n, space.size ** (n + 1), seed)
     else:
-        recipe = getattr(dist, "witness_recipe", None)
+        recipe = entry.witness_recipe
         head = [recipe(space)] if recipe is not None else []
         pairs = itertools.chain(head, iter_pairs(space, n, budget - len(head), seed))
     best, _, _, trials = scan(d.evaluator, pairs, k)
@@ -222,7 +215,7 @@ def _estimate(dist, d: NDistance, space: Space, k: int, budget: int, seed: int, 
         best = _refine(d.evaluator, space, n, k, best)
     witness = Witness(best[1], best[2], best[0], best[3])
     method = EXACT if exhaustive else SAMPLED
-    return ConstantEstimate(n, k, best[0], witness, _analytic_constant(d, k), method, trials, seed)
+    return ConstantEstimate(n, k, best[0], witness, entry.constants.get(k), method, trials, seed)
 
 
 def _refine(ev: Callable[[tuple], float], space: Space, n: int, k: int, best):
@@ -261,7 +254,9 @@ def _refine(ev: Callable[[tuple], float], space: Space, n: int, k: int, best):
 # existence of a finite partial constant
 
 
-def check_partial_existence(dist, space: Space, k: int, budget: int = 4096, seed: int = 0) -> PropertyVerdict:
+def check_partial_existence(
+    entry: CatalogEntry, space: Space, k: int, budget: int = 4096, seed: int = 0
+) -> PropertyVerdict:
     """Search for an infinite partial ratio: a witness killing every k-term sum.
 
     k = 1 always fails on a genuine n-distance (take t = (x, z, ..., z)); for
@@ -269,7 +264,7 @@ def check_partial_existence(dist, space: Space, k: int, budget: int = 4096, seed
     budget is scanned, and a failure reports the lexicographically smallest
     infinite-ratio witness.
     """
-    d = as_distance(dist)
+    d = entry.distance
     n = d.arity
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
@@ -344,18 +339,21 @@ def check_symmetrization(full: ConstantEstimate, partial: ConstantEstimate, tol:
     return PropertyVerdict.of(prop, details, ce)
 
 
-def check_attainment_transfer(dist, witness: Witness, k: int, kstar: float | None = None, tol: float = 1e-9) -> PropertyVerdict:
+def check_attainment_transfer(
+    entry: CatalogEntry, witness: Witness, k: int, kstar: float | None = None, tol: float = 1e-9
+) -> PropertyVerdict:
     """Equality transfer from a K*_n-attaining witness to partial sums.
 
     At a witness (t, z) attaining K*_n, the k-term sum bound
     1/(1/K*_n - n + k) is attained by an index set S exactly when every
     section outside S leaves the value unchanged.  Verified over all k-sets.
+    ``kstar`` defaults to the entry's known K*_n.
     """
-    d = as_distance(dist)
+    d = entry.distance
     n = d.arity
     prop = f"attainment-transfer(k={k})"
     if kstar is None:
-        kstar = d.known_constant
+        kstar = entry.constants.get(n)
     if kstar is None:
         raise ValueError("the best constant is needed (no metadata, none given)")
     if not (n - 1.0 / kstar < k <= n):
@@ -389,7 +387,9 @@ def check_attainment_transfer(dist, witness: Witness, k: int, kstar: float | Non
     return PropertyVerdict.of(prop, details, mismatches[0] if mismatches else None)
 
 
-def check_sufficient_standard(dist, full: ConstantEstimate, partial: ConstantEstimate, tol: float = 1e-9) -> PropertyVerdict:
+def check_sufficient_standard(
+    entry: CatalogEntry, full: ConstantEstimate, partial: ConstantEstimate, tol: float = 1e-9
+) -> PropertyVerdict:
     """Sufficient condition for standardness from one k.
 
     If (a) K*_n < 1/(n-k) and is attained at a witness whose value is kept
@@ -397,7 +397,7 @@ def check_sufficient_standard(dist, full: ConstantEstimate, partial: ConstantEst
     with constant 1/(k-1), then the distance is standard.  Cross-checked
     against the estimated K*_n.
     """
-    d = as_distance(dist)
+    d = entry.distance
     n, k = full.n, partial.k
     prop = f"sufficient-standard(k={k})"
     if k >= n:

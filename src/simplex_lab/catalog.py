@@ -29,12 +29,20 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A distance bundled with its extremal witness recipe and known flags.
+    """A distance with everything the package knows about it, in one place.
+
+    Every estimator, property check and builder above ``core`` takes an
+    entry; only the axiom checks of ``core`` take ``distance`` itself.
+
+    ``constants`` maps k to the best partial constant K*_{n,k} over k-term
+    section sums, where it is known in closed form; at k = n it is the best
+    constant K*_n.  The constants are metadata: estimators recompute and
+    compare against them, they are never fed back into the search.
+    ``constant_bounds`` brackets the best constant when no closed form is
+    known (lower may be None; upper is exclusive for line-count).
 
     Flag values are knowledge, not computation: ``True``/``False`` when the
     property status is known, ``None`` when open.  Checkers verify them.
-    ``constant_bounds`` brackets the best constant when no closed form is
-    known (lower may be None; upper is exclusive for line-count).
 
     The builders in ``constructions`` also set ``space`` (the label space
     the distance is built on), ``exact_evaluator`` (rational values, when
@@ -46,6 +54,7 @@ class CatalogEntry:
     standard: bool | None = None
     repetition_invariant: bool | None = None
     nonincreasing: bool | None = None
+    constants: Mapping[int, float] = field(default_factory=dict)
     constant_bounds: tuple[float | None, float | None] | None = None
     space: FiniteSpace | None = None
     exact_evaluator: Callable[[tuple], Fraction] | None = None
@@ -63,10 +72,6 @@ class CatalogEntry:
         return self.distance(*points)
 
 
-def _standard_k_constants(n: int) -> dict[int, float]:
-    return {k: 1.0 / (k - 1) for k in range(2, n + 1)}
-
-
 def _distinct_pair(space: Space) -> tuple[Point, Point]:
     if space.kind == "finite":
         return space.labels[0], space.labels[1]
@@ -75,13 +80,22 @@ def _distinct_pair(space: Space) -> tuple[Point, Point]:
     return (0.0, 0.0), (1.0, 0.0)
 
 
-def _standard_witness(n: int) -> Callable[[Space], tuple[tuple, Point]]:
-    # (x, y, ..., y) with z = y: ratio 1/(n-1) for every standard entry
+def _standard_entry(d: NDistance, invariant: bool = True) -> CatalogEntry:
+    """A standard entry: K*_{n,k} = 1/(k-1) for every k.
+
+    ``invariant`` is both its repetition-invariant and its nonincreasing
+    flag.  The witness (x, y, ..., y) with z = y has ratio 1/(n-1).
+    """
+    n = d.arity
+
     def recipe(space: Space) -> tuple[tuple, Point]:
         x, y = _distinct_pair(space)
         return (x,) + (y,) * (n - 1), y
 
-    return recipe
+    return CatalogEntry(
+        d, recipe, standard=True, repetition_invariant=invariant, nonincreasing=invariant,
+        constants={k: 1.0 / (k - 1) for k in range(2, n + 1)},
+    )
 
 
 def _diameter_evaluator(g: Callable[[Point, Point], float]) -> Callable[[tuple], float]:
@@ -110,8 +124,7 @@ def drastic(n: int) -> CatalogEntry:
     def ev(t: tuple) -> float:
         return 0.0 if len(set(t)) == 1 else 1.0
 
-    d = NDistance("drastic", n, "any", ev, 1.0 / (n - 1), _standard_k_constants(n))
-    return CatalogEntry(d, _standard_witness(n), standard=True, repetition_invariant=True, nonincreasing=True)
+    return _standard_entry(NDistance("drastic", n, "any", ev))
 
 
 def cardinality(n: int) -> CatalogEntry:
@@ -120,15 +133,13 @@ def cardinality(n: int) -> CatalogEntry:
     def ev(t: tuple) -> float:
         return float(len(set(t)) - 1)
 
-    d = NDistance("cardinality", n, "any", ev, 1.0 / (n - 1), _standard_k_constants(n))
-    return CatalogEntry(d, _standard_witness(n), standard=True, repetition_invariant=True, nonincreasing=True)
+    return _standard_entry(NDistance("cardinality", n, "any", ev))
 
 
 def diameter(n: int, d2: str = "abs") -> CatalogEntry:
     """Largest pairwise ground distance among the arguments."""
     ev = _diameter_evaluator(ground_distance(d2))
-    d = NDistance(f"diameter[{d2}]", n, space_kind_for_ground(d2), ev, 1.0 / (n - 1), _standard_k_constants(n))
-    return CatalogEntry(d, _standard_witness(n), standard=True, repetition_invariant=True, nonincreasing=True)
+    return _standard_entry(NDistance(f"diameter[{d2}]", n, space_kind_for_ground(d2), ev))
 
 
 def sum_based(n: int, d2: str = "abs") -> CatalogEntry:
@@ -139,8 +150,7 @@ def sum_based(n: int, d2: str = "abs") -> CatalogEntry:
         ts = sorted(t)
         return sum(g(p, q) for p, q in itertools.combinations(ts, 2))
 
-    d = NDistance(f"sum-based[{d2}]", n, space_kind_for_ground(d2), ev, 1.0 / (n - 1), _standard_k_constants(n))
-    return CatalogEntry(d, _standard_witness(n), standard=True, repetition_invariant=False, nonincreasing=False)
+    return _standard_entry(NDistance(f"sum-based[{d2}]", n, space_kind_for_ground(d2), ev), invariant=False)
 
 
 def arithmetic_mean(n: int) -> CatalogEntry:
@@ -151,8 +161,7 @@ def arithmetic_mean(n: int) -> CatalogEntry:
         m = ts[0]
         return sum(x - m for x in ts) / n  # exact 0.0 on constant tuples
 
-    d = NDistance("arithmetic-mean", n, "real-line", ev, 1.0 / (n - 1), _standard_k_constants(n))
-    return CatalogEntry(d, _standard_witness(n), standard=True, repetition_invariant=False, nonincreasing=False)
+    return _standard_entry(NDistance("arithmetic-mean", n, "real-line", ev), invariant=False)
 
 
 def fermat(n: int, d2: str = "abs") -> CatalogEntry:
@@ -192,8 +201,7 @@ def enclosing_radius(n: int) -> CatalogEntry:
     def ev(t: tuple) -> float:
         return smallest_enclosing_circle(t).radius
 
-    d = NDistance("enclosing-radius", n, "plane", ev, 1.0 / (n - 1), _standard_k_constants(n))
-    return CatalogEntry(d, _standard_witness(n), standard=True, repetition_invariant=True, nonincreasing=True)
+    return _standard_entry(NDistance("enclosing-radius", n, "plane", ev))
 
 
 def enclosing_area(n: int) -> CatalogEntry:
@@ -214,8 +222,8 @@ def enclosing_area(n: int) -> CatalogEntry:
         return ((0.0, 0.0), (2.0, 0.0)) + ((1.0, 0.0),) * (n - 2), (1.0, 0.0)
 
     kk = {k: 1.0 / (k - 1.5) for k in range(2, n + 1)}
-    d = NDistance("enclosing-area", n, "plane", ev, 1.0 / (n - 1.5), kk)
-    return CatalogEntry(d, recipe, standard=False, repetition_invariant=True, nonincreasing=True)
+    d = NDistance("enclosing-area", n, "plane", ev)
+    return CatalogEntry(d, recipe, standard=False, repetition_invariant=True, nonincreasing=True, constants=kk)
 
 
 def chebyshev_diameter(n: int, q: int = 2) -> CatalogEntry:
@@ -224,8 +232,7 @@ def chebyshev_diameter(n: int, q: int = 2) -> CatalogEntry:
         raise ValueError("q must be 1 or 2")
     ev = _diameter_evaluator(ground_distance("chebyshev"))
     kind = "real-line" if q == 1 else "plane"
-    d = NDistance(f"chebyshev-diameter[q={q}]", n, kind, ev, 1.0 / (n - 1), _standard_k_constants(n))
-    return CatalogEntry(d, _standard_witness(n), standard=True, repetition_invariant=True, nonincreasing=True)
+    return _standard_entry(NDistance(f"chebyshev-diameter[q={q}]", n, kind, ev))
 
 
 def _inner_interval_witness(n: int) -> Callable[[Space], tuple[tuple, Point]]:
@@ -241,10 +248,10 @@ def largest_inner_interval(n: int) -> CatalogEntry:
     Nonstandard for n >= 3: best constant 2/n, best partial constants 2/k.
     Repetition-invariant but not nonincreasing under identification.
     """
-    kk = {k: 2.0 / k for k in range(2, n + 1)}
-    d = NDistance("inner-interval", n, "real-line", _largest_gap, 2.0 / n, kk)
+    d = NDistance("inner-interval", n, "real-line", _largest_gap)
     return CatalogEntry(
-        d, _inner_interval_witness(n), standard=(n == 2), repetition_invariant=True, nonincreasing=(n == 2)
+        d, _inner_interval_witness(n), standard=(n == 2), repetition_invariant=True, nonincreasing=(n == 2),
+        constants={k: 2.0 / k for k in range(2, n + 1)},
     )
 
 
@@ -259,9 +266,10 @@ def inner_interval_power(n: int, p: int) -> CatalogEntry:
         return _largest_gap(t) ** p
 
     kk = {k: 2.0 / k for k in range(2, n + 1)} if p == 1 else {n: (2.0**p) / n}
-    d = NDistance(f"inner-interval-power[p={p}]", n, "real-line", ev, (2.0**p) / n, kk)
+    d = NDistance(f"inner-interval-power[p={p}]", n, "real-line", ev)
     return CatalogEntry(
-        d, _inner_interval_witness(n), standard=(n == 2 and p == 1), repetition_invariant=True, nonincreasing=False
+        d, _inner_interval_witness(n), standard=(n == 2 and p == 1), repetition_invariant=True, nonincreasing=False,
+        constants=kk,
     )
 
 

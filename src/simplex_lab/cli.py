@@ -170,8 +170,8 @@ def build_distance(dist_id: str, params: dict, n: int, space: Space | None) -> t
             raise ValueError(f"strong-extremal needs an integer k, got {k!r}")
         k = int(k)
         _reject_leftovers(dist_id, params)
-        obj = constructions.strong_extremal_distance(n, k)
-        return obj, obj.space  # lives on its own label space
+        entry = constructions.strong_extremal_distance(n, k)
+        return entry, entry.space  # lives on its own label space
     try:
         entry = catalog.make(dist_id, n, **params)
     except TypeError as exc:
@@ -186,7 +186,7 @@ def _reject_leftovers(dist_id: str, params: dict) -> None:
         raise ValueError(f"unknown parameters for {dist_id!r}: {', '.join(sorted(params))}")
 
 
-def _check_space_compatible(d, space: Space) -> None:
+def _check_space_compatible(d: core.NDistance, space: Space) -> None:
     if d.space_kind != "any" and d.space_kind != space.kind:
         raise ValueError(f"{d.name} lives on a {d.space_kind} space, got {space.kind}")
 
@@ -385,50 +385,45 @@ def resolve_strong_constant(entry: catalog.CatalogEntry, n: int, k: int, explici
         return constant, "explicit"
     if entry.standard is True and entry.repetition_invariant is True:
         return properties.strong_constant_standard(n, k), "standard-formula"
-    d = entry.distance
-    kk = d.known_k_constants
-    if entry.nonincreasing is True and kk is not None and k in kk:
-        return kk[k], "best-k-constant"
-    raise ValueError(
-        f"no strong constant known for {d.name} at k={k}; pass --strong-constant"
-    )
+    if entry.nonincreasing is True and k in entry.constants:
+        return entry.constants[k], "best-k-constant"
+    raise ValueError(f"no strong constant known for {entry.name} at k={k}; pass --strong-constant")
 
 
 def run_verify(args) -> dict:
     seed = resolve_seed(args.seed)
     dist_id, params = parse_distance_spec(args.distance)
     space = parse_space(args.space) if args.space else None
-    obj, space = build_distance(dist_id, params, args.n, space)
-    d = obj.distance
+    entry, space = build_distance(dist_id, params, args.n, space)
     checks = [c.strip() for c in (args.checks or "axioms").split(",") if c.strip()]
     for c in checks:
         if c not in _VERIFY_CHECKS:
             raise ValueError(f"unknown check {c!r}; known: {', '.join(_VERIFY_CHECKS)}")
     if "strong" not in checks and (args.k is not None or args.strong_constant is not None):
         raise ValueError("--k and --strong-constant need the strong check (--checks strong)")
-    ks = parse_int_list(args.k, 2, d.arity) if args.k else list(range(2, d.arity + 1))
+    ks = parse_int_list(args.k, 2, entry.arity) if args.k else list(range(2, entry.arity + 1))
 
     verdicts = []
     for c in checks:
         if c == "axioms":
-            verdicts.extend(core.check_axioms(d, space, budget=args.budget, seed=seed))
+            verdicts.extend(core.check_axioms(entry.distance, space, budget=args.budget, seed=seed))
         elif c == "repetition":
             verdicts.append(
                 properties.check_repetition_invariance(
-                    obj, space, budget=max(32, args.budget // 500), seed=seed
+                    entry, space, budget=max(32, args.budget // 500), seed=seed
                 )
             )
         elif c == "nonincreasing":
             verdicts.append(
                 properties.check_nonincreasing_identification(
-                    obj, space, budget=max(64, args.budget // 5), seed=seed
+                    entry, space, budget=max(64, args.budget // 5), seed=seed
                 )
             )
         else:  # strong
             for k in ks:
-                constant, origin = resolve_strong_constant(obj, d.arity, k, args.strong_constant)
+                constant, origin = resolve_strong_constant(entry, entry.arity, k, args.strong_constant)
                 v = properties.check_strong_k_simplex(
-                    obj, k, constant, space, budget=max(64, args.budget // 2), seed=seed
+                    entry, k, constant, space, budget=max(64, args.budget // 2), seed=seed
                 )
                 verdicts.append(dataclasses.replace(v, details={**(v.details or {}), "constant_origin": origin}))
 
@@ -443,17 +438,17 @@ def run_constants(args) -> dict:
     seed = resolve_seed(args.seed)
     dist_id, params = parse_distance_spec(args.distance)
     space = parse_space(args.space) if args.space else None
-    obj, space = build_distance(dist_id, params, args.n, space)
-    d = obj.distance
+    entry, space = build_distance(dist_id, params, args.n, space)
+    n = entry.arity
     tol = args.tolerance if args.tolerance is not None else default_tolerance(space)
-    ks = parse_int_list(args.k, 2, d.arity) if args.k else []
+    ks = parse_int_list(args.k, 2, n) if args.k else []
 
-    full = analysis.estimate_best_constant(obj, space, budget=args.budget, seed=seed, mode=args.mode)
-    rows = [constant_row(f"K*_{d.arity}", full, tol, obj)]
+    full = analysis.estimate_best_constant(entry, space, budget=args.budget, seed=seed, mode=args.mode)
+    rows = [constant_row(f"K*_{n}", full, tol, entry)]
     verdicts = []
     for k in ks:
-        part = analysis.estimate_partial_constant(obj, space, k, budget=args.budget, seed=seed, mode=args.mode)
-        rows.append(constant_row(f"K*_{d.arity},{k}", part, tol))
+        part = analysis.estimate_partial_constant(entry, space, k, budget=args.budget, seed=seed, mode=args.mode)
+        rows.append(constant_row(f"K*_{n},{k}", part, tol))
         verdicts.append(analysis.check_partial_bound(full, part, tol=max(tol, 1e-6)))
         verdicts.append(analysis.check_symmetrization(full, part, tol=max(tol, 1e-6)))
 
@@ -510,17 +505,17 @@ _FAMILY_IDS = (
 )
 
 
-def _build_family(family: str, arities: list[int]):
-    """-> (members, space)."""
+def _build_family(family: str, arities: list[int]) -> tuple[list[catalog.CatalogEntry], Space]:
+    """-> (member entries, space)."""
     if family not in _FAMILY_IDS:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(_FAMILY_IDS)}")
     if family == "arithmetic-mean-doubled":
         # binary member replaced by twice the distance, per the passing variant
-        doubled = core.NDistance("doubled-mean", 2, "real-line", lambda t: abs(t[0] - t[1]))
-        members = [doubled] + [catalog.make("arithmetic-mean", m).distance for m in arities if m >= 3]
+        doubled = catalog.CatalogEntry(core.NDistance("doubled-mean", 2, "real-line", lambda t: abs(t[0] - t[1])))
+        members = [doubled] + [catalog.make("arithmetic-mean", m) for m in arities if m >= 3]
         return members, RealLine()
-    members = [catalog.make(family, m).distance for m in arities]
-    space = default_space_for(members[0].space_kind)
+    members = [catalog.make(family, m) for m in arities]
+    space = default_space_for(members[0].distance.space_kind)
     if family in ("cardinality", "drastic"):
         space = FiniteSpace(tuple(_LETTERS[:4]))
     return members, space
@@ -535,7 +530,7 @@ def run_multidistance(args) -> dict:
     # at least 64 candidates for each member's triangle scan
     budget = max(64 * len(members), args.budget // 5)
     verdicts = [properties.check_multidistance(members, space, budget=budget, seed=seed)]
-    two = members[0].evaluator
+    two = members[0].distance.evaluator
     g = lambda x, z: two((x, z))
     for member in members:
         if member.arity < 3:
@@ -612,7 +607,11 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    emit(report, args.format, args.out)
+    try:
+        emit(report, args.format, args.out)
+    except OSError as exc:  # --out in a missing directory, or a directory itself
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     return EXIT_OK if report["status"] == "pass" else EXIT_CHECK_FAILED
 
 

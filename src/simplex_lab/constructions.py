@@ -53,23 +53,16 @@ def single_anchor_distance(base: CatalogEntry, e: str, s: float, space: FiniteSp
         v = ev(t)
         return scale * v if e in t else v
 
-    k_constants = None
-    if base_dist.name == "drastic":
-        k_constants = {k: max(n * s / k, 1.0 / (k - 1)) for k in range(2, n + 1)}
-    dist = NDistance(
-        name=f"single-anchor[{base_dist.name},s={s:g}]",
-        arity=n,
-        space_kind="finite",
-        evaluator=scaled,
-        known_constant=s,
-        known_k_constants=k_constants,
-    )
+    # the partial constants below n are known for the drastic base only
+    constants = {k: max(n * s / k, 1.0 / (k - 1)) for k in range(2, n)} if base_dist.name == "drastic" else {}
+    dist = NDistance(f"single-anchor[{base_dist.name},s={s:g}]", n, "finite", scaled)
     return CatalogEntry(
         dist,
         lambda _space: (witness_t, e),
         standard=abs(s - 1.0 / (n - 1)) < _S_TOL,
         repetition_invariant=base.repetition_invariant,
         nonincreasing=None,
+        constants=constants | {n: s},
         space=space,
         params={"scale": scale},
     )
@@ -105,21 +98,14 @@ def two_anchor_distance(a: str, b: str, s: float, n: int, space: FiniteSpace) ->
         return 1.0
 
     c = next(x for x in space.labels if x not in (a, b))
-    k_constants = {k: 1.0 / (1.0 / s - n + k) for k in range(2, n + 1)}
-    dist = NDistance(
-        name=f"two-anchor[s={s:g}]",
-        arity=n,
-        space_kind="finite",
-        evaluator=three_valued,
-        known_constant=s,
-        known_k_constants=k_constants,
-    )
+    dist = NDistance(f"two-anchor[s={s:g}]", n, "finite", three_valued)
     return CatalogEntry(
         dist,
         lambda _space: ((a, b) + (c,) * (n - 2), c),
         standard=abs(s - 1.0 / (n - 1)) < _S_TOL,
         repetition_invariant=True,
         nonincreasing=True,
+        constants={k: 1.0 / (1.0 / s - n + k) for k in range(2, n)} | {n: s},
         space=space,
         params={"scale": scale},
     )
@@ -156,14 +142,7 @@ def strong_extremal_distance(n: int, k: int) -> CatalogEntry:
     def evaluator(t: tuple) -> float:
         return float(exact(t))
 
-    dist = NDistance(
-        name=f"strong-extremal[k={k}]",
-        arity=n,
-        space_kind="finite",
-        evaluator=evaluator,
-        known_constant=1.0 / (n - 1),
-        known_k_constants={j: 1.0 / (j - 1) for j in range(2, n + 1)},
-    )
+    dist = NDistance(f"strong-extremal[k={k}]", n, "finite", evaluator)
     y1, y2 = labels[0], labels[1]
     return CatalogEntry(
         dist,
@@ -171,6 +150,7 @@ def strong_extremal_distance(n: int, k: int) -> CatalogEntry:
         standard=True,
         repetition_invariant=True,
         nonincreasing=False,
+        constants={j: 1.0 / (j - 1) for j in range(2, n + 1)},
         space=space,
         exact_evaluator=exact,
         params={"a": a, "b": b},

@@ -12,7 +12,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 Point = Union[str, float, tuple]
 
@@ -146,20 +146,18 @@ def section(t: tuple, i: int, z: Point) -> tuple:
 
 @dataclass(frozen=True)
 class NDistance:
-    """A named symmetric nonnegative n-ary map with optional constant metadata.
+    """A named symmetric nonnegative n-ary map: the map and nothing else.
 
-    ``known_constant`` is the best simplex constant when it is known in
-    closed form; ``known_k_constants`` maps k to the best partial constant
-    over k-term section sums.  Both are metadata: estimators recompute and
-    compare against them, they are never fed back into the search.
+    The axiom checks of this module take an ``NDistance``.  What is known
+    about a distance (its constants, witness recipe and property flags)
+    lives on ``catalog.CatalogEntry``, which every function above this
+    module takes instead.
     """
 
     name: str
     arity: int
     space_kind: str  # "finite" | "real-line" | "plane" | "any"
     evaluator: Callable[[tuple], float]
-    known_constant: float | None = None
-    known_k_constants: Mapping[int, float] | None = None
 
     def __post_init__(self) -> None:
         if self.arity < 2:

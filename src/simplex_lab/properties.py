@@ -10,7 +10,7 @@ the k collapsed values from the shared candidate stream, ``core.iter_pairs``.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import (
     Point,
@@ -22,7 +22,10 @@ from .core import (
     iter_tuples,
     section,
 )
-from .analysis import as_distance, scan
+from .analysis import scan
+
+if TYPE_CHECKING:
+    from .catalog import CatalogEntry
 
 
 def compositions(n: int, k: int) -> list[tuple[int, ...]]:
@@ -44,9 +47,9 @@ def expand_composition(values: Sequence[Point], comp: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def reduced_evaluator(d, comp: Sequence[int]) -> Callable[[tuple], float]:
+def reduced_evaluator(entry: CatalogEntry, comp: Sequence[int]) -> Callable[[tuple], float]:
     """The k-variable function d'(x1..xk) = d(n1*x1, ..., nk*xk)."""
-    ev = as_distance(d).evaluator
+    ev = entry.distance.evaluator
     comp = tuple(comp)
 
     def reduced(values: tuple) -> float:
@@ -90,7 +93,7 @@ def strong_threshold(n: int, kstar: float) -> float:
 
 
 def check_strong_k_simplex(
-    dist,
+    entry: CatalogEntry,
     k: int,
     constant: float,
     space: Space,
@@ -99,8 +102,7 @@ def check_strong_k_simplex(
     tol: float = 1e-9,
 ) -> PropertyVerdict:
     """Verify d(n1*x1,...,nk*xk) <= M (sum of k sections) over all groupings."""
-    d = as_distance(dist)
-    n = d.arity
+    n = entry.arity
     if not 2 <= k <= n:
         raise ValueError(f"k must be in 2..{n}, got {k}")
     prop = f"strong-simplex(k={k}, M={constant:g})"
@@ -111,7 +113,7 @@ def check_strong_k_simplex(
     first = worst = None  # (composition, violation)
     for ci, comp in enumerate(comps):
         pairs = iter_pairs(space, k, per_comp, derive_seed(seed, 200 + ci))
-        best, c_first, c_worst, c_checked = scan(reduced_evaluator(d, comp), pairs, k, constant, tol)
+        best, c_first, c_worst, c_checked = scan(reduced_evaluator(entry, comp), pairs, k, constant, tol)
         checked += c_checked
         if best is not None:
             max_ratio = max(max_ratio, best[0])
@@ -130,7 +132,7 @@ def check_strong_k_simplex(
 
 
 def check_lemma_mixed_bound(
-    dist,
+    entry: CatalogEntry,
     k: int,
     p: int,
     space: Space,
@@ -146,19 +148,18 @@ def check_lemma_mixed_bound(
            + (p+1)/((k-1)(k+p-1)) * d(x1..x_{k-1}, z...z)
     The coefficient pair varies with p but the statement does not.
     """
-    d = as_distance(dist)
-    n = d.arity
+    n = entry.arity
     if not 2 <= k <= n - 1:
         raise ValueError(f"k must be in 2..{n - 1}, got {k}")
     if not 0 <= p <= n - k:
         raise ValueError(f"p must be in 0..{n - k}, got {p}")
     prop = f"mixed-bound(k={k}, p={p})"
-    flags = getattr(dist, "standard", None), getattr(dist, "repetition_invariant", None)
+    flags = entry.standard, entry.repetition_invariant
     if flags[0] is not True or flags[1] is not True:
         return PropertyVerdict.of(prop, {"reason": "needs standard=True and repetition_invariant=True", "flags": flags})
     a_coef = (k + p) / ((k - 1) * (k + p - 1))
     b_coef = (p + 1) / ((k - 1) * (k + p - 1))
-    ev = d.evaluator
+    ev = entry.distance.evaluator
     checked = 0
     first_ce = None
     equality = None
@@ -202,13 +203,12 @@ def _canonical_value_sets(space: Space, n: int, budget: int, seed: int) -> list[
 
 
 def check_repetition_invariance(
-    dist, space: Space, budget: int = 200, seed: int = 0
+    entry: CatalogEntry, space: Space, budget: int = 200, seed: int = 0
 ) -> PropertyVerdict:
     """d depends only on the underlying set of values, not on multiplicities."""
-    d = as_distance(dist)
-    n = d.arity
+    n = entry.arity
     prop = "repetition-invariance"
-    ev = d.evaluator
+    ev = entry.distance.evaluator
     tol = 0.0 if space.kind == "finite" else 1e-12
     # (value set, tuple) pairs: every tuple of a small finite space, else the
     # expansions of canonical value sets over all compositions
@@ -236,17 +236,16 @@ def check_repetition_invariance(
 
 
 def check_nonincreasing_identification(
-    dist, space: Space, budget: int = 20_000, seed: int = 0, tol: float = 1e-12
+    entry: CatalogEntry, space: Space, budget: int = 20_000, seed: int = 0, tol: float = 1e-12
 ) -> PropertyVerdict:
     """Replacing any argument by another already-present one never increases d.
 
     This implies repetition invariance, so a pass here is cross-checked
     against the repetition check and demoted to FAIL on contradiction.
     """
-    d = as_distance(dist)
-    n = d.arity
+    n = entry.arity
     prop = "nonincreasing-identification"
-    ev = d.evaluator
+    ev = entry.distance.evaluator
     checked = 0
     first_ce = None
     per = max(1, budget)
@@ -269,7 +268,7 @@ def check_nonincreasing_identification(
             break
     details = {"checked": checked}
     if first_ce is None:
-        rep = check_repetition_invariance(dist, space, seed=seed)
+        rep = check_repetition_invariance(entry, space, seed=seed)
         if rep.failed:
             first_ce = rep.counterexample
             details["reason"] = "repetition invariance is implied but fails"
@@ -281,7 +280,7 @@ def check_nonincreasing_identification(
 
 
 def check_multidistance(
-    family: Sequence,
+    family: Sequence[CatalogEntry],
     space: Space,
     budget: int = 20_000,
     seed: int = 0,
@@ -292,7 +291,7 @@ def check_multidistance(
     ``g`` is the arity-2 member.  Also records whether the sufficient
     condition d_n(x, z, ..., z) <= g(x, z) holds (with equality flagged).
     """
-    members = sorted((as_distance(m) for m in family), key=lambda d: d.arity)
+    members = sorted((m.distance for m in family), key=lambda d: d.arity)
     if not members or members[0].arity != 2:
         raise ValueError("the family must contain an arity-2 member")
     for a, b in zip(members, members[1:]):
@@ -342,7 +341,7 @@ def check_multidistance(
 
 
 def check_multi_to_ndistance(
-    dist,
+    entry: CatalogEntry,
     d2: Callable[[Point, Point], float],
     space: Space,
     budget: int = 20_000,
@@ -356,10 +355,10 @@ def check_multi_to_ndistance(
     """
     from .core import check_simplex
 
-    d = as_distance(dist)
+    d = entry.distance
     n = d.arity
     prop = "multidistance-to-ndistance"
-    noninc = check_nonincreasing_identification(dist, space, budget // 4, seed, tol=1e-9)
+    noninc = check_nonincreasing_identification(entry, space, budget // 4, seed, tol=1e-9)
     if noninc.failed:
         return PropertyVerdict.of(prop, {"reason": "not nonincreasing", "counterexample": noninc.counterexample})
     ev = d.evaluator

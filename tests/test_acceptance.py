@@ -22,6 +22,7 @@ from simplex_lab.analysis import (
     estimate_partial_constant,
     ratio,
 )
+from simplex_lab.catalog import CatalogEntry
 from simplex_lab.constructions import (
     single_anchor_distance,
     strong_extremal_distance,
@@ -91,7 +92,7 @@ def test_criterion_01_catalog_constants():
         assert w is not None and w.ratio == est.lower_bound, entry.name
         assert abs(w.ratio - 1 / 3) <= tol, (entry.name, w.ratio)
         # the witness certifies its own ratio
-        assert ratio(entry.distance, w.points, w.z) == pytest.approx(w.ratio, abs=1e-12)
+        assert ratio(entry, w.points, w.z) == pytest.approx(w.ratio, abs=1e-12)
     for n, want in ((3, 2 / 3), (4, 2 / 5)):
         est = estimate_best_constant(
             catalog.make("enclosing-area", n), Plane(), budget=BUDGET, seed=SEED
@@ -112,7 +113,7 @@ def test_criterion_02_inner_interval():
         pts = sorted(t)
         assert pts[0] < pts[1] and len(set(pts[1:])) == 1
         assert z == (pts[0] + pts[1]) / 2
-        assert ratio(entry.distance, t, z) == 2 / n
+        assert ratio(entry, t, z) == 2 / n
         for k in range(2, n + 1):
             part = estimate_partial_constant(entry, RealLine(), k=k, budget=BUDGET, seed=SEED)
             assert abs(part.lower_bound - 2 / k) <= 1e-9, (n, k, part.lower_bound)
@@ -133,9 +134,9 @@ def test_criterion_03_enclosing_area_partials():
         assert abs(part.lower_bound - 1 / (k - 1.5)) <= 1e-6, (k, part.lower_bound)
     # two diametral points plus midpoint copies, z at the midpoint
     t, z = entry.witness_recipe(Plane())
-    w = Witness(t, z, ratio(entry.distance, t, z), (1, 2, 3, 4))
+    w = Witness(t, z, ratio(entry, t, z), (1, 2, 3, 4))
     for k in (2, 3, 4):
-        v = check_attainment_transfer(entry, w, k=k, kstar=entry.distance.known_constant)
+        v = check_attainment_transfer(entry, w, k=k, kstar=entry.constants[4])
         assert v.passed, (k, v.details)
 
 
@@ -288,8 +289,8 @@ def test_criterion_08_multidistance():
         assert info["triangle"] == "pass"
         assert info["sufficient_equality"] is True, (n, info)
     # doubled mean: pair term |x - z| dominates the family
-    doubled = [NDistance("doubled-mean", 2, "real-line", lambda t: abs(t[0] - t[1]))]
-    doubled += [catalog.make("arithmetic-mean", n).distance for n in range(3, 6)]
+    doubled = [CatalogEntry(NDistance("doubled-mean", 2, "real-line", lambda t: abs(t[0] - t[1])))]
+    doubled += [catalog.make("arithmetic-mean", n) for n in range(3, 6)]
     v = check_multidistance(doubled, RealLine(), budget=10_000, seed=SEED)
     assert v.passed, v.counterexample
     # repeated-argument bound on 10^4 sampled instances:

@@ -33,13 +33,14 @@ from simplex_lab.core import (
     evaluate,
     iter_pairs,
 )
+from simplex_lab.properties import check_lemma_mixed_bound
 
 ABC = FiniteSpace(("a", "b", "c"))
 ABCD = FiniteSpace(("a", "b", "c", "d"))
 
 
 def test_ratio_basics():
-    d = catalog.make("cardinality", 3).distance
+    d = catalog.make("cardinality", 3)
     t = ("a", "b", "c")
     assert ratio(d, t, "a") == pytest.approx(2.0 / 4.0)
     # partial ratio over chosen 1-based positions
@@ -50,8 +51,31 @@ def test_ratio_basics():
         ratio(d, t, "a", indices=())
 
 
+def test_ratio_rejects_repeated_or_out_of_range_indices():
+    d = catalog.make("diameter", 3)
+    t = (0.0, 1.0, 2.0)
+    assert ratio(d, t, 0.0, (1,)) == 1.0
+    # (1, 1) would count section 1 twice; 0 and 4 are no positions of a 3-tuple
+    for bad in ((1, 1), (2, 3, 2), (0,), (-1,), (4,), (1, 4)):
+        with pytest.raises(ValueError, match=r"distinct positions in 1\.\.3"):
+            ratio(d, t, 0.0, bad)
+
+
+def test_estimates_and_checks_refuse_a_bare_distance():
+    # the entry holds the witness recipe and the flags; its bare NDistance would
+    # silently drop them and give another answer
+    area = catalog.make("enclosing-area", 4)
+    assert estimate_best_constant(area, Plane(), budget=1, seed=42).lower_bound == 0.4
+    with pytest.raises(AttributeError):
+        estimate_best_constant(area.distance, Plane(), budget=1, seed=42)
+    diam = catalog.make("diameter", 4)
+    assert check_lemma_mixed_bound(diam, 2, 1, RealLine(), budget=200).passed
+    with pytest.raises(AttributeError):
+        check_lemma_mixed_bound(diam.distance, 2, 1, RealLine(), budget=200)
+
+
 def test_ratio_infinite_on_zero_denominator():
-    d = catalog.make("drastic", 3).distance
+    d = catalog.make("drastic", 3)
     # section 1 of (a,b,b) at z=b collapses to (b,b,b), so it alone sums to 0
     assert ratio(d, ("a", "b", "b"), "b", indices=(1,)) == math.inf
 
@@ -68,7 +92,7 @@ def test_exact_constant_on_finite_catalog():
         assert est.lower_bound == pytest.approx(want, abs=1e-12), name
         # the witness certifies the bound on its own
         w = est.witness
-        d = catalog.make(name, n).distance
+        d = catalog.make(name, n)
         assert ratio(d, w.points, w.z) == pytest.approx(w.ratio)
         assert w.ratio == est.lower_bound
 
@@ -79,7 +103,7 @@ def test_witness_indices_sorted_one_based():
     assert w.indices == tuple(sorted(w.indices))
     assert all(1 <= i <= 4 for i in w.indices)
     assert len(w.indices) == 2
-    d = catalog.make("cardinality", 4).distance
+    d = catalog.make("cardinality", 4)
     assert ratio(d, w.points, w.z, w.indices) == pytest.approx(w.ratio)
 
 
@@ -165,8 +189,8 @@ def test_better_is_total_associative_and_commutative(a, b, c):
 
 # few distinct values, so that equal ratios and the tie-break are common
 _SCAN_CASES = {
-    "cardinality": (catalog.make("cardinality", 3).distance, ("a", "b", "c")),
-    "diameter": (catalog.make("diameter", 3).distance, (0.0, 0.5, 1.0, 2.0)),
+    "cardinality": (catalog.make("cardinality", 3), ("a", "b", "c")),
+    "diameter": (catalog.make("diameter", 3), (0.0, 0.5, 1.0, 2.0)),
 }
 
 
@@ -179,11 +203,11 @@ def test_scan_best_is_the_better_reduction_in_any_order(case, data, k):
     pairs = data.draw(st.lists(st.tuples(st.tuples(point, point, point), point), max_size=40))
     folded = []
     for t, z in pairs:
-        res = _eval_candidate(d.evaluator, t, z, k)
+        res = _eval_candidate(d.distance.evaluator, t, z, k)
         if res is not None:
             idx = res[2]
             folded.append((ratio(d, t, z, idx), t, z, idx))
-    best, _, _, checked = scan(d.evaluator, data.draw(st.permutations(pairs)), k)
+    best, _, _, checked = scan(d.distance.evaluator, data.draw(st.permutations(pairs)), k)
     assert best == functools.reduce(_better, folded, None)
     assert checked == len(folded)
 

@@ -44,7 +44,7 @@ def test_drastic_values():
     assert d("a", "a", "a", "a") == 0.0
     assert d("a", "a", "a", "b") == 1.0
     assert d("a", "b", "c", "d") == 1.0
-    assert d.distance.known_constant == pytest.approx(1 / 3)
+    assert d.constants[4] == pytest.approx(1 / 3)
 
 
 def test_cardinality_values():
@@ -111,8 +111,8 @@ def test_enclosing_radius_values():
 def test_enclosing_area_values():
     d = catalog.make("enclosing-area", 3)
     assert d((0.0, 0.0), (2.0, 0.0), (1.0, 0.0)) == pytest.approx(math.pi)
-    lo3 = catalog.make("enclosing-area", 3).distance.known_constant
-    lo4 = catalog.make("enclosing-area", 4).distance.known_constant
+    lo3 = catalog.make("enclosing-area", 3).constants[3]
+    lo4 = catalog.make("enclosing-area", 4).constants[4]
     assert lo3 == pytest.approx(1 / 1.5)
     assert lo4 == pytest.approx(1 / 2.5)
     with pytest.raises(ValueError):
@@ -131,8 +131,8 @@ def test_inner_interval_values():
     # largest gap between consecutive sorted values
     assert d(0.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
     assert d(0.0, 0.25, 0.75, 1.0) == pytest.approx(0.5)
-    assert d.distance.known_constant == pytest.approx(2 / 4)
-    assert d.distance.known_k_constants[3] == pytest.approx(2 / 3)
+    assert d.constants[4] == pytest.approx(2 / 4)
+    assert d.constants[3] == pytest.approx(2 / 3)
     # order of arguments is irrelevant
     assert d(1.0, 0.0, 0.25, 0.75) == pytest.approx(0.5)
 
@@ -146,7 +146,7 @@ def test_inner_interval_not_nonincreasing():
 def test_inner_interval_power():
     d = catalog.make("inner-interval-power", 4, p=2)
     assert d(0.0, 0.25, 0.75, 1.0) == pytest.approx(0.25)
-    assert d.distance.known_constant == pytest.approx(4 / 4)
+    assert d.constants[4] == pytest.approx(4 / 4)
     with pytest.raises(ValueError, match="n < 2\\^p"):
         catalog.make("inner-interval-power", 3, p=2)
 
@@ -191,15 +191,14 @@ _VARIANTS = (
     + [("chebyshev-diameter", {"q": q}) for q in (1, 2)]
     + [("inner-interval-power", {"p": p}) for p in (1, 2)]
 )
+_VARIANT_IDS = [i + "".join(f"[{k}={v}]" for k, v in p.items()) for i, p in _VARIANTS]
 
 
 def test_variants_cover_the_catalog():
     assert {dist_id for dist_id, _ in _VARIANTS} == set(catalog.available_ids())
 
 
-@pytest.mark.parametrize(
-    "dist_id, params", _VARIANTS, ids=[i + "".join(f"[{k}={v}]" for k, v in p.items()) for i, p in _VARIANTS]
-)
+@pytest.mark.parametrize("dist_id, params", _VARIANTS, ids=_VARIANT_IDS)
 def test_identity_and_symmetry_on_the_default_space(dist_id, params):
     entry = catalog.make(dist_id, 4, **params)
     space = default_space_for(entry.distance.space_kind)
@@ -210,3 +209,27 @@ def test_identity_and_symmetry_on_the_default_space(dist_id, params):
         check_symmetry(entry.distance, space, budget=budget // 8, seed=42),
     ):
         assert v.status == PASS and v.details["checked"] > 0, (v.property, v.counterexample, v.details)
+
+
+# K*_n of the README's catalog table; None where the table says "bracketed",
+# and 1/(n-1) for every id not listed
+_TABLE_CONSTANTS = {
+    "fermat": None,
+    "line-count": None,
+    "enclosing-area": lambda n, params: 1 / (n - 3 / 2),
+    "inner-interval": lambda n, params: 2 / n,
+    "inner-interval-power": lambda n, params: 2 ** params["p"] / n,
+}
+
+
+@pytest.mark.parametrize("dist_id, params", _VARIANTS, ids=_VARIANT_IDS)
+def test_constants_match_the_catalog_table(dist_id, params):
+    n = 4
+    entry = catalog.make(dist_id, n, **params)
+    closed_form = _TABLE_CONSTANTS.get(dist_id, lambda n, params: 1 / (n - 1))
+    if closed_form is None:
+        assert n not in entry.constants
+    else:
+        assert entry.constants[n] == closed_form(n, params)
+    if entry.standard is True:
+        assert all(entry.constants[k] == 1 / (k - 1) for k in range(2, n + 1))

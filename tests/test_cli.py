@@ -90,6 +90,9 @@ def test_config_error_exit_two():
         ("verify", "--distance", "diameter:d2=euclidean", "--space", "plane:-inf,0"),
         # strong-extremal lives on its own label space
         ("constants", "--distance", "strong-extremal:k=2", "--n", "3", "--space", "real", "--budget", "100"),
+        # the report cannot be written: its directory is missing, or --out names a directory
+        ("verify", "--distance", "cardinality", "--n", "3", "--budget", "10", "--out", "/nonexistent/dir/r.json"),
+        ("verify", "--distance", "cardinality", "--n", "3", "--budget", "10", "--out", "."),
     ],
 )
 def test_bad_input_exits_two_without_traceback(args):

@@ -73,7 +73,7 @@ def test_single_anchor_drastic_scale():
     base = catalog.make("drastic", 4)
     d = single_anchor_distance(base, "e", 0.5, ABE)
     assert d.params["scale"] == pytest.approx(1 / (4 * 0.5))
-    assert d.distance.known_constant == 0.5
+    assert d.constants[4] == 0.5
     assert d(*("a", "b", "a", "b")) == pytest.approx(1.0)  # anchor absent: base value
     assert d(*("a", "b", "e", "b")) == pytest.approx(0.5)  # anchor present: shrunk by C
     assert d(*("a", "a", "a", "a")) == 0.0
@@ -95,7 +95,7 @@ def test_single_anchor_constant_is_prescribed():
         assert est.lower_bound == pytest.approx(s, abs=1e-12), s
         # prescribed witness attains it
         t, z = d.witness_recipe(ABE)
-        assert ratio(d.distance, t, z) == pytest.approx(s, abs=1e-12)
+        assert ratio(d, t, z) == pytest.approx(s, abs=1e-12)
 
 
 def test_single_anchor_partial_constants():
@@ -161,7 +161,7 @@ def test_two_anchor_constants():
         assert got.lower_bound == pytest.approx(want, abs=1e-12), k
     # the stored witness hits the prescribed constant exactly
     t, z = d.witness_recipe(ABCD)
-    assert ratio(d.distance, t, z) == pytest.approx(1 / 3, abs=1e-12)
+    assert ratio(d, t, z) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_two_anchor_structural_flags():

@@ -97,15 +97,16 @@ def test_ndistance_validation():
 
 def test_simplex_denominator_counts_unchanged_sections():
     # replacing position i of (a,b,c) by z=a leaves section 1 == (a,b,c)
-    d = catalog.make("cardinality", 3).distance
+    entry = catalog.make("cardinality", 3)
+    d = entry.distance
     t = ("a", "b", "c")
     # brute check: sections are (a,b,c), (a,a,c), (a,b,a) -> 2 + 1 + 1
     vals = [d.evaluator(section(t, i, "a")) for i in (1, 2, 3)]
     assert vals == [2.0, 1.0, 1.0]
     assert sum(vals) == pytest.approx(4.0)
-    assert ratio(d, t, "a") == pytest.approx(2.0 / 4.0)
+    assert ratio(entry, t, "a") == pytest.approx(2.0 / 4.0)
     with pytest.raises(DegenerateTupleError):
-        ratio(d, ("a", "a", "a"), "b")
+        ratio(entry, ("a", "a", "a"), "b")
 
 
 def test_evaluator_zero_on_constant_tuples():

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from simplex_lab import catalog
+from simplex_lab.catalog import CatalogEntry
 from simplex_lab.core import (
     FAIL,
     NOT_APPLICABLE,
@@ -128,7 +129,7 @@ def test_repetition_invariance_sees_every_set_size(space, m):
     def ev(t):
         return float(len(set(t)) > 1) + (t.count(t[0]) if len(set(t)) == m else 0.0)
 
-    v = check_repetition_invariance(NDistance(f"multiplicity-on-{m}-sets", 5, space.kind, ev), space)
+    v = check_repetition_invariance(CatalogEntry(NDistance(f"multiplicity-on-{m}-sets", 5, space.kind, ev)), space)
     assert v.failed
     assert len(set(v.counterexample["tuple_a"])) == m
 
@@ -163,14 +164,14 @@ def test_multidistance_enclosing_radius():
 
 
 def test_multidistance_mean_fails_and_doubling_repairs():
-    fam = [catalog.make("arithmetic-mean", n).distance for n in range(2, 5)]
+    fam = [catalog.make("arithmetic-mean", n) for n in range(2, 5)]
     v = check_multidistance(fam, UNIT, budget=4000, seed=0)
     assert v.failed
     ce = v.counterexample
     assert ce["lhs"] > ce["rhs"] + 1e-9
 
     # with g(x, z) = |x - z| (the doubled mean on pairs) every member passes
-    doubled = [NDistance("doubled-mean", 2, "real-line", lambda t: abs(t[0] - t[1]))] + fam[1:]
+    doubled = [CatalogEntry(NDistance("doubled-mean", 2, "real-line", lambda t: abs(t[0] - t[1])))] + fam[1:]
     v = check_multidistance(doubled, UNIT, budget=4000, seed=0)
     assert v.passed, v.counterexample
 
@@ -178,7 +179,7 @@ def test_multidistance_mean_fails_and_doubling_repairs():
 def test_multidistance_line_count_fails():
     family = [catalog.make("line-count", n) if n >= 3 else None for n in range(2, 5)]
     # arity-2 member: drastic on the plane, the natural pair restriction
-    family[0] = NDistance("plane-pair", 2, "plane", lambda t: 0.0 if t[0] == t[1] else 1.0)
+    family[0] = CatalogEntry(NDistance("plane-pair", 2, "plane", lambda t: 0.0 if t[0] == t[1] else 1.0))
     v = check_multidistance(family, Plane(), budget=4000, seed=0)
     assert v.failed
     ce = v.counterexample
