@@ -10,7 +10,14 @@ they feed it.
 
 Estimates are certified lower bounds: every reported value is realized by a
 stored witness whose ratio can be recomputed from the witness alone.  On
-finite spaces the scan is exhaustive and hence exact.  On continuous spaces
+finite spaces the scan is exhaustive and hence exact.  It folds one sorted
+tuple per multiset against every z: an n-distance is symmetric (axiom (ii))
+and section sums are ``math.fsum``, independent of order, so the ratio
+depends only on the multiset of t and on z, and the sorted tuple is the
+lexicographically smallest of its orbit.  The lower bound, witness and
+indices are those of the scan over every ordered tuple; the axiom and
+property checks, which verify the symmetry, still enumerate every tuple.
+On continuous spaces
 the scan folds the entry's own witness recipe, then the candidates of
 ``core.iter_pairs`` (the structured extremal families, then seeded samples),
 and locally refines the best candidate by cyclic coordinate descent.  The
@@ -64,7 +71,7 @@ class ConstantEstimate:
     """A certified lower bound for K*_n (k = n) or K*_{n,k} (k < n).
 
     ``trials`` counts the nondegenerate candidates folded by the scan,
-    before refinement.
+    before refinement; on a finite space, the (multiset, z) candidates.
     """
 
     n: int
@@ -94,10 +101,22 @@ def ratio(entry: CatalogEntry, t: tuple, z: Point, indices: Iterable[int] | None
     if len(set(idx)) != len(idx) or not all(1 <= i <= n for i in idx):
         raise ValueError(f"indices must be distinct positions in 1..{n}, got {idx}")
     num = ev(t)
-    den = sum(ev(section(t, i, z)) for i in idx)
+    den = _section_sum([ev(section(t, i, z)) for i in idx])
     if den == 0.0:
         return math.inf
     return num / den
+
+
+def _section_sum(secs: list[float]) -> float:
+    """``math.fsum`` of the sections: correctly rounded, so independent of order.
+
+    Sections are nonnegative, so an overflow means the exact sum is beyond
+    the float range and rounds to ``inf``.
+    """
+    try:
+        return math.fsum(secs)
+    except OverflowError:
+        return math.inf
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,18 +127,19 @@ def _positions(n: int) -> tuple[int, ...]:
 def _eval_candidate(ev: Callable[[tuple], float], t: tuple, z: Point, k: int):
     """(d(t), sum of the k smallest sections at z, their 1-based positions).
 
-    Ties between equal sections go to the lowest positions.  Returns None
-    on degenerate tuples.
+    Ties between equal sections go to the lowest positions; the sum is the
+    order-free ``_section_sum``, as in ``ratio``.  Returns None on
+    degenerate tuples.
     """
     if distinct_count(t) < 2:
         return None
     num = ev(t)
     n = len(t)
     if k == n:
-        return num, sum([ev(section(t, i, z)) for i in range(1, n + 1)]), _positions(n)
+        return num, _section_sum([ev(section(t, i, z)) for i in range(1, n + 1)]), _positions(n)
     secs = [ev(section(t, i, z)) for i in range(1, n + 1)]
     chosen = sorted(sorted(range(n), key=lambda j: (secs[j], j))[:k])
-    return num, sum(secs[j] for j in chosen), tuple(j + 1 for j in chosen)
+    return num, _section_sum([secs[j] for j in chosen]), tuple(j + 1 for j in chosen)
 
 
 def _better(a, b):
@@ -200,10 +220,12 @@ def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int,
         raise ValueError("exact mode needs a finite space")
     # sampling includes the full enumeration whenever it fits the budget
     exhaustive = space.kind == "finite" and (
-        mode != "sampled" or space.size ** (n + 1) <= max(budget, _ENUM_FLOOR)
+        mode != "sampled" or math.comb(space.size + n - 1, n) * space.size <= max(budget, _ENUM_FLOOR)
     )
     if exhaustive:
-        pairs = iter_pairs(space, n, space.size ** (n + 1), seed)
+        # d is symmetric and the section sum order-free, so the sorted tuple,
+        # the smallest of its orbit, carries every ratio and wins every tie
+        pairs = itertools.product(itertools.combinations_with_replacement(sorted(space.labels), n), space.labels)
     else:
         recipe = entry.witness_recipe
         head = [recipe(space)] if recipe is not None else []

@@ -43,7 +43,8 @@ def single_anchor_distance(base: CatalogEntry, e: str, s: float, space: FiniteSp
 
     ev = base_dist.evaluator
     others = tuple(x for x in space.labels if x != e)
-    best = scan(ev, ((t, e) for t in itertools.product(others, repeat=n)), n)[0]
+    # one sorted tuple per multiset, as in the exhaustive estimate
+    best = scan(ev, ((t, e) for t in itertools.combinations_with_replacement(sorted(others), n)), n)[0]
     if best is None:
         raise ValueError("no nondegenerate anchor-free tuple exists")
     sup, witness_t = best[0], best[1]

@@ -106,3 +106,29 @@ def grid_fermat(points, ground="abs", rounds=8):
         return _golden_min(lambda y: sum(g(p, (x, y)) for p in pts), min(ys) - 1.0, max(ys) + 1.0)
 
     return _golden_min(column_min, min(xs) - 1.0, max(xs) + 1.0)
+
+
+def product_scan(entry, space, k):
+    """Best ``(ratio, t, z, indices)`` over every ordered (t, z) of a finite space.
+
+    Independent of ``analysis.scan`` and of the multiset reduction of the
+    exhaustive estimates: every tuple of ``itertools.product`` is tried, the
+    denominator is the ``math.fsum`` of the k smallest sections (ties to the
+    lowest positions), degenerate tuples are skipped, and equal ratios go to
+    the lexicographically smallest (t, z).
+    """
+    ev = entry.distance.evaluator
+    n = entry.arity
+    best = None
+    for t in itertools.product(space.labels, repeat=n):
+        if len(set(t)) < 2:
+            continue
+        num = ev(t)
+        for z in space.labels:
+            secs = [ev(t[:i] + (z,) + t[i + 1:]) for i in range(n)]
+            chosen = sorted(sorted(range(n), key=lambda j: (secs[j], j))[:k])
+            den = math.fsum(secs[j] for j in chosen)
+            r = num / den if den != 0.0 else math.inf
+            if best is None or r > best[0] or (r == best[0] and (t, z) < (best[1], best[2])):
+                best = (r, t, z, tuple(j + 1 for j in chosen))
+    return best

@@ -1,10 +1,12 @@
 import functools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import product_scan
 from simplex_lab import catalog
 from simplex_lab.analysis import (
     EXACT,
@@ -22,7 +24,7 @@ from simplex_lab.analysis import (
     ratio,
     scan,
 )
-from simplex_lab.constructions import strong_extremal_distance
+from simplex_lab.constructions import single_anchor_distance, strong_extremal_distance, two_anchor_distance
 from simplex_lab.core import (
     NOT_APPLICABLE,
     DegenerateTupleError,
@@ -80,6 +82,15 @@ def test_ratio_infinite_on_zero_denominator():
     assert ratio(d, ("a", "b", "b"), "b", indices=(1,)) == math.inf
 
 
+def test_section_sum_beyond_the_float_range_is_inf():
+    # each section is 1e308; their exact sum overflows, which math.fsum reports
+    # by raising, and the ratio is d / inf = 0
+    d = catalog.make("diameter", 3)
+    assert ratio(d, (0.0, 1e308, 0.0), 1e308) == 0.0
+    est = estimate_best_constant(d, RealLine(-1e308, 1e307), budget=200, seed=42)
+    assert est.lower_bound > 0.0
+
+
 def test_exact_constant_on_finite_catalog():
     for name, n, want in (
         ("drastic", 3, 1 / 2),
@@ -131,12 +142,24 @@ def test_estimate_modes():
 
 
 def test_sampled_equals_exact_on_small_finite():
-    # the sampled path folds in the full enumeration when it fits
-    entry = catalog.make("cardinality", 4)
-    a = estimate_best_constant(entry, ABCD, budget=100_000, seed=42, mode="sampled")
-    b = estimate_best_constant(entry, ABCD, budget=100_000, seed=42, mode="exact")
-    assert a == b
-    assert a.method == EXACT
+    # the sampled path folds in the full enumeration when it fits; at n = 6 the
+    # 4^7 = 16384 ordered (t, z) pairs exceed the budget, but the enumeration
+    # folds only C(9, 6) * 4 = 336 (multiset, z) pairs
+    for n, budget in ((4, 100_000), (6, 5_000)):
+        entry = catalog.make("cardinality", n)
+        a = estimate_best_constant(entry, ABCD, budget=budget, seed=42, mode="sampled")
+        b = estimate_best_constant(entry, ABCD, budget=budget, seed=42, mode="exact")
+        assert a == b
+        assert a.method == EXACT
+
+
+def test_sampled_fit_counts_multisets():
+    # the enumeration fits when C(size + n - 1, n) * size <= max(budget, 4096)
+    entry = catalog.make("cardinality", 6)
+    space = FiniteSpace(tuple("abcdefgh"))
+    fit = math.comb(8 + 6 - 1, 6) * 8
+    assert estimate_best_constant(entry, space, budget=fit, mode="sampled").method == EXACT
+    assert estimate_best_constant(entry, space, budget=fit - 1, mode="sampled").method == SAMPLED
 
 
 def test_sampled_on_continuous_space():
@@ -290,3 +313,67 @@ def test_sufficient_standard():
     part = estimate_partial_constant(entry, ABC, k=3)
     v = check_sufficient_standard(entry, full, part)
     assert v.passed, v.details
+
+
+def _finite_entries(n, space):
+    """Every catalog entry and construction that lives on ``space`` at arity n."""
+    entries = [catalog.make(name, n) for name in ("drastic", "cardinality")]
+    entries += [catalog.make(name, n, d2="discrete") for name in ("diameter", "sum-based", "fermat")]
+    labels = space.labels
+    if space.size >= 3:
+        entries.append(single_anchor_distance(catalog.make("cardinality", n), labels[-1], 1 / (n - 1), space))
+        entries.append(single_anchor_distance(catalog.make("drastic", n), labels[0], 1.0, space))
+    if space.size >= 4:
+        # 1/s = n - 3/2 gives the anchor pair the value 4
+        entries.append(two_anchor_distance(labels[1], labels[3], 1 / (n - 1.5), n, space))
+    return entries
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exhaustive_estimate_equals_the_product_scan(n, size):
+    # one sorted tuple per multiset gives the bound, witness and indices of
+    # the scan over every ordered tuple
+    space = FiniteSpace(tuple("abcd"[:size]))
+    cases = [(entry, space) for entry in _finite_entries(n, space)]
+    if 3 <= size <= n:  # labels y1..y(size-1) and e
+        strong = strong_extremal_distance(n, size - 1)
+        cases.append((strong, strong.space))
+    for entry, sp in cases:
+        for k in range(2, n + 1):
+            est = estimate_partial_constant(entry, sp, k, mode="exact")
+            w = est.witness
+            assert (est.lower_bound, w.points, w.z, w.indices) == product_scan(entry, sp, k), (entry.name, k)
+
+
+_STRONG = strong_extremal_distance(5, 3)
+_SYMMETRY_CASES = {entry.name: (entry, ABCD) for entry in _finite_entries(5, ABCD)} | {
+    "single-anchor[cardinality,s=0.25,e=c]": (single_anchor_distance(catalog.make("cardinality", 5), "c", 0.25, ABC), ABC),
+    _STRONG.name: (_STRONG, _STRONG.space),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SYMMETRY_CASES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ratio_is_symmetric_bit_for_bit(case, data):
+    entry, space = _SYMMETRY_CASES[case]
+    n = entry.arity
+    point = st.sampled_from(space.labels)
+    t = data.draw(st.tuples(*[point] * n).filter(lambda t: distinct_count(t) >= 2))
+    z = data.draw(point)
+    idx = data.draw(st.sets(st.integers(1, n), min_size=1))
+    perm = data.draw(st.permutations(range(n)))
+    # position j + 1 of the permuted tuple holds position perm[j] + 1 of t; both
+    # index sets are in position order, so the sections come in another order
+    permuted = tuple(t[p] for p in perm)
+    moved = sorted(perm.index(i - 1) + 1 for i in idx)
+    assert ratio(entry, permuted, z, moved) == ratio(entry, t, z, sorted(idx))
+
+
+def test_single_anchor_bound_does_not_round_above_its_constant():
+    # a position-order float sum gave 0.25000000000000006 for the first tuple
+    entry, space = _SYMMETRY_CASES["single-anchor[cardinality,s=0.25,e=c]"]
+    assert ratio(entry, ("a", "a", "a", "b", "a"), "c") == ratio(entry, ("a", "a", "a", "a", "b"), "c") == 0.25
+    est = estimate_best_constant(entry, space, mode="exact")
+    assert est.lower_bound <= Fraction(1, 4)
