@@ -17,12 +17,18 @@ depends only on the multiset of t and on z, and the sorted tuple is the
 lexicographically smallest of its orbit.  The lower bound, witness and
 indices are those of the scan over every ordered tuple; the axiom and
 property checks, which verify the symmetry, still enumerate every tuple.
-On continuous spaces
-the scan folds the entry's own witness recipe, then the candidates of
-``core.iter_pairs`` (the structured extremal families, then seeded samples),
-and locally refines the best candidate by cyclic coordinate descent.  The
-fold is a max-reduction with a total lexicographic tie-break, so results do
-not depend on evaluation order.
+A ``cell_linear`` entry on the real line (diameter[abs], sum-based[abs],
+arithmetic-mean, fermat[abs], chebyshev-diameter[q=1]) is exact too: its
+ratio attains its sup over each order cell of (x_1..x_n, z) at a step
+vector of the cell, so the scan folds the 2(n-1) pairs of
+``core.step_pairs``, whose docstring carries the proof.  Their values 0 and
+n may lie outside the ``RealLine`` box, which bounds sampling only.  On
+other continuous spaces, and in ``sampled`` mode, the scan folds the
+entry's own witness recipe, then the candidates of ``core.iter_pairs`` (the
+structured extremal families, then seeded samples), and locally refines the
+best candidate by cyclic coordinate descent.  The fold is a max-reduction
+with a total lexicographic tie-break, so results do not depend on
+evaluation order.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .core import (
     distinct_count,
     iter_pairs,
     section,
+    step_pairs,
     # not called here: bench/tracing.py patches both names on this module
     sample_pair,
     structured_pairs,
@@ -71,7 +78,8 @@ class ConstantEstimate:
     """A certified lower bound for K*_n (k = n) or K*_{n,k} (k < n).
 
     ``trials`` counts the nondegenerate candidates folded by the scan,
-    before refinement; on a finite space, the (multiset, z) candidates.
+    before refinement; on a finite space, the (multiset, z) candidates, and
+    for a cell-linear entry on the line, the 2(n-1) step pairs.
     """
 
     n: int
@@ -216,8 +224,9 @@ def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int,
         raise ValueError(f"unknown mode: {mode}")
     d = entry.distance
     n = d.arity
-    if mode == "exact" and space.kind != "finite":
-        raise ValueError("exact mode needs a finite space")
+    on_cells = entry.cell_linear and space.kind == "real-line" and mode != "sampled"
+    if mode == "exact" and space.kind != "finite" and not on_cells:
+        raise ValueError("exact mode needs a finite space, or a cell-linear entry on the real line")
     # sampling includes the full enumeration whenever it fits the budget
     exhaustive = space.kind == "finite" and (
         mode != "sampled" or math.comb(space.size + n - 1, n) * space.size <= max(budget, _ENUM_FLOOR)
@@ -226,6 +235,8 @@ def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int,
         # d is symmetric and the section sum order-free, so the sorted tuple,
         # the smallest of its orbit, carries every ratio and wins every tie
         pairs = itertools.product(itertools.combinations_with_replacement(sorted(space.labels), n), space.labels)
+    elif on_cells:
+        pairs = step_pairs(n)
     else:
         recipe = entry.witness_recipe
         head = [recipe(space)] if recipe is not None else []
@@ -233,10 +244,10 @@ def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int,
     best, _, _, trials = scan(d.evaluator, pairs, k)
     if best is None:
         raise ValueError("no nondegenerate candidate found within budget")
-    if space.kind != "finite" and math.isfinite(best[0]):
+    if space.kind != "finite" and not on_cells and math.isfinite(best[0]):
         best = _refine(d.evaluator, space, n, k, best)
     witness = Witness(best[1], best[2], best[0], best[3])
-    method = EXACT if exhaustive else SAMPLED
+    method = EXACT if exhaustive or on_cells else SAMPLED
     return ConstantEstimate(n, k, best[0], witness, entry.constants.get(k), method, trials, seed)
 
 

@@ -43,6 +43,9 @@ class CatalogEntry:
 
     Flag values are knowledge, not computation: ``True``/``False`` when the
     property status is known, ``None`` when open.  Checkers verify them.
+    ``cell_linear`` marks a real-line entry whose value and sections are
+    linear on every order cell of (x_1..x_n, z); ``analysis`` then folds
+    the cells' step vectors (``core.step_pairs``) and gets K*_{n,k} exactly.
 
     The builders in ``constructions`` also set ``space`` (the label space
     the distance is built on), ``exact_evaluator`` (rational values, when
@@ -54,6 +57,7 @@ class CatalogEntry:
     standard: bool | None = None
     repetition_invariant: bool | None = None
     nonincreasing: bool | None = None
+    cell_linear: bool = False
     constants: Mapping[int, float] = field(default_factory=dict)
     constant_bounds: tuple[float | None, float | None] | None = None
     space: FiniteSpace | None = None
@@ -80,7 +84,7 @@ def _distinct_pair(space: Space) -> tuple[Point, Point]:
     return (0.0, 0.0), (1.0, 0.0)
 
 
-def _standard_entry(d: NDistance, invariant: bool = True) -> CatalogEntry:
+def _standard_entry(d: NDistance, invariant: bool = True, cell_linear: bool = False) -> CatalogEntry:
     """A standard entry: K*_{n,k} = 1/(k-1) for every k.
 
     ``invariant`` is both its repetition-invariant and its nonincreasing
@@ -93,7 +97,7 @@ def _standard_entry(d: NDistance, invariant: bool = True) -> CatalogEntry:
         return (x,) + (y,) * (n - 1), y
 
     return CatalogEntry(
-        d, recipe, standard=True, repetition_invariant=invariant, nonincreasing=invariant,
+        d, recipe, standard=True, repetition_invariant=invariant, nonincreasing=invariant, cell_linear=cell_linear,
         constants={k: 1.0 / (k - 1) for k in range(2, n + 1)},
     )
 
@@ -139,7 +143,8 @@ def cardinality(n: int) -> CatalogEntry:
 def diameter(n: int, d2: str = "abs") -> CatalogEntry:
     """Largest pairwise ground distance among the arguments."""
     ev = _diameter_evaluator(ground_distance(d2))
-    return _standard_entry(NDistance(f"diameter[{d2}]", n, space_kind_for_ground(d2), ev))
+    d = NDistance(f"diameter[{d2}]", n, space_kind_for_ground(d2), ev)
+    return _standard_entry(d, cell_linear=(d2 == "abs"))
 
 
 def sum_based(n: int, d2: str = "abs") -> CatalogEntry:
@@ -150,7 +155,8 @@ def sum_based(n: int, d2: str = "abs") -> CatalogEntry:
         ts = sorted(t)
         return sum(g(p, q) for p, q in itertools.combinations(ts, 2))
 
-    return _standard_entry(NDistance(f"sum-based[{d2}]", n, space_kind_for_ground(d2), ev), invariant=False)
+    d = NDistance(f"sum-based[{d2}]", n, space_kind_for_ground(d2), ev)
+    return _standard_entry(d, invariant=False, cell_linear=(d2 == "abs"))
 
 
 def arithmetic_mean(n: int) -> CatalogEntry:
@@ -161,7 +167,7 @@ def arithmetic_mean(n: int) -> CatalogEntry:
         m = ts[0]
         return sum(x - m for x in ts) / n  # exact 0.0 on constant tuples
 
-    return _standard_entry(NDistance("arithmetic-mean", n, "real-line", ev), invariant=False)
+    return _standard_entry(NDistance("arithmetic-mean", n, "real-line", ev), invariant=False, cell_linear=True)
 
 
 def fermat(n: int, d2: str = "abs") -> CatalogEntry:
@@ -177,7 +183,10 @@ def fermat(n: int, d2: str = "abs") -> CatalogEntry:
     d = NDistance(f"fermat[{d2}]", n, space_kind_for_ground(d2), ev)
     rep = False if d2 in ("abs", "euclidean") else None
     bounds = (1.0 / (n - 1), (4.0 * n - 4.0) / (3.0 * n * n - 4.0 * n))
-    return CatalogEntry(d, None, standard=None, repetition_invariant=rep, nonincreasing=False, constant_bounds=bounds)
+    return CatalogEntry(
+        d, None, standard=None, repetition_invariant=rep, nonincreasing=False, cell_linear=(d2 == "abs"),
+        constant_bounds=bounds,
+    )
 
 
 def line_count(n: int) -> CatalogEntry:
@@ -232,7 +241,7 @@ def chebyshev_diameter(n: int, q: int = 2) -> CatalogEntry:
         raise ValueError("q must be 1 or 2")
     ev = _diameter_evaluator(ground_distance("chebyshev"))
     kind = "real-line" if q == 1 else "plane"
-    return _standard_entry(NDistance(f"chebyshev-diameter[q={q}]", n, kind, ev))
+    return _standard_entry(NDistance(f"chebyshev-diameter[q={q}]", n, kind, ev), cell_linear=(q == 1))
 
 
 def _inner_interval_witness(n: int) -> Callable[[Space], tuple[tuple, Point]]:

@@ -293,6 +293,33 @@ def structured_pairs(space: Space, n: int) -> list[tuple[tuple, Point]]:
     return [(t, z) for t in structured_tuples(space, n) for z in z_candidates(space, t)]
 
 
+def step_pairs(n: int) -> list[tuple[tuple, float]]:
+    """The 2(n-1) sorted step pairs ``((0,)*(n-m) + (h,)*m, z)``, m in 1..n-1, z in {0, h}, h = n.
+
+    They carry K*_{n,k} of every real-line distance whose value d(t) and
+    sections are linear on each order cell of (x_1..x_n, z), the closed
+    cone where one ordering of the n+1 coordinates holds.  Such a cell is
+    the line of constants plus the nonnegative combinations of its n step
+    generators e_j, the 0/1 vectors that are 1 on the top j coordinates of
+    the ordering.  d and every section vanish on constants, so at a point
+    c + sum_j c_j e_j of the cell each of them is sum_j c_j times its value
+    at e_j.  Every ratio of d to a section sum over a fixed index set I is
+    then a mediant of its values at the generators, hence at most their max
+    (the vertex argument of linear-fractional programming, Charnes & Cooper
+    1962).  The ratio to the k smallest sections is the max of these ratios
+    over |I| = k, so its sup over the cell is reached at a generator.
+    Generators whose tuple is constant have d = 0.  By symmetry a generator
+    with m ones among the x_i has the ratio of the sorted tuple with the
+    same m and the same z, which leaves the pairs here.  Scaling by h = n
+    keeps every value of the cell-linear catalog evaluators an integer (the
+    mean's sum of multiples of n is divided by n), so each num / den is one
+    correctly rounded division: an exact constant 1/(k-1) comes out bit for
+    bit.
+    """
+    h = float(n)
+    return [((0.0,) * (n - m) + (h,) * m, z) for m in range(1, n) for z in (0.0, h)]
+
+
 def sample_tuple(space: Space, n: int, rng: random.Random) -> tuple:
     return tuple(space.sample(rng) for _ in range(n))
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -129,8 +130,10 @@ def test_partial_constants_inner_interval():
 
 def test_estimate_modes():
     entry = catalog.make("cardinality", 3)
-    with pytest.raises(ValueError):
-        estimate_best_constant(entry, RealLine(), mode="exact")
+    # exact mode on the line needs a cell-linear entry
+    for other in (entry, catalog.make("inner-interval", 3)):
+        with pytest.raises(ValueError, match="exact mode"):
+            estimate_best_constant(other, RealLine(), mode="exact")
     with pytest.raises(ValueError):
         estimate_best_constant(entry, ABC, mode="nope")
     with pytest.raises(ValueError):
@@ -139,6 +142,33 @@ def test_estimate_modes():
         estimate_partial_constant(entry, ABC, k=1)
     with pytest.raises(ValueError):
         estimate_partial_constant(entry, ABC, k=5)
+
+
+_CELL_LINEAR = (
+    ("diameter", {"d2": "abs"}),
+    ("sum-based", {"d2": "abs"}),
+    ("arithmetic-mean", {}),
+    ("fermat", {"d2": "abs"}),
+    ("chebyshev-diameter", {"q": 1}),
+)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("dist_id, params", _CELL_LINEAR, ids=[i for i, _ in _CELL_LINEAR])
+def test_cell_fold_is_exact_on_the_line(dist_id, params, n):
+    entry = catalog.make(dist_id, n, **params)
+    h = float(n)
+    # every ordered step vector (x_1..x_n, z) with values 0 and n
+    ordered = [(v[:n], v[n]) for v in itertools.product((0.0, h), repeat=n + 1)]
+    for k in range(2, n + 1):
+        for mode in ("auto", "exact"):
+            est = estimate_partial_constant(entry, RealLine(), k, mode=mode)
+            assert (est.method, est.lower_bound, est.trials) == (EXACT, 1.0 / (k - 1), 2 * (n - 1))
+            w = est.witness
+            assert ratio(entry, w.points, w.z, w.indices) == est.lower_bound
+        if n <= 6:  # the sorted step pairs carry the scan over every ordering
+            best = scan(entry.distance.evaluator, ordered, k)[0]
+            assert best == (est.lower_bound, w.points, w.z, w.indices)
 
 
 def test_sampled_equals_exact_on_small_finite():
@@ -164,11 +194,11 @@ def test_sampled_fit_counts_multisets():
 
 def test_sampled_on_continuous_space():
     entry = catalog.make("diameter", 4)
-    est = estimate_best_constant(entry, RealLine(), budget=20_000, seed=42)
+    est = estimate_best_constant(entry, RealLine(), budget=20_000, seed=42, mode="sampled")
     assert est.method == SAMPLED
     assert est.lower_bound == pytest.approx(1 / 3, abs=1e-9)
     # determinism: same seed, same estimate
-    again = estimate_best_constant(entry, RealLine(), budget=20_000, seed=42)
+    again = estimate_best_constant(entry, RealLine(), budget=20_000, seed=42, mode="sampled")
     assert again == est
     assert est.trials > 0
 
@@ -183,7 +213,7 @@ def test_sampled_estimate_folds_recipe_then_iter_pairs(entry, space, budget):
     # the sampled candidates are the recipe, then iter_pairs for the rest of the budget
     pairs = [entry.witness_recipe(space)] + list(iter_pairs(space, 4, budget - 1, 7))
     assert len(pairs) == budget
-    est = estimate_best_constant(entry, space, budget=budget, seed=7)
+    est = estimate_best_constant(entry, space, budget=budget, seed=7, mode="sampled")
     assert est.method == SAMPLED
     assert est.trials == sum(distinct_count(t) >= 2 for t, _ in pairs)
 

@@ -1,10 +1,15 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from simplex_lab import catalog
 from simplex_lab.cli import default_space_for
-from simplex_lab.core import CIRCLE_POINTS, PASS, FiniteSpace, Plane, RealLine, check_axioms, check_identity, check_symmetry
+from simplex_lab.core import (
+    CIRCLE_POINTS, PASS, FiniteSpace, Plane, RealLine, check_axioms, check_identity, check_symmetry, section,
+)
 from simplex_lab.geometry import GROUND_KINDS
 
 
@@ -233,3 +238,67 @@ def test_constants_match_the_catalog_table(dist_id, params):
         assert entry.constants[n] == closed_form(n, params)
     if entry.standard is True:
         assert all(entry.constants[k] == 1 / (k - 1) for k in range(2, n + 1))
+
+
+_VARIANT_BY_ID = dict(zip(_VARIANT_IDS, _VARIANTS))
+_CELL_LINEAR_IDS = {"diameter[d2=abs]", "sum-based[d2=abs]", "arithmetic-mean", "fermat[d2=abs]",
+                    "chebyshev-diameter[q=1]"}
+
+
+def test_cell_linear_flags():
+    flagged = {vid for vid, (dist_id, params) in _VARIANT_BY_ID.items()
+               if catalog.make(dist_id, 4, **params).cell_linear}
+    assert flagged == _CELL_LINEAR_IDS
+
+
+@st.composite
+def _one_cell_pair(draw, n):
+    """Two (t, z) points of one order cell of (x_1..x_n, z), integer multiples of n.
+
+    Both follow one ordering of the n+1 coordinates, ties allowed, so their
+    sum does too; the values are small integers, so float arithmetic is exact.
+    """
+    order = draw(st.permutations(range(n + 1)))
+
+    def point():
+        steps = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        levels = itertools.accumulate(steps, initial=draw(st.integers(-4, 4)))
+        coords = [0.0] * (n + 1)
+        for pos, level in zip(order, levels):
+            coords[pos] = float(n * level)
+        return tuple(coords[:n]), coords[n]
+
+    return point(), point()
+
+
+def _cell_additivity_failures(entry, u, v) -> list[int]:
+    """The parts where d(u + v) != d(u) + d(v): 0 for the tuple, i for section i."""
+    ev = entry.distance.evaluator
+    (tu, zu), (tv, zv) = u, v
+    tw, zw = tuple(a + b for a, b in zip(tu, tv)), zu + zv
+    parts = [(tw, tu, tv)] + [
+        (section(tw, i, zw), section(tu, i, zu), section(tv, i, zv)) for i in range(1, len(tw) + 1)
+    ]
+    return [j for j, (w, a, b) in enumerate(parts) if ev(w) != ev(a) + ev(b)]
+
+
+@pytest.mark.parametrize("variant", sorted(_CELL_LINEAR_IDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cell_linear_entries_are_additive_on_a_cell(variant, data):
+    # the premise of the step-vector fold in analysis: on one order cell, the
+    # value and every section are additive (and so, with scaling, linear)
+    dist_id, params = _VARIANT_BY_ID[variant]
+    n = data.draw(st.integers(2, 7))
+    entry = catalog.make(dist_id, n, **params)
+    u, v = data.draw(_one_cell_pair(n))
+    assert _cell_additivity_failures(entry, u, v) == []
+
+
+def test_inner_interval_is_not_additive_on_a_cell():
+    # the largest gap is a max of gaps, not linear on a cell: the same draws
+    # that pass every flagged entry find a counterexample here
+    entry = catalog.make("inner-interval", 3)
+    assert not entry.cell_linear
+    u, v = find(_one_cell_pair(3), lambda uv: bool(_cell_additivity_failures(entry, *uv)))
+    assert _cell_additivity_failures(entry, u, v)

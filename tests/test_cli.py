@@ -88,6 +88,8 @@ def test_config_error_exit_two():
         ("verify", "--distance", "diameter", "--space", "real:-inf,inf", "--checks", "axioms,repetition,nonincreasing", "--budget", "100"),
         ("verify", "--distance", "diameter", "--space", "real:-1e308,1e308", "--checks", "axioms,repetition,nonincreasing", "--budget", "100"),
         ("verify", "--distance", "diameter:d2=euclidean", "--space", "plane:-inf,0"),
+        # exact mode on the line folds only the cell-linear entries
+        ("constants", "--distance", "inner-interval", "--space", "real", "--mode", "exact"),
         # strong-extremal lives on its own label space
         ("constants", "--distance", "strong-extremal:k=2", "--n", "3", "--space", "real", "--budget", "100"),
         # the report cannot be written: its directory is missing, or --out names a directory
@@ -153,6 +155,15 @@ def test_constants_inner_interval():
     for row in report["rows"]:
         w = row["witness"]
         assert w is not None and "tuple" in w and "z" in w and "ratio" in w
+
+
+def test_constants_exact_mode_on_the_line():
+    # diameter[abs] is linear on the order cells of the line: its step vectors give K*_4 exactly
+    r = run_cli("constants", "--distance", "diameter", "--space", "real", "--mode", "exact")
+    assert r.returncode == 0, r.stderr
+    (row,) = json.loads(r.stdout)["rows"]
+    assert row["method"] == "exact"
+    assert row["observed"] == 1 / 3
 
 
 def test_constants_enclosing_area_n3():

@@ -67,6 +67,34 @@ def test_catalog_import_loads_only_its_dependencies():
     assert loaded == str(["simplex_lab", "simplex_lab.catalog", "simplex_lab.core", "simplex_lab.geometry"])
 
 
+_ONE_FAILING_PROPERTY = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert False
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    # under the repository's warning filters, the hypothesis plugin's report
+    # of a failure must not turn into an INTERNALERROR that hides later tests
+    (tmp_path / "test_probe.py").write_text(_ONE_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    r = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_probe.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert "INTERNALERROR" not in r.stdout + r.stderr
+    assert "1 failed, 1 passed" in r.stdout, r.stdout
+
+
 def test_section_is_one_based():
     t = ("a", "b", "c")
     assert section(t, 1, "z") == ("z", "b", "c")
