@@ -17,13 +17,18 @@ depends only on the multiset of t and on z, and the sorted tuple is the
 lexicographically smallest of its orbit.  The lower bound, witness and
 indices are those of the scan over every ordered tuple; the axiom and
 property checks, which verify the symmetry, still enumerate every tuple.
-A ``cell_linear`` entry on the real line (diameter[abs], sum-based[abs],
-arithmetic-mean, fermat[abs], chebyshev-diameter[q=1]) is exact too: its
-ratio attains its sup over each order cell of (x_1..x_n, z) at a step
-vector of the cell, so the scan folds the 2(n-1) pairs of
-``core.step_pairs``, whose docstring carries the proof.  Their values 0 and
-n may lie outside the ``RealLine`` box, which bounds sampling only.  On
-other continuous spaces, and in ``sampled`` mode, the scan folds the
+A ``cell_linear`` entry on its own space is exact too.  On the real line
+(diameter[abs], sum-based[abs], arithmetic-mean, fermat[abs],
+chebyshev-diameter[q=1]) its ratio attains its sup over each order cell of
+(x_1..x_n, z) at a step vector of the cell, so the scan folds the 2(n-1)
+pairs of ``core.step_pairs``.  On the plane (diameter[euclidean],
+diameter[chebyshev], chebyshev-diameter[q=2], sum-based[chebyshev],
+fermat[chebyshev]) the entry is a sup or a sum of a cell-linear line entry
+over linear maps to the line, so its constant is the line's, attained on
+the x-axis, and the scan folds the same pairs there.  The docstring of
+``core.step_pairs`` carries both proofs.  The values 0 and n may lie
+outside the sampling box, which bounds sampling only.  On other
+continuous spaces, and in ``sampled`` mode, the scan folds the
 entry's own witness recipe, then the candidates of ``core.iter_pairs`` (the
 structured extremal families, then seeded samples), and locally refines the
 best candidate by cyclic coordinate descent.  The fold is a max-reduction
@@ -79,7 +84,7 @@ class ConstantEstimate:
 
     ``trials`` counts the nondegenerate candidates folded by the scan,
     before refinement; on a finite space, the (multiset, z) candidates, and
-    for a cell-linear entry on the line, the 2(n-1) step pairs.
+    for a cell-linear entry on its own space, the 2(n-1) step pairs.
     """
 
     n: int
@@ -224,9 +229,9 @@ def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int,
         raise ValueError(f"unknown mode: {mode}")
     d = entry.distance
     n = d.arity
-    on_cells = entry.cell_linear and space.kind == "real-line" and mode != "sampled"
+    on_cells = entry.cell_linear and space.kind == d.space_kind and mode != "sampled"
     if mode == "exact" and space.kind != "finite" and not on_cells:
-        raise ValueError("exact mode needs a finite space, or a cell-linear entry on the real line")
+        raise ValueError("exact mode needs a finite space, or a cell-linear entry on its own space")
     # sampling includes the full enumeration whenever it fits the budget
     exhaustive = space.kind == "finite" and (
         mode != "sampled" or math.comb(space.size + n - 1, n) * space.size <= max(budget, _ENUM_FLOOR)
@@ -236,7 +241,7 @@ def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int,
         # the smallest of its orbit, carries every ratio and wins every tie
         pairs = itertools.product(itertools.combinations_with_replacement(sorted(space.labels), n), space.labels)
     elif on_cells:
-        pairs = step_pairs(n)
+        pairs = step_pairs(space, n)
     else:
         recipe = entry.witness_recipe
         head = [recipe(space)] if recipe is not None else []

@@ -44,8 +44,10 @@ class CatalogEntry:
     Flag values are knowledge, not computation: ``True``/``False`` when the
     property status is known, ``None`` when open.  Checkers verify them.
     ``cell_linear`` marks a real-line entry whose value and sections are
-    linear on every order cell of (x_1..x_n, z); ``analysis`` then folds
-    the cells' step vectors (``core.step_pairs``) and gets K*_{n,k} exactly.
+    linear on every order cell of (x_1..x_n, z), or a planar entry that is
+    the sup or the sum, over linear maps l: R^2 -> R, of one such line map
+    L(l(t)) and equals L on the x-axis; ``analysis`` then folds the cells'
+    step vectors (``core.step_pairs``) and gets K*_{n,k} exactly.
 
     The builders in ``constructions`` also set ``space`` (the label space
     the distance is built on), ``exact_evaluator`` (rational values, when
@@ -144,7 +146,8 @@ def diameter(n: int, d2: str = "abs") -> CatalogEntry:
     """Largest pairwise ground distance among the arguments."""
     ev = _diameter_evaluator(ground_distance(d2))
     d = NDistance(f"diameter[{d2}]", n, space_kind_for_ground(d2), ev)
-    return _standard_entry(d, cell_linear=(d2 == "abs"))
+    # euclidean: the sup over unit functionals; chebyshev: the max over x and y
+    return _standard_entry(d, cell_linear=(d2 != "discrete"))
 
 
 def sum_based(n: int, d2: str = "abs") -> CatalogEntry:
@@ -156,7 +159,8 @@ def sum_based(n: int, d2: str = "abs") -> CatalogEntry:
         return sum(g(p, q) for p, q in itertools.combinations(ts, 2))
 
     d = NDistance(f"sum-based[{d2}]", n, space_kind_for_ground(d2), ev)
-    return _standard_entry(d, invariant=False, cell_linear=(d2 == "abs"))
+    # max(|a|, |b|) = (|a + b| + |a - b|)/2: chebyshev is a sum over (x + y)/2 and (x - y)/2
+    return _standard_entry(d, invariant=False, cell_linear=(d2 in ("abs", "chebyshev")))
 
 
 def arithmetic_mean(n: int) -> CatalogEntry:
@@ -184,7 +188,8 @@ def fermat(n: int, d2: str = "abs") -> CatalogEntry:
     rep = False if d2 in ("abs", "euclidean") else None
     bounds = (1.0 / (n - 1), (4.0 * n - 4.0) / (3.0 * n * n - 4.0 * n))
     return CatalogEntry(
-        d, None, standard=None, repetition_invariant=rep, nonincreasing=False, cell_linear=(d2 == "abs"),
+        d, None, standard=None, repetition_invariant=rep, nonincreasing=False,
+        cell_linear=(d2 in ("abs", "chebyshev")),  # chebyshev: the sum over (x + y)/2 and (x - y)/2
         constant_bounds=bounds,
     )
 
@@ -241,7 +246,7 @@ def chebyshev_diameter(n: int, q: int = 2) -> CatalogEntry:
         raise ValueError("q must be 1 or 2")
     ev = _diameter_evaluator(ground_distance("chebyshev"))
     kind = "real-line" if q == 1 else "plane"
-    return _standard_entry(NDistance(f"chebyshev-diameter[q={q}]", n, kind, ev), cell_linear=(q == 1))
+    return _standard_entry(NDistance(f"chebyshev-diameter[q={q}]", n, kind, ev), cell_linear=True)
 
 
 def _inner_interval_witness(n: int) -> Callable[[Space], tuple[tuple, Point]]:

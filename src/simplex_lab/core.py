@@ -293,7 +293,7 @@ def structured_pairs(space: Space, n: int) -> list[tuple[tuple, Point]]:
     return [(t, z) for t in structured_tuples(space, n) for z in z_candidates(space, t)]
 
 
-def step_pairs(n: int) -> list[tuple[tuple, float]]:
+def step_pairs(space: Space, n: int) -> list[tuple[tuple, Point]]:
     """The 2(n-1) sorted step pairs ``((0,)*(n-m) + (h,)*m, z)``, m in 1..n-1, z in {0, h}, h = n.
 
     They carry K*_{n,k} of every real-line distance whose value d(t) and
@@ -315,9 +315,22 @@ def step_pairs(n: int) -> list[tuple[tuple, float]]:
     mean's sum of multiples of n is divided by n), so each num / den is one
     correctly rounded division: an exact constant 1/(k-1) comes out bit for
     bit.
+
+    On the plane each value x becomes the point (x, 0).  They carry the
+    constant of every planar d that is the sup, or the sum, over linear maps
+    l: R^2 -> R of one such line map L(l(t)), and equals L on the x-axis.
+    A linear l commutes with sections, l(sec_i) = section(l(t), i, l(z)).
+    In the sup case, with l* attaining d(t), for every k-set I
+    d(t) = L(l*(t)) <= K_L * sum_I L(l*(sec_i)) <= K_L * sum_I d(sec_i).
+    In the sum case each l meets K_L against its own k smallest sections,
+    which cost no more than one shared k-set, and the terms add up.  So
+    K*_{n,k}(d) <= K*_{n,k}(L), and the x-axis, where d = L, attains it.
     """
     h = float(n)
-    return [((0.0,) * (n - m) + (h,) * m, z) for m in range(1, n) for z in (0.0, h)]
+    pairs = [((0.0,) * (n - m) + (h,) * m, z) for m in range(1, n) for z in (0.0, h)]
+    if space.kind == "plane":
+        return [(tuple((x, 0.0) for x in t), (z, 0.0)) for t, z in pairs]
+    return pairs
 
 
 def sample_tuple(space: Space, n: int, rng: random.Random) -> tuple:

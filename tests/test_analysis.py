@@ -130,10 +130,14 @@ def test_partial_constants_inner_interval():
 
 def test_estimate_modes():
     entry = catalog.make("cardinality", 3)
-    # exact mode on the line needs a cell-linear entry
-    for other in (entry, catalog.make("inner-interval", 3)):
+    # exact mode on a continuous space needs a cell-linear entry
+    for other, space in (
+        (entry, RealLine()),
+        (catalog.make("inner-interval", 3), RealLine()),
+        (catalog.make("enclosing-radius", 3), Plane()),
+    ):
         with pytest.raises(ValueError, match="exact mode"):
-            estimate_best_constant(other, RealLine(), mode="exact")
+            estimate_best_constant(other, space, mode="exact")
     with pytest.raises(ValueError):
         estimate_best_constant(entry, ABC, mode="nope")
     with pytest.raises(ValueError):
@@ -169,6 +173,32 @@ def test_cell_fold_is_exact_on_the_line(dist_id, params, n):
         if n <= 6:  # the sorted step pairs carry the scan over every ordering
             best = scan(entry.distance.evaluator, ordered, k)[0]
             assert best == (est.lower_bound, w.points, w.z, w.indices)
+
+
+_PLANE_CELL_LINEAR = (
+    ("diameter", {"d2": "euclidean"}),
+    ("diameter", {"d2": "chebyshev"}),
+    ("chebyshev-diameter", {"q": 2}),
+    ("sum-based", {"d2": "chebyshev"}),
+    ("fermat", {"d2": "chebyshev"}),
+)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize(
+    "dist_id, params", _PLANE_CELL_LINEAR, ids=[f"{i}-{v}" for i, p in _PLANE_CELL_LINEAR for v in p.values()]
+)
+def test_cell_fold_is_exact_on_the_plane(dist_id, params, n):
+    # each entry is a sup or a sum of a cell-linear line entry over linear maps,
+    # so the line's step pairs, lifted to the x-axis, give its constant exactly
+    entry = catalog.make(dist_id, n, **params)
+    for k in range(2, n + 1):
+        for mode in ("auto", "exact"):
+            est = estimate_partial_constant(entry, Plane(), k, mode=mode)
+            assert (est.method, est.lower_bound, est.trials) == (EXACT, 1.0 / (k - 1), 2 * (n - 1))
+            w = est.witness
+            assert ratio(entry, w.points, w.z, w.indices) == est.lower_bound
+            assert all(y == 0.0 for _, y in w.points + (w.z,))
 
 
 def test_sampled_equals_exact_on_small_finite():

@@ -1,11 +1,14 @@
 import itertools
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from simplex_lab import catalog
+from simplex_lab.analysis import scan
 from simplex_lab.cli import default_space_for
 from simplex_lab.core import (
     CIRCLE_POINTS, PASS, FiniteSpace, Plane, RealLine, check_axioms, check_identity, check_symmetry, section,
@@ -241,8 +244,17 @@ def test_constants_match_the_catalog_table(dist_id, params):
 
 
 _VARIANT_BY_ID = dict(zip(_VARIANT_IDS, _VARIANTS))
-_CELL_LINEAR_IDS = {"diameter[d2=abs]", "sum-based[d2=abs]", "arithmetic-mean", "fermat[d2=abs]",
-                    "chebyshev-diameter[q=1]"}
+_LINE_CELL_LINEAR_IDS = {"diameter[d2=abs]", "sum-based[d2=abs]", "arithmetic-mean", "fermat[d2=abs]",
+                         "chebyshev-diameter[q=1]"}
+# each flagged planar variant, with the line variant L it is a sup or a sum of
+_PLANE_CELL_LINEAR = {
+    "diameter[d2=euclidean]": "diameter[d2=abs]",
+    "diameter[d2=chebyshev]": "diameter[d2=abs]",
+    "chebyshev-diameter[q=2]": "diameter[d2=abs]",
+    "sum-based[d2=chebyshev]": "sum-based[d2=abs]",
+    "fermat[d2=chebyshev]": "fermat[d2=abs]",
+}
+_CELL_LINEAR_IDS = _LINE_CELL_LINEAR_IDS | set(_PLANE_CELL_LINEAR)
 
 
 def test_cell_linear_flags():
@@ -282,7 +294,7 @@ def _cell_additivity_failures(entry, u, v) -> list[int]:
     return [j for j, (w, a, b) in enumerate(parts) if ev(w) != ev(a) + ev(b)]
 
 
-@pytest.mark.parametrize("variant", sorted(_CELL_LINEAR_IDS))
+@pytest.mark.parametrize("variant", sorted(_LINE_CELL_LINEAR_IDS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_cell_linear_entries_are_additive_on_a_cell(variant, data):
@@ -302,3 +314,60 @@ def test_inner_interval_is_not_additive_on_a_cell():
     assert not entry.cell_linear
     u, v = find(_one_cell_pair(3), lambda uv: bool(_cell_additivity_failures(entry, *uv)))
     assert _cell_additivity_failures(entry, u, v)
+
+
+def _make(variant: str, n: int):
+    dist_id, params = _VARIANT_BY_ID[variant]
+    return catalog.make(dist_id, n, **params)
+
+
+@pytest.mark.parametrize("variant", sorted(_PLANE_CELL_LINEAR))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_plane_cell_linear_entries_are_their_line_map_on_the_x_axis(variant, data):
+    # the attainment half of the transfer: on y = 0 the planar entry is its line map L
+    n = data.draw(st.integers(2, 7))
+    plane, line = _make(variant, n), _make(_PLANE_CELL_LINEAR[variant], n)
+    t = tuple(float(n * v) for v in data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+    assert plane.distance.evaluator(tuple((x, 0.0) for x in t)) == line.distance.evaluator(t)
+
+
+@st.composite
+def _planar_pair(draw, n):
+    """A (t, z) candidate on the plane; half-integer coordinates keep sums and halvings exact."""
+    point = st.tuples(*[st.integers(-8, 8).map(lambda v: v / 2)] * 2)
+    return tuple(draw(point) for _ in range(n)), draw(point)
+
+
+def _ratios_above_standard(entry, pair) -> list[int]:
+    """The k in 2..n whose ratio at ``pair`` exceeds 1/(k-1) by more than a relative 4 * 2^-52."""
+    n = entry.arity
+    folds = [(k, scan(entry.distance.evaluator, [pair], k)[0]) for k in range(2, n + 1)]
+    return [k for k, best in folds if best is not None and best[0] > 1.0 / (k - 1) * (1 + 4 * 2.0**-52)]
+
+
+@pytest.mark.parametrize("variant", sorted(_PLANE_CELL_LINEAR))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_plane_cell_linear_ratios_stay_at_the_line_constant(variant, data):
+    # the bound half of the transfer: off the x-axis no ratio exceeds the line's 1/(k-1)
+    n = data.draw(st.integers(2, 7))
+    assert _ratios_above_standard(_make(variant, n), data.draw(_planar_pair(n))) == []
+
+
+def test_enclosing_area_exceeds_the_line_constant():
+    # enclosing-area is unflagged, with constant 1/(k - 3/2): the same draws find a ratio above 1/(k-1)
+    entry = catalog.make("enclosing-area", 3)
+    assert not entry.cell_linear
+    pair = find(_planar_pair(3), lambda p: bool(_ratios_above_standard(entry, p)))
+    assert _ratios_above_standard(entry, pair)
+
+
+def test_readme_names_every_cell_linear_entry():
+    # the README's estimation paragraph names exactly the flagged variants
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (paragraph,) = [p for p in readme.split("\n\n") if "`cell_linear=True`" in p]
+    paragraph = " ".join(paragraph.split())
+    names = {vid: _make(vid, 4).name for vid in _VARIANT_IDS}
+    named = {vid for vid, name in names.items() if re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", paragraph)}
+    assert named == _CELL_LINEAR_IDS

@@ -88,8 +88,9 @@ def test_config_error_exit_two():
         ("verify", "--distance", "diameter", "--space", "real:-inf,inf", "--checks", "axioms,repetition,nonincreasing", "--budget", "100"),
         ("verify", "--distance", "diameter", "--space", "real:-1e308,1e308", "--checks", "axioms,repetition,nonincreasing", "--budget", "100"),
         ("verify", "--distance", "diameter:d2=euclidean", "--space", "plane:-inf,0"),
-        # exact mode on the line folds only the cell-linear entries
+        # exact mode on a continuous space folds only the cell-linear entries
         ("constants", "--distance", "inner-interval", "--space", "real", "--mode", "exact"),
+        ("constants", "--distance", "enclosing-radius", "--space", "plane", "--mode", "exact"),
         # strong-extremal lives on its own label space
         ("constants", "--distance", "strong-extremal:k=2", "--n", "3", "--space", "real", "--budget", "100"),
         # the report cannot be written: its directory is missing, or --out names a directory
@@ -160,6 +161,16 @@ def test_constants_inner_interval():
 def test_constants_exact_mode_on_the_line():
     # diameter[abs] is linear on the order cells of the line: its step vectors give K*_4 exactly
     r = run_cli("constants", "--distance", "diameter", "--space", "real", "--mode", "exact")
+    assert r.returncode == 0, r.stderr
+    (row,) = json.loads(r.stdout)["rows"]
+    assert row["method"] == "exact"
+    assert row["observed"] == 1 / 3
+
+
+def test_constants_exact_mode_on_the_plane():
+    # diameter[euclidean] is the sup of diameter[abs] over unit functionals: the
+    # line's step vectors, on the x-axis, give K*_4 exactly
+    r = run_cli("constants", "--distance", "diameter:d2=euclidean", "--space", "plane", "--mode", "exact")
     assert r.returncode == 0, r.stderr
     (row,) = json.loads(r.stdout)["rows"]
     assert row["method"] == "exact"
