@@ -144,13 +144,13 @@ def _eval_candidate(ev: Callable[[tuple], float], t: tuple, z: Point, k: int):
     order-free ``_section_sum``, as in ``ratio``.  Returns None on
     degenerate tuples.
     """
-    if distinct_count(t) < 2:
+    if len(set(t)) < 2:
         return None
     num = ev(t)
     n = len(t)
+    secs = [ev(t[:i] + (z,) + t[i + 1:]) for i in range(n)]
     if k == n:
-        return num, _section_sum([ev(section(t, i, z)) for i in range(1, n + 1)]), _positions(n)
-    secs = [ev(section(t, i, z)) for i in range(1, n + 1)]
+        return num, _section_sum(secs), _positions(n)
     chosen = sorted(sorted(range(n), key=lambda j: (secs[j], j))[:k])
     return num, _section_sum([secs[j] for j in chosen]), tuple(j + 1 for j in chosen)
 

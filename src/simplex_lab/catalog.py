@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -117,7 +118,7 @@ def _diameter_evaluator(g: Callable[[Point, Point], float]) -> Callable[[tuple],
 
 def _largest_gap(t: tuple) -> float:
     xs = sorted(t)
-    return max(xs[i + 1] - xs[i] for i in range(len(xs) - 1))
+    return max(map(operator.sub, xs[1:], xs))
 
 
 # ---------------------------------------------------------------------------

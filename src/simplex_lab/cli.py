@@ -110,6 +110,18 @@ def positive_int(text: str) -> int:
     return value
 
 
+def tolerance_value(text: str) -> float:
+    """argparse type for --tolerance: a finite float of at least 0.
+
+    nan fails every comparison, so it would fail a correct row, and inf
+    passes every row and is not valid JSON.
+    """
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
 def parse_int_list(text: str, low: int, high: int, what: str = "k") -> list[int]:
     """'3' | '2,3' | '2..5' -> validated list of ints in [low, high]."""
     if ".." in text:
@@ -556,7 +568,7 @@ _FLAGS = {
     "--checks": {"default": "axioms", "help": f"comma list of {', '.join(_VERIFY_CHECKS)}"},
     "--strong-constant": {"type": parse_value, "default": None},
     "--mode": {"choices": ("auto", "exact", "sampled"), "default": "auto"},
-    "--tolerance": {"type": float, "default": None, "help": "row tolerance; default 1e-9, 1e-6 on the plane"},
+    "--tolerance": {"type": tolerance_value, "default": None, "help": "row tolerance; default 1e-9, 1e-6 on the plane"},
     "--budget": {"type": positive_int, "default": DEFAULT_BUDGET},
     "--seed": {"type": int, "default": None, "help": "default 42, or $SIMPLEX_LAB_SEED"},
     "--format": {"choices": ("json", "csv", "text"), "default": "json"},

@@ -334,7 +334,18 @@ def step_pairs(space: Space, n: int) -> list[tuple[tuple, Point]]:
 
 
 def sample_tuple(space: Space, n: int, rng: random.Random) -> tuple:
-    return tuple(space.sample(rng) for _ in range(n))
+    """n points of ``space.sample``, in the same stream.
+
+    On continuous spaces each coordinate is low + (high - low) * random(),
+    the expression ``random.Random.uniform`` evaluates, so the floats are
+    those of one ``uniform`` call per coordinate.
+    """
+    if space.kind == "finite":
+        return tuple(space.sample(rng) for _ in range(n))
+    low, width, draw = space.low, space.high - space.low, rng.random
+    if space.kind == "plane":
+        return tuple((low + width * draw(), low + width * draw()) for _ in range(n))
+    return tuple(low + width * draw() for _ in range(n))
 
 
 def sample_pair(space: Space, n: int, rng: random.Random) -> tuple[tuple, Point]:

@@ -9,8 +9,12 @@ not a fresh one per call).
 
 The euclidean Fermat value first tests the cheapest data point for
 optimality (Vardi & Zhang 2000) and runs Weiszfeld only when it fails.
-Line keys are exact: coordinates are scaled by one power of two into
-integers, so near-collinear floats are never merged or split by rounding.
+Line counts are exact.  When the floating-point orientation test of
+Shewchuk (1997), inside the window where its error bound holds, certifies
+every triple non-collinear, the count is C(m, 2) for m distinct points.
+Otherwise line keys are exact: coordinates are scaled by one power of two
+into integers, so near-collinear floats are never merged or split by
+rounding.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ from dataclasses import dataclass
 
 _SHUFFLE_SEED = 0x5EC0FFEE  # fixed: identical input sets give identical circles
 _REL_EPS = 1 + 1e-14  # multiplicative slack for boundary membership tests
+# Shewchuk's stage-A orientation bound (3 + 16 eps) eps, eps = 2^-53, and the
+# window of |l| + |r| in which count_lines trusts it
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_ORIENT_LOW, _ORIENT_HIGH = 2.0**-400, 2.0**400
 
 GROUND_KINDS = ("abs", "euclidean", "chebyshev", "discrete")
 
@@ -40,11 +48,23 @@ def smallest_enclosing_circle(points) -> Circle:
     if not pts:
         raise ValueError("at least one point required")
     pts = [pts[i] for i in _shuffle_order(len(pts))]
-    c = None
-    for i, p in enumerate(pts):
-        if c is None or not _inside(c, p):
-            c = _circle_one_boundary(pts[: i + 1], p)
-    return Circle((c[0], c[1]), c[2])
+    hypot = math.hypot
+    (cx, cy), r = pts[0], 0.0
+    for i in range(1, len(pts)):
+        p = pts[i]
+        if hypot(p[0] - cx, p[1] - cy) <= r * _REL_EPS:
+            continue
+        # smallest circle of pts[: i + 1] with p on the boundary
+        (cx, cy), r = p, 0.0
+        for j in range(i + 1):
+            q = pts[j]
+            if hypot(q[0] - cx, q[1] - cy) <= r * _REL_EPS:
+                continue
+            if r == 0.0:
+                cx, cy, r = _diameter_circle(p, q)
+            else:
+                cx, cy, r = _circle_two_boundary(pts[: j + 1], p, q)
+    return Circle((cx, cy), r)
 
 
 @functools.lru_cache
@@ -55,41 +75,27 @@ def _shuffle_order(m: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _inside(c: tuple, p: tuple) -> bool:
-    return math.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] * _REL_EPS
-
-
-def _circle_one_boundary(pts: list, p: tuple) -> tuple:
-    # smallest circle of pts with p on the boundary
-    c = (p[0], p[1], 0.0)
-    for i, q in enumerate(pts):
-        if not _inside(c, q):
-            if c[2] == 0.0:
-                c = _diameter_circle(p, q)
-            else:
-                c = _circle_two_boundary(pts[: i + 1], p, q)
-    return c
-
-
 def _circle_two_boundary(pts: list, p: tuple, q: tuple) -> tuple:
-    # smallest circle of pts with both p and q on the boundary
+    # smallest circle of pts with both p and q on the boundary; left and right
+    # keep the circumcircles whose centers lie farthest along each side of pq
     circ = _diameter_circle(p, q)
-    left = None
-    right = None
+    cx, cy, bound = circ[0], circ[1], circ[2] * _REL_EPS
     px, py = p
-    qx, qy = q
+    dx, dy = q[0] - px, q[1] - py
+    left = right = None
+    left_d = right_d = 0.0
     for r in pts:
-        if _inside(circ, r):
+        if math.hypot(r[0] - cx, r[1] - cy) <= bound:
             continue
-        cross = _cross(px, py, qx, qy, r[0], r[1])
+        cross = dx * (r[1] - py) - dy * (r[0] - px)
         c = _circumcircle(p, q, r)
         if c is None:
             continue
-        d = _cross(px, py, qx, qy, c[0], c[1])
-        if cross > 0.0 and (left is None or d > _cross(px, py, qx, qy, left[0], left[1])):
-            left = c
-        elif cross < 0.0 and (right is None or d < _cross(px, py, qx, qy, right[0], right[1])):
-            right = c
+        d = dx * (c[1] - py) - dy * (c[0] - px)
+        if cross > 0.0 and (left is None or d > left_d):
+            left, left_d = c, d
+        elif cross < 0.0 and (right is None or d < right_d):
+            right, right_d = c, d
     if left is None and right is None:
         return circ
     if left is None:
@@ -122,10 +128,6 @@ def _circumcircle(a: tuple, b: tuple, c: tuple) -> tuple | None:
     return (x, y, r)
 
 
-def _cross(ax: float, ay: float, bx: float, by: float, px: float, py: float) -> float:
-    return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-
-
 # ---------------------------------------------------------------------------
 # line counting
 
@@ -133,14 +135,35 @@ def _cross(ax: float, ay: float, bx: float, by: float, px: float, py: float) -> 
 def count_lines(points) -> int:
     """Number of distinct straight lines through pairs of distinct points.
 
+    Sampled points almost never have three on a line, and then every pair
+    spans its own line: m distinct points give m(m-1)/2.  Each triple is
+    first certified non-collinear in floats by the stage-A orientation
+    test of Shewchuk ("Adaptive Precision Floating-Point Arithmetic and
+    Fast Robust Geometric Predicates", 1997): with l = (a-c)x (b-c)y,
+    r = (a-c)y (b-c)x and s = |l| + |r|, the rounded l - r has the sign of
+    the exact determinant whenever |l - r| > (3 + 16 eps) eps s, eps =
+    2^-53.  The bound is only used while 2^-400 < s < 2^400, where no
+    difference or product overflows and underflow errors are far below
+    its slack; nan and inf fall outside the window.
+
+    When any triple is not certified, the count is exact by integer keys.
     Every float is a dyadic rational, so multiplying all coordinates by the
     largest denominator (a power of two) makes them exact integers.  Lines
     then get exact gcd-normalized (a, b, c) keys for ax + by = c, and
     near-collinear points are told apart however close they are.
     """
     pts = {(float(p[0]), float(p[1])) for p in points}
-    if len(pts) < 2:
+    m = len(pts)
+    if m < 2:
         return 0
+    for (ax, ay), (bx, by), (cx, cy) in itertools.combinations(pts, 3):
+        l = (ax - cx) * (by - cy)
+        r = (ay - cy) * (bx - cx)
+        s = abs(l) + abs(r)
+        if not (_ORIENT_LOW < s < _ORIENT_HIGH and abs(l - r) > _ORIENT_ERR * s):
+            break
+    else:
+        return m * (m - 1) // 2
     ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in pts]
     scale = max(max(xd, yd) for (_, xd), (_, yd) in ratios)
     pts = [(xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in ratios]

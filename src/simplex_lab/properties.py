@@ -50,10 +50,11 @@ def expand_composition(values: Sequence[Point], comp: Sequence[int]) -> tuple:
 def reduced_evaluator(entry: CatalogEntry, comp: Sequence[int]) -> Callable[[tuple], float]:
     """The k-variable function d'(x1..xk) = d(n1*x1, ..., nk*xk)."""
     ev = entry.distance.evaluator
-    comp = tuple(comp)
+    # position j of the expanded tuple holds values[where[j]]
+    where = [i for i, m in enumerate(comp) for _ in range(m)]
 
     def reduced(values: tuple) -> float:
-        return ev(expand_composition(values, comp))
+        return ev(tuple([values[i] for i in where]))
 
     return reduced
 

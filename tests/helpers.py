@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
+from fractions import Fraction
+
+from simplex_lab.geometry import _REL_EPS, _SHUFFLE_SEED, _circumcircle, _diameter_circle
 
 
 def brute_circle(points):
@@ -132,3 +136,144 @@ def product_scan(entry, space, k):
             if best is None or r > best[0] or (r == best[0] and (t, z) < (best[1], best[2])):
                 best = (r, t, z, tuple(j + 1 for j in chosen))
     return best
+
+
+# ---------------------------------------------------------------------------
+# the smallest enclosing circle as a recursion of helpers, the reference for
+# the flat loop of geometry.smallest_enclosing_circle: the same operations in
+# the same order, so both return the same floats
+
+
+def reference_circle(points):
+    """(center x, center y, radius) by Welzl's construction, one helper per level."""
+    pts = sorted({(float(p[0]), float(p[1])) for p in points})
+    if not pts:
+        raise ValueError("at least one point required")
+    random.Random(_SHUFFLE_SEED).shuffle(pts)
+    c = None
+    for i, p in enumerate(pts):
+        if c is None or not _inside(c, p):
+            c = _circle_one_boundary(pts[: i + 1], p)
+    return c
+
+
+def _inside(c, p):
+    return math.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] * _REL_EPS
+
+
+def _circle_one_boundary(pts, p):
+    # smallest circle of pts with p on the boundary
+    c = (p[0], p[1], 0.0)
+    for i, q in enumerate(pts):
+        if not _inside(c, q):
+            if c[2] == 0.0:
+                c = _diameter_circle(p, q)
+            else:
+                c = _circle_two_boundary(pts[: i + 1], p, q)
+    return c
+
+
+def _circle_two_boundary(pts, p, q):
+    # smallest circle of pts with both p and q on the boundary
+    circ = _diameter_circle(p, q)
+    left = None
+    right = None
+    px, py = p
+    qx, qy = q
+    for r in pts:
+        if _inside(circ, r):
+            continue
+        cross = _cross(px, py, qx, qy, r[0], r[1])
+        c = _circumcircle(p, q, r)
+        if c is None:
+            continue
+        d = _cross(px, py, qx, qy, c[0], c[1])
+        if cross > 0.0 and (left is None or d > _cross(px, py, qx, qy, left[0], left[1])):
+            left = c
+        elif cross < 0.0 and (right is None or d < _cross(px, py, qx, qy, right[0], right[1])):
+            right = c
+    if left is None and right is None:
+        return circ
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return left if left[2] <= right[2] else right
+
+
+def _cross(ax, ay, bx, by, px, py):
+    return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+
+
+def exact_line_count(points):
+    """Number of distinct lines through pairs of distinct points, in ``Fraction``.
+
+    Each line ax + by = c is keyed by its coefficients divided by the first
+    nonzero one of (a, b), so equal lines get equal keys.
+    """
+    pts = [(Fraction(x), Fraction(y)) for x, y in {(float(x), float(y)) for x, y in points}]
+    lines = set()
+    for (px, py), (qx, qy) in itertools.combinations(pts, 2):
+        a, b = qy - py, px - qx
+        c = a * px + b * py
+        lead = a if a != 0 else b
+        lines.add((a / lead, b / lead, c / lead))
+    return len(lines)
+
+
+def sample_pair(space, n, rng):
+    """``core.sample_pair`` with one ``space.sample`` call per point of the tuple.
+
+    The reference for the stream: the library draws the same floats with
+    one ``rng.random()`` per coordinate.
+    """
+    t = tuple(space.sample(rng) for _ in range(n))
+    if space.kind == "finite":
+        return t, space.sample(rng)
+    r = rng.random()
+    if r < 0.55:
+        z = space.sample(rng)
+    elif r < 0.80:
+        z = t[rng.randrange(n)]
+    else:
+        z = space.midpoint(t[rng.randrange(n)], t[rng.randrange(n)])
+    return t, z
+
+
+def naive_scan(ev, pairs, k, constant=math.inf, tol=1e-9):
+    """``analysis.scan`` written out: (best, first, worst, checked).
+
+    best is the largest (ratio, t, z, indices), equal ratios going to the
+    smallest (t, z); the denominator is the ``math.fsum`` of the k smallest
+    sections, equal sections going to the lowest positions, and ``inf``
+    when that sum overflows.
+    """
+    best = first = worst = None
+    checked = 0
+    for t, z in pairs:
+        if len(set(t)) < 2:
+            continue
+        checked += 1
+        n = len(t)
+        num = ev(t)
+        secs = []
+        for i in range(n):
+            s = list(t)
+            s[i] = z
+            secs.append(ev(tuple(s)))
+        chosen = sorted(sorted(range(n), key=lambda j: (secs[j], j))[:k])
+        try:
+            den = math.fsum(secs[j] for j in chosen)
+        except OverflowError:
+            den = math.inf
+        r = num / den if den != 0.0 else math.inf
+        cand = (r, t, z, tuple(j + 1 for j in chosen))
+        if best is None or r > best[0] or (r == best[0] and (t, z) < (best[1], best[2])):
+            best = cand
+        violation = num - constant * den
+        if violation > tol:
+            if first is None:
+                first = (violation, t, z, num, den)
+            if worst is None or violation > worst[0]:
+                worst = (violation, t, z, num, den)
+    return best, first, worst, checked

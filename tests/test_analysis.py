@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import product_scan
+from helpers import naive_scan, product_scan
 from simplex_lab import catalog
 from simplex_lab.analysis import (
     EXACT,
@@ -293,6 +293,32 @@ def test_scan_best_is_the_better_reduction_in_any_order(case, data, k):
     best, _, _, checked = scan(d.distance.evaluator, data.draw(st.permutations(pairs)), k)
     assert best == functools.reduce(_better, folded, None)
     assert checked == len(folded)
+
+
+# small integer coordinates, so that equal sections, equal ratios and
+# degenerate tuples are common
+_INT = st.integers(0, 3).map(float)
+_FOLD_CASES = {
+    "cardinality": (catalog.make("cardinality", 4), st.sampled_from("abc")),
+    "diameter": (catalog.make("diameter", 4), _INT),
+    "sum-based": (catalog.make("sum-based", 5), _INT),
+    "inner-interval": (catalog.make("inner-interval", 4), _INT),
+    "line-count": (catalog.make("line-count", 4), st.tuples(_INT, _INT)),
+    "enclosing-radius": (catalog.make("enclosing-radius", 3), st.tuples(_INT, _INT)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOLD_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scan_equals_the_naive_fold(case, data):
+    entry, point = _FOLD_CASES[case]
+    n = entry.arity
+    k = data.draw(st.integers(2, n))
+    constant = data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf]))
+    pairs = data.draw(st.lists(st.tuples(st.tuples(*[point] * n), point), max_size=30))
+    ev = entry.distance.evaluator
+    assert scan(ev, pairs, k, constant) == naive_scan(ev, pairs, k, constant)
 
 
 def test_exhaustive_tie_break_is_lexicographic():

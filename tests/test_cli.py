@@ -75,6 +75,10 @@ def test_config_error_exit_two():
         ("table1", "--budget", "-1"),
         ("verify", "--distance", "cardinality", "--n", "4", "--checks", "strong", "--strong-constant", "nan"),
         ("verify", "--distance", "arithmetic-mean", "--n", "3", "--checks", "repetition", "--tolerance", "100"),
+        # a row tolerance is finite and nonnegative: nan fails every row, inf passes it and is not JSON
+        ("constants", "--distance", "diameter", "--tolerance", "nan"),
+        ("constants", "--distance", "diameter", "--tolerance", "inf"),
+        ("constants", "--distance", "diameter", "--tolerance", "-1"),
         # flags a subcommand does not read are not declared
         ("table1", "--space", "plane"),
         ("table1", "--k", "2"),

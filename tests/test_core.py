@@ -1,11 +1,13 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from helpers import sample_pair as reference_sample_pair
 from simplex_lab import catalog
 from simplex_lab.analysis import ratio
 from simplex_lab.core import (
@@ -27,6 +29,7 @@ from simplex_lab.core import (
     evaluate,
     iter_tuples,
     point_kind,
+    sample_pair,
     section,
 )
 
@@ -54,6 +57,16 @@ def test_spaces():
     tuples = list(ABC.iter_tuples(2))
     assert tuples[0] == ("a", "a")
     assert len(tuples) == 9
+
+
+@pytest.mark.parametrize("space", [ABC, RealLine(), RealLine(-2.5, 7.0), Plane(), Plane(-3.0, 0.5)], ids=repr)
+@pytest.mark.parametrize("seed", [0, 5, 42])
+def test_sample_pair_keeps_the_stream_of_one_uniform_per_coordinate(space, seed):
+    for n in range(2, 7):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert repr(sample_pair(space, n, rng)) == repr(reference_sample_pair(space, n, ref))
+        assert rng.getstate() == ref.getstate()
 
 
 def test_catalog_import_loads_only_its_dependencies():

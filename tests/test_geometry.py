@@ -1,12 +1,13 @@
 import math
 import random
-from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_circle, grid_fermat
+from helpers import brute_circle, exact_line_count, grid_fermat, reference_circle
+from simplex_lab import geometry
 from simplex_lab.core import CIRCLE_POINTS
 from simplex_lab.geometry import (
     _SHUFFLE_SEED,
@@ -85,6 +86,32 @@ def test_circle_matches_brute_force_property(pts):
         assert math.hypot(x - got.center[0], y - got.center[1]) <= got.radius * (1 + 1e-12) + 1e-12
 
 
+@st.composite
+def _near_collinear_points(draw):
+    # a, b and 1-5 points on the line ab, each exactly (dyadic data) or up to
+    # float rounding, each coordinate optionally moved by 1-2 ulps
+    dyadic = st.integers(-64, 64).map(lambda i: i / 16)
+    coord = dyadic | st.floats(-3, 3, allow_nan=False)
+    a = draw(st.tuples(coord, coord))
+    b = draw(st.tuples(coord, coord))
+    pts = [a, b]
+    for t in draw(st.lists(dyadic | st.floats(-2, 2, allow_nan=False), min_size=1, max_size=5)):
+        c = [a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])]
+        for i in range(2):
+            for _ in range(draw(st.integers(0, 2))):
+                c[i] = math.nextafter(c[i], math.inf if draw(st.booleans()) else -math.inf)
+        pts.append(tuple(c))
+    return pts
+
+
+@settings(max_examples=500, deadline=None)
+@given(pts=st.lists(_POINT, min_size=1, max_size=7) | _points_with_repeats() | _near_collinear_points())
+def test_circle_matches_the_reference_bit_for_bit(pts):
+    c = smallest_enclosing_circle(pts)
+    got = (c.center[0], c.center[1], c.radius)
+    assert [x.hex() for x in got] == [x.hex() for x in reference_circle(pts)]
+
+
 def test_circle_points_lie_on_radius_five():
     assert len(CIRCLE_POINTS) == 8
     for x, y in CIRCLE_POINTS:
@@ -112,37 +139,51 @@ def test_count_lines_near_collinear_is_exact():
     assert count_lines([(0.0, 0.0), (0.5, 0.25), (1.0, 0.5)]) == 1
 
 
-def _exact_line_count(pts):
-    # lines through a triple of points, by the cross product in exact rationals
-    q = [(Fraction(x), Fraction(y)) for x, y in dict.fromkeys((float(x), float(y)) for x, y in pts)]
-    if len(q) < 3:
-        return len(q) - 1
-    (ax, ay), (bx, by), (cx, cy) = q
-    return 1 if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0 else 3
+@settings(max_examples=500, deadline=None)
+@given(pts=_near_collinear_points() | st.lists(_POINT, min_size=2, max_size=7))
+@example(pts=[(0.0, 0.0), (1.0, 1e-10), (2.0, 0.0)])
+@example(pts=[(0.1, 0.2), (0.3, 0.6), (0.2, 0.4)])
+# collinear in exact arithmetic, yet l - r rounds to 4.5e-13, below the error bound
+@example(pts=[(-0.6232787281777048, 3.806884247573966), (15.500012287447294, 16.142821747573965),
+              (79.99317634994729, 65.48657174757396)])
+def test_count_lines_matches_exact_oracle(pts):
+    assert count_lines(pts) == exact_line_count(pts)
 
 
 @st.composite
-def _near_collinear_triples(draw):
-    # c on the segment ab, either exactly (dyadic data) or up to float rounding,
-    # optionally moved by a few ulps
-    dyadic = st.integers(-64, 64).map(lambda i: i / 16)
-    coord = dyadic | st.floats(-3, 3, allow_nan=False)
-    a = draw(st.tuples(coord, coord))
-    b = draw(st.tuples(coord, coord))
-    t = draw(dyadic | st.floats(-2, 2, allow_nan=False))
-    c = [a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])]
-    for i in range(2):
-        for _ in range(draw(st.integers(0, 2))):
-            c[i] = math.nextafter(c[i], math.inf if draw(st.booleans()) else -math.inf)
-    return [a, b, tuple(c)]
+def _points_outside_the_certified_window(draw):
+    # nonzero integer grid points, some on a common line, some moved by 1-2
+    # ulps, then scaled by 2^600 (every nonzero product overflows) or 2^-600
+    # (every product underflows to 0), or by 2^1021 with a sign per
+    # coordinate, near +-1e308 (differences of opposite signs can overflow,
+    # every nonzero product does); scaling by a power of two is exact
+    a = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    step = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+    on_line = [(a[0] + i * step[0], a[1] + i * step[1]) for i in range(draw(st.integers(0, 3)))]
+    pool = [p for p in on_line if p[0] and p[1]]
+    pts = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=3 - len(pool), max_size=7 - len(pool)))
+    pts = [[float(x), float(y)] for x, y in pool + pts]
+    for p in pts:
+        for i in range(2):
+            for _ in range(draw(st.integers(0, 2))):
+                p[i] = math.nextafter(p[i], math.inf if draw(st.booleans()) else -math.inf)
+    scale = draw(st.sampled_from((2.0**600, 2.0**-600, 2.0**1021)))
+    if scale == 2.0**1021:
+        sign = st.sampled_from((1.0, -1.0))
+        return [(draw(sign) * x * scale, draw(sign) * y * scale) for x, y in pts]
+    return [(x * scale, y * scale) for x, y in pts]
 
 
-@settings(max_examples=500, deadline=None)
-@given(pts=_near_collinear_triples())
-@example(pts=[(0.0, 0.0), (1.0, 1e-10), (2.0, 0.0)])
-@example(pts=[(0.1, 0.2), (0.3, 0.6), (0.2, 0.4)])
-def test_count_lines_matches_exact_oracle(pts):
-    assert count_lines(pts) == _exact_line_count(pts)
+@settings(max_examples=300, deadline=None)
+@given(pts=_points_outside_the_certified_window())
+@example(pts=[(1e308, 1e308), (-1e308, 1e308), (1e308, -1e308)])
+@example(pts=[(2.0**600, 2.0**600), (2.0**601, 2.0**601), (3 * 2.0**600, 3 * 2.0**600)])
+def test_count_lines_outside_the_certified_window_takes_the_exact_keys(pts):
+    with mock.patch.object(geometry, "_line_key", wraps=geometry._line_key) as key:
+        got = count_lines(pts)
+    if len(set(pts)) >= 3:
+        assert key.called
+    assert got == exact_line_count(pts)
 
 
 def test_count_lines_float_and_int_agree():

@@ -24,6 +24,7 @@ from simplex_lab.properties import (
     check_strong_k_simplex,
     compositions,
     expand_composition,
+    reduced_evaluator,
     strong_constant_general,
     strong_constant_standard,
     strong_threshold,
@@ -46,6 +47,14 @@ def test_compositions():
 def test_expand_composition():
     assert expand_composition(("a", "b"), (1, 3)) == ("a", "b", "b", "b")
     assert expand_composition((0.0, 1.0, 2.0), (2, 1, 1)) == (0.0, 0.0, 1.0, 2.0)
+    # the reduced evaluator is d on the expanded tuple
+    seen = []
+    entry = CatalogEntry(NDistance("record", 5, "any", lambda t: seen.append(t) or 0.0))
+    for k in range(1, 6):
+        for comp in compositions(5, k):
+            values = tuple(range(k))
+            reduced_evaluator(entry, comp)(values)
+            assert seen.pop() == expand_composition(values, comp)
 
 
 def test_strong_constant_standard_values():
