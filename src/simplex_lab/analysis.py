@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import (
+    TOL,
     DegenerateTupleError,
     Point,
     PropertyVerdict,
@@ -64,6 +65,7 @@ if TYPE_CHECKING:
 EXACT = "exact"
 SAMPLED = "sampled"
 
+RELATION_TOL = 1e-6  # slack of the relations between estimated constants
 _REFINE_ROUNDS = 20
 _ENUM_FLOOR = 4096  # finite spaces at least this small always get enumerated
 
@@ -174,17 +176,16 @@ def scan(
     pairs: Iterable[tuple[tuple, Point]],
     k: int,
     constant: float = math.inf,
-    tol: float = 1e-9,
 ):
     """Fold (tuple, z) candidates: d(t) against the sum of its k smallest sections.
 
     Degenerate tuples are skipped; the ratio is ``inf`` where the section
     sum vanishes.  Returns ``(best, first, worst, checked)``: the max of
     (ratio, t, z, idx) under ``_better``; the first and the largest (first
-    of equals) violation of num <= constant * den by more than ``tol``, as
+    of equals) violation of num <= constant * den by more than ``TOL``, as
     (violation, t, z, num, den); and the number of candidates folded.
     """
-    evaluate = _eval_candidate
+    evaluate, tol = _eval_candidate, TOL
     best = first = worst = None
     checked = 0
     for t, z in pairs:
@@ -323,7 +324,9 @@ def _estimate_value(est: ConstantEstimate) -> float:
     return est.analytic if est.analytic is not None else est.lower_bound
 
 
-def check_partial_bound(full: ConstantEstimate, partial: ConstantEstimate, tol: float = 1e-6) -> PropertyVerdict:
+def check_partial_bound(
+    full: ConstantEstimate, partial: ConstantEstimate, tol: float = RELATION_TOL
+) -> PropertyVerdict:
     """The chain linking K*_n and K*_{n,k}.
 
     For n - 1/K*_n < k <= n:
@@ -365,7 +368,9 @@ def check_partial_bound(full: ConstantEstimate, partial: ConstantEstimate, tol: 
     return PropertyVerdict.of(prop, details, {"failed": bad} if bad else None)
 
 
-def check_symmetrization(full: ConstantEstimate, partial: ConstantEstimate, tol: float = 1e-6) -> PropertyVerdict:
+def check_symmetrization(
+    full: ConstantEstimate, partial: ConstantEstimate, tol: float = RELATION_TOL
+) -> PropertyVerdict:
     """K*_n <= (k/n) K*_{n,k}, the factor k/n being optimal."""
     n, k = full.n, partial.k
     prop = f"symmetrization(k={k})"
@@ -378,7 +383,7 @@ def check_symmetrization(full: ConstantEstimate, partial: ConstantEstimate, tol:
 
 
 def check_attainment_transfer(
-    entry: CatalogEntry, witness: Witness, k: int, kstar: float | None = None, tol: float = 1e-9
+    entry: CatalogEntry, witness: Witness, k: int, kstar: float | None = None
 ) -> PropertyVerdict:
     """Equality transfer from a K*_n-attaining witness to partial sums.
 
@@ -396,20 +401,20 @@ def check_attainment_transfer(
         raise ValueError("the best constant is needed (no metadata, none given)")
     if not (n - 1.0 / kstar < k <= n):
         return PropertyVerdict.of(prop, {"reason": "k outside (n - 1/K*, n]"})
-    if abs(witness.ratio - kstar) > tol:
+    if abs(witness.ratio - kstar) > TOL:
         return PropertyVerdict.of(prop, {"reason": "witness does not attain K*", "ratio": witness.ratio, "kstar": kstar})
     t, z = witness.points, witness.z
     ev = d.evaluator
     num = ev(t)
     secs = {i: ev(section(t, i, z)) for i in range(1, n + 1)}
-    unchanged = sorted(i for i, v in secs.items() if abs(v - num) <= tol)
+    unchanged = sorted(i for i, v in secs.items() if abs(v - num) <= TOL)
     target = 1.0 / (1.0 / kstar - n + k)
     mismatches = []
     attained_sets = []
     for S in itertools.combinations(range(1, n + 1), k):
         den = sum(secs[i] for i in S)
         r = math.inf if den == 0.0 else num / den
-        eq = math.isfinite(r) and abs(r - target) <= tol
+        eq = math.isfinite(r) and abs(r - target) <= TOL
         expected = all(i in unchanged for i in range(1, n + 1) if i not in S)
         if eq != expected:
             mismatches.append({"indices": S, "ratio": r, "expected_equality": expected})
@@ -426,7 +431,7 @@ def check_attainment_transfer(
 
 
 def check_sufficient_standard(
-    entry: CatalogEntry, full: ConstantEstimate, partial: ConstantEstimate, tol: float = 1e-9
+    entry: CatalogEntry, full: ConstantEstimate, partial: ConstantEstimate
 ) -> PropertyVerdict:
     """Sufficient condition for standardness from one k.
 
@@ -441,16 +446,16 @@ def check_sufficient_standard(
     if k >= n:
         return PropertyVerdict.of(prop, {"reason": "needs k < n"})
     kn = _estimate_value(full)
-    cond_a_bound = kn < 1.0 / (n - k) - tol if n - k >= 1 else False
+    cond_a_bound = kn < 1.0 / (n - k) - TOL
     cond_a_witness = False
-    if full.witness is not None and abs(full.witness.ratio - kn) <= max(tol, 1e-9):
+    if full.witness is not None and abs(full.witness.ratio - kn) <= TOL:
         ev = d.evaluator
         t, z = full.witness.points, full.witness.z
         num = ev(t)
-        unchanged = [i for i in range(1, n + 1) if abs(ev(section(t, i, z)) - num) <= 1e-9]
+        unchanged = [i for i in range(1, n + 1) if abs(ev(section(t, i, z)) - num) <= TOL]
         cond_a_witness = len(unchanged) >= n - k
     cond_a = cond_a_bound and cond_a_witness
-    cond_b = _estimate_value(partial) <= 1.0 / (k - 1) + tol
+    cond_b = _estimate_value(partial) <= 1.0 / (k - 1) + TOL
     details = {
         "cond_a_bound": cond_a_bound,
         "cond_a_witness": cond_a_witness,
@@ -460,7 +465,7 @@ def check_sufficient_standard(
     }
     if not (cond_a and cond_b):
         return PropertyVerdict.of(prop, {**details, "reason": "preconditions not met"})
-    standard_ok = abs(kn - 1.0 / (n - 1)) <= 1e-6
+    standard_ok = abs(kn - 1.0 / (n - 1)) <= RELATION_TOL
     details["standard_implied"] = True
     details["cross_check"] = standard_ok
     ce = None if standard_ok else {"full": kn, "expected": 1.0 / (n - 1)}

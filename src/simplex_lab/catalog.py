@@ -206,7 +206,8 @@ def line_count(n: int) -> CatalogEntry:
         return float(count_lines(t))
 
     d = NDistance("line-count", n, "plane", ev)
-    bounds = (1.0 / (n - 2 + 2.0 / n), 1.0 / (n - 2)) if n >= 3 else None
+    # n / (n^2 - 2n + 2) is 1/(n-2+2/n) in one correctly rounded division
+    bounds = (n / (n * n - 2 * n + 2), 1.0 / (n - 2)) if n >= 3 else None
     return CatalogEntry(d, None, standard=None, repetition_invariant=True, nonincreasing=True, constant_bounds=bounds)
 
 
@@ -272,9 +273,10 @@ def largest_inner_interval(n: int) -> CatalogEntry:
 
 def inner_interval_power(n: int, p: int) -> CatalogEntry:
     """p-th power of the largest inner interval; an n-distance iff n >= 2^p."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    if n < 2**p:
+    if p < 1 or not math.isfinite(p):
+        raise ValueError(f"p must be finite and at least 1, got {p!r}")
+    # n < 2^n.bit_length(), so a larger p needs no power, which could overflow
+    if p >= n.bit_length() or n < 2**p:
         raise ValueError(f"not an n-distance for n < 2^p (n={n}, p={p})")
 
     def ev(t: tuple) -> float:

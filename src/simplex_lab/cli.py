@@ -461,8 +461,8 @@ def run_constants(args) -> dict:
     for k in ks:
         part = analysis.estimate_partial_constant(entry, space, k, budget=args.budget, seed=seed, mode=args.mode)
         rows.append(constant_row(f"K*_{n},{k}", part, tol))
-        verdicts.append(analysis.check_partial_bound(full, part, tol=max(tol, 1e-6)))
-        verdicts.append(analysis.check_symmetrization(full, part, tol=max(tol, 1e-6)))
+        verdicts.append(analysis.check_partial_bound(full, part, tol=max(tol, analysis.RELATION_TOL)))
+        verdicts.append(analysis.check_symmetrization(full, part, tol=max(tol, analysis.RELATION_TOL)))
 
     config = _base_config(
         args, seed, space=space_json(space), n=args.n, distance=dist_id, params=params, k=ks, mode=args.mode,
@@ -471,33 +471,30 @@ def run_constants(args) -> dict:
     return make_report("constants", config, rows, [verdict_json(v) for v in verdicts])
 
 
-def _table1_specs(n: int) -> list[tuple[str, dict, Space]]:
-    """(id, params, space) of each table row at arity n."""
-    finite = FiniteSpace(tuple(_LETTERS[:3]))
-    line = RealLine()
-    plane = Plane()
+def _table1_specs(n: int) -> list[tuple[str, dict]]:
+    """(id, params) of each table row at arity n; ``build_distance`` picks each row's space."""
     specs = [
-        ("drastic", {}, finite),
-        ("cardinality", {}, finite),
-        ("diameter", {"d2": "abs"}, line),
-        ("diameter", {"d2": "euclidean"}, plane),
-        ("sum-based", {"d2": "abs"}, line),
-        ("arithmetic-mean", {}, line),
-        ("enclosing-radius", {}, plane),
-        ("chebyshev-diameter", {"q": 2}, plane),
-        ("inner-interval", {}, line),
-        ("fermat", {"d2": "abs"}, line),
+        ("drastic", {}),
+        ("cardinality", {}),
+        ("diameter", {"d2": "abs"}),
+        ("diameter", {"d2": "euclidean"}),
+        ("sum-based", {"d2": "abs"}),
+        ("arithmetic-mean", {}),
+        ("enclosing-radius", {}),
+        ("chebyshev-diameter", {"q": 2}),
+        ("inner-interval", {}),
+        ("fermat", {"d2": "abs"}),
     ]
     if n >= 3:
-        specs += [("enclosing-area", {}, plane), ("line-count", {}, plane)]
+        specs += [("enclosing-area", {}), ("line-count", {})]
     return specs
 
 
 def run_table1(args) -> dict:
     seed = resolve_seed(args.seed)
     rows = []
-    for dist_id, params, space in _table1_specs(args.n):
-        entry = catalog.make(dist_id, args.n, **params)
+    for dist_id, params in _table1_specs(args.n):
+        entry, space = build_distance(dist_id, params, args.n, None)
         tol = args.tolerance if args.tolerance is not None else default_tolerance(space)
         est = analysis.estimate_best_constant(entry, space, budget=args.budget, seed=seed)
         suffix = f"[{params['d2']}]" if "d2" in params else ""

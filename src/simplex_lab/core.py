@@ -12,7 +12,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Point = Union[str, float, tuple]
 
@@ -21,6 +21,10 @@ FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
 SPACE_KINDS = ("finite", "real-line", "plane")
+
+# Every result the package checks is an inequality, tested up to a slack.
+TOL = 1e-9  # violation slack of every inequality check: a > b fails only when a - b > TOL
+EQUAL_TOL = 1e-12  # value-equality slack on continuous spaces; finite spaces compare exactly
 
 
 class DegenerateTupleError(ValueError):
@@ -363,41 +367,27 @@ def sample_pair(space: Space, n: int, rng: random.Random) -> tuple[tuple, Point]
     return t, z
 
 
+def _head_then_samples(head: Iterable, draw: Callable[[], tuple], budget: int) -> Iterator:
+    """The structured ``head``, then ``draw()`` without end, cut at ``budget`` items."""
+    return itertools.islice(itertools.chain(head, iter(draw, None)), max(budget, 0))
+
+
 def iter_tuples(space: Space, n: int, budget: int, seed: int) -> Iterator[tuple]:
     """Up to ``budget`` tuples: exhaustive on small finite spaces, otherwise
     the structured families followed by seeded uniform samples."""
     if space.kind == "finite" and space.size**n <= budget:
-        yield from space.iter_tuples(n)
-        return
-    count = 0
-    for t in structured_tuples(space, n):
-        if count >= budget:
-            return
-        yield t
-        count += 1
+        return space.iter_tuples(n)
     rng = random.Random(derive_seed(seed, 0))
-    while count < budget:
-        yield sample_tuple(space, n, rng)
-        count += 1
+    return _head_then_samples(structured_tuples(space, n), lambda: sample_tuple(space, n, rng), budget)
 
 
 def iter_pairs(space: Space, n: int, budget: int, seed: int) -> Iterator[tuple[tuple, Point]]:
     """Up to ``budget`` (tuple, z) candidates, exhaustive when feasible."""
     if space.kind == "finite" and space.size ** (n + 1) <= budget:
-        for t in space.iter_tuples(n):
-            for z in space.labels:
-                yield t, z
-        return
-    count = 0
-    for pair in structured_pairs(space, n):
-        if count >= budget:
-            return
-        yield pair
-        count += 1
+        return itertools.product(space.iter_tuples(n), space.labels)
     rng = random.Random(derive_seed(seed, 1))
-    while count < budget:
-        yield sample_pair(space, n, rng)
-        count += 1
+    # sample_pair is looked up at each draw, so a patched module attribute sees every sample
+    return _head_then_samples(structured_pairs(space, n), lambda: sample_pair(space, n, rng), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +414,7 @@ def check_symmetry(
 ) -> PropertyVerdict:
     """Axiom (ii): invariance under permutation of the arguments."""
     prop = f"symmetry({d.name})"
-    tol = 0.0 if space.kind == "finite" else 1e-12
+    tol = 0.0 if space.kind == "finite" else EQUAL_TOL
     n = d.arity
     rng = random.Random(derive_seed(seed, 2))
     checked = 0
@@ -451,18 +441,13 @@ def check_symmetry(
 
 
 def check_simplex(
-    d: NDistance,
-    space: Space,
-    budget: int = 4096,
-    seed: int = 0,
-    constant: float = 1.0,
-    tol: float = 1e-9,
+    d: NDistance, space: Space, budget: int = 4096, seed: int = 0, constant: float = 1.0
 ) -> PropertyVerdict:
-    """Axiom (iii) with a given constant: d(t) <= constant * sum of sections."""
+    """Axiom (iii) with a given constant: d(t) <= constant * sum of sections, up to ``TOL``."""
     from .analysis import scan
 
     prop = f"simplex({d.name},K={constant:g})"
-    best, first, worst, checked = scan(d.evaluator, iter_pairs(space, d.arity, budget, seed), d.arity, constant, tol)
+    best, first, worst, checked = scan(d.evaluator, iter_pairs(space, d.arity, budget, seed), d.arity, constant)
     details = {"checked": checked, "max_ratio": best[0] if best else 0.0}
     ce = worst_ce = None
     if first is not None:

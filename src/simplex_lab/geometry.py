@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 _SHUFFLE_SEED = 0x5EC0FFEE  # fixed: identical input sets give identical circles
 _REL_EPS = 1 + 1e-14  # multiplicative slack for boundary membership tests
+_WEISZFELD_TOL = 1e-10  # Weiszfeld stops once a step moves the point less than this
+_WEISZFELD_MAX_ITER = 10_000
 # Shewchuk's stage-A orientation bound (3 + 16 eps) eps, eps = 2^-53, and the
 # window of |l| + |r| in which count_lines trusts it
 _ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
@@ -192,7 +194,8 @@ def fermat_value(points, ground: str = "abs") -> float:
     * ``euclidean`` (plane): the cheapest data point v is returned at once
       when it passes the vertex optimality test |sum over p != v of
       k_p (p - v)/|p - v|| <= k_v (k: multiplicities).  Otherwise Weiszfeld
-      iteration with vertex-stall handling, tolerance 1e-10, at most 10^4
+      iteration with vertex-stall handling: it stops when a step moves less
+      than ``_WEISZFELD_TOL`` (1e-10) or after ``_WEISZFELD_MAX_ITER`` (10^4)
       iterations; the best value found is returned even if the iteration
       did not converge.
     * ``chebyshev`` (plane): exact via the rotation u = x+y, v = x-y, which
@@ -221,7 +224,7 @@ def _median_cost(xs: list) -> float:
     return sum(abs(x - m) for x in xs)
 
 
-def _weiszfeld(pts: list, tol: float = 1e-10, max_iter: int = 10_000) -> float:
+def _weiszfeld(pts: list) -> float:
     def cost(q: tuple) -> float:
         return sum(math.hypot(p[0] - q[0], p[1] - q[1]) for p in pts)
 
@@ -241,7 +244,7 @@ def _weiszfeld(pts: list, tol: float = 1e-10, max_iter: int = 10_000) -> float:
     m = len(pts)
     x = (sum(p[0] for p in pts) / m, sum(p[1] for p in pts) / m)
     best = min(best, cost(x))
-    for _ in range(max_iter):
+    for _ in range(_WEISZFELD_MAX_ITER):
         sx = sy = sw = 0.0
         dx = dy = 0.0
         coincident = 0
@@ -267,7 +270,7 @@ def _weiszfeld(pts: list, tol: float = 1e-10, max_iter: int = 10_000) -> float:
             nxt = (sx / sw, sy / sw)
             moved = math.hypot(nxt[0] - x[0], nxt[1] - x[1])
             x = nxt
-            if moved < tol:
+            if moved < _WEISZFELD_TOL:
                 break
         c = cost(x)
         if c < best:

@@ -13,6 +13,8 @@ import itertools
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import (
+    EQUAL_TOL,
+    TOL,
     Point,
     PropertyVerdict,
     Space,
@@ -100,7 +102,6 @@ def check_strong_k_simplex(
     space: Space,
     budget: int = 50_000,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> PropertyVerdict:
     """Verify d(n1*x1,...,nk*xk) <= M (sum of k sections) over all groupings."""
     n = entry.arity
@@ -114,7 +115,7 @@ def check_strong_k_simplex(
     first = worst = None  # (composition, violation)
     for ci, comp in enumerate(comps):
         pairs = iter_pairs(space, k, per_comp, derive_seed(seed, 200 + ci))
-        best, c_first, c_worst, c_checked = scan(reduced_evaluator(entry, comp), pairs, k, constant, tol)
+        best, c_first, c_worst, c_checked = scan(reduced_evaluator(entry, comp), pairs, k, constant)
         checked += c_checked
         if best is not None:
             max_ratio = max(max_ratio, best[0])
@@ -139,7 +140,6 @@ def check_lemma_mixed_bound(
     space: Space,
     budget: int = 20_000,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> PropertyVerdict:
     """Mixed bound for tuples with a repeated tail.
 
@@ -174,11 +174,11 @@ def check_lemma_mixed_bound(
         tail = ev(front + (z,) * (n - k + 1))
         rhs = a_coef * front_secs + b_coef * tail
         checked += 1
-        if lhs > rhs + tol:
+        if lhs > rhs + TOL:
             ce = {"tuple": t, "z": z, "lhs": lhs, "rhs": rhs}
             if first_ce is None:
                 first_ce = ce
-        elif abs(lhs - rhs) <= tol and lhs > 0.0 and equality is None:
+        elif abs(lhs - rhs) <= TOL and lhs > 0.0 and equality is None:
             equality = {"tuple": t, "z": z, "value": lhs}
     details = {"checked": checked, "coefficients": (a_coef, b_coef), "equality_example": equality}
     return PropertyVerdict.of(prop, details, first_ce)
@@ -210,7 +210,7 @@ def check_repetition_invariance(
     n = entry.arity
     prop = "repetition-invariance"
     ev = entry.distance.evaluator
-    tol = 0.0 if space.kind == "finite" else 1e-12
+    tol = 0.0 if space.kind == "finite" else EQUAL_TOL
     # (value set, tuple) pairs: every tuple of a small finite space, else the
     # expansions of canonical value sets over all compositions
     if space.kind == "finite" and space.size ** n <= 100_000:
@@ -237,7 +237,7 @@ def check_repetition_invariance(
 
 
 def check_nonincreasing_identification(
-    entry: CatalogEntry, space: Space, budget: int = 20_000, seed: int = 0, tol: float = 1e-12
+    entry: CatalogEntry, space: Space, budget: int = 20_000, seed: int = 0, tol: float = EQUAL_TOL
 ) -> PropertyVerdict:
     """Replacing any argument by another already-present one never increases d.
 
@@ -285,7 +285,6 @@ def check_multidistance(
     space: Space,
     budget: int = 20_000,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> PropertyVerdict:
     """Verify the family {d_n} satisfies d_n(x) <= sum_i g(x_i, z) for all z.
 
@@ -315,7 +314,7 @@ def check_multidistance(
             lhs = ev(t)
             rhs = sum(g(x, z) for x in t)
             checked += 1
-            if lhs > rhs + tol:
+            if lhs > rhs + TOL:
                 ce = {"arity": n, "tuple": t, "z": z, "lhs": lhs, "rhs": rhs}
                 break
         suff_holds = True
@@ -325,9 +324,9 @@ def check_multidistance(
                 continue
             dn = ev((x,) + (z,) * (n - 1))
             gz = g(x, z)
-            if dn > gz + tol:
+            if dn > gz + TOL:
                 suff_holds = False
-            if abs(dn - gz) > tol:
+            if abs(dn - gz) > TOL:
                 suff_equal = False
         per_arity[n] = {
             "checked": checked,
@@ -347,7 +346,6 @@ def check_multi_to_ndistance(
     space: Space,
     budget: int = 20_000,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> PropertyVerdict:
     """Converse direction: a nonincreasing multidistance member dominating
     its own restriction g(x, z) <= d_n(x, z, ..., z) satisfies the simplex
@@ -359,14 +357,14 @@ def check_multi_to_ndistance(
     d = entry.distance
     n = d.arity
     prop = "multidistance-to-ndistance"
-    noninc = check_nonincreasing_identification(entry, space, budget // 4, seed, tol=1e-9)
+    noninc = check_nonincreasing_identification(entry, space, budget // 4, seed, tol=TOL)
     if noninc.failed:
         return PropertyVerdict.of(prop, {"reason": "not nonincreasing", "counterexample": noninc.counterexample})
     ev = d.evaluator
     for x, z in iter_tuples(space, 2, max(1, budget // 4), derive_seed(seed, 800)):
         if x == z:
             continue
-        if d2(x, z) > ev((x,) + (z,) * (n - 1)) + tol:
+        if d2(x, z) > ev((x,) + (z,) * (n - 1)) + TOL:
             return PropertyVerdict.of(
                 prop,
                 {
@@ -377,5 +375,5 @@ def check_multi_to_ndistance(
                     "dn": ev((x,) + (z,) * (n - 1)),
                 },
             )
-    simplex = check_simplex(d, space, constant=1.0, budget=budget, seed=seed, tol=tol)
+    simplex = check_simplex(d, space, budget=budget, seed=seed)
     return PropertyVerdict.of(prop, simplex.details, simplex.counterexample)

@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+from simplex_lab import core
 from simplex_lab.geometry import _REL_EPS, _SHUFFLE_SEED, _circumcircle, _diameter_circle
 
 
@@ -277,3 +278,44 @@ def naive_scan(ev, pairs, k, constant=math.inf, tol=1e-9):
             if worst is None or violation > worst[0]:
                 worst = (violation, t, z, num, den)
     return best, first, worst, checked
+
+
+# ---------------------------------------------------------------------------
+# the candidate streams as counting generators, the reference for the shared
+# head-then-samples body of core.iter_tuples and core.iter_pairs
+
+
+def iter_tuples(space, n, budget, seed):
+    """``core.iter_tuples`` written out: exhaustive, or the structured head then samples."""
+    if space.kind == "finite" and space.size**n <= budget:
+        yield from space.iter_tuples(n)
+        return
+    count = 0
+    for t in core.structured_tuples(space, n):
+        if count >= budget:
+            return
+        yield t
+        count += 1
+    rng = random.Random(core.derive_seed(seed, 0))
+    while count < budget:
+        yield core.sample_tuple(space, n, rng)
+        count += 1
+
+
+def iter_pairs(space, n, budget, seed):
+    """``core.iter_pairs`` written out: exhaustive, or the structured head then samples."""
+    if space.kind == "finite" and space.size ** (n + 1) <= budget:
+        for t in space.iter_tuples(n):
+            for z in space.labels:
+                yield t, z
+        return
+    count = 0
+    for pair in core.structured_pairs(space, n):
+        if count >= budget:
+            return
+        yield pair
+        count += 1
+    rng = random.Random(core.derive_seed(seed, 1))
+    while count < budget:
+        yield core.sample_pair(space, n, rng)
+        count += 1

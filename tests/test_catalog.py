@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,9 @@ def test_line_count_values():
     lo, hi = catalog.make("line-count", 4).constant_bounds
     assert lo == pytest.approx(1 / (4 - 2 + 2 / 4))
     assert hi == pytest.approx(1 / 2)
+    # the lower end 1/(n-2+2/n) is correctly rounded, never above the exact value
+    for n in range(3, 13):
+        assert catalog.make("line-count", n).constant_bounds[0] == float(Fraction(n, n * n - 2 * n + 2))
 
 
 def test_enclosing_radius_values():
@@ -157,6 +161,12 @@ def test_inner_interval_power():
     assert d.constants[4] == pytest.approx(4 / 4)
     with pytest.raises(ValueError, match="n < 2\\^p"):
         catalog.make("inner-interval-power", 3, p=2)
+    assert catalog.make("inner-interval-power", 4, p=1.5).constants[4] == 2**1.5 / 4
+    for p in (math.nan, math.inf, 0.5):
+        with pytest.raises(ValueError, match="finite and at least 1"):
+            catalog.make("inner-interval-power", 4, p=p)
+    with pytest.raises(ValueError, match="n < 2\\^p"):
+        catalog.make("inner-interval-power", 4, p=1e308)
 
 
 def test_entry_flags():

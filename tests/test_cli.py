@@ -100,6 +100,9 @@ def test_config_error_exit_two():
         # the report cannot be written: its directory is missing, or --out names a directory
         ("verify", "--distance", "cardinality", "--n", "3", "--budget", "10", "--out", "/nonexistent/dir/r.json"),
         ("verify", "--distance", "cardinality", "--n", "3", "--budget", "10", "--out", "."),
+        # p is finite and at least 1, and a huge p is rejected without computing 2^p
+        ("constants", "--distance", "inner-interval-power:p=nan", "--n", "4"),
+        ("constants", "--distance", "inner-interval-power:p=1e308", "--n", "4"),
     ],
 )
 def test_bad_input_exits_two_without_traceback(args):
@@ -108,6 +111,14 @@ def test_bad_input_exits_two_without_traceback(args):
     assert r.stdout == ""
     assert "error:" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_line_count_passes_at_its_exact_lower_bracket_end():
+    # 3/5 is attained, and the bracket's lower end is 3/5 correctly rounded
+    r = run_cli("constants", "--distance", "line-count", "--n", "3", "--tolerance", "0", "--budget", "3000")
+    assert r.returncode == 0, r.stdout
+    (row,) = json.loads(r.stdout)["rows"]
+    assert row["observed"] == row["bounds"][0] == 0.6
 
 
 def test_parse_value_forms():

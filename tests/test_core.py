@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 from helpers import sample_pair as reference_sample_pair
 from simplex_lab import catalog
 from simplex_lab.analysis import ratio
@@ -27,10 +28,13 @@ from simplex_lab.core import (
     derive_seed,
     distinct_count,
     evaluate,
+    iter_pairs,
     iter_tuples,
     point_kind,
     sample_pair,
     section,
+    structured_pairs,
+    structured_tuples,
 )
 
 ABC = FiniteSpace(("a", "b", "c"))
@@ -241,3 +245,22 @@ def test_iter_tuples_exhaustive_when_small():
     a = list(iter_tuples(RealLine(), 3, budget=50, seed=5))
     b = list(iter_tuples(RealLine(), 3, budget=50, seed=5))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "space", [FiniteSpace(("a", "b")), ABC, RealLine(), RealLine(-2.5, 7.0), Plane(), Plane(-3.0, 0.5)], ids=repr
+)
+def test_streams_match_the_reference_generators(space):
+    streams = ((iter_tuples, helpers.iter_tuples, structured_tuples), (iter_pairs, helpers.iter_pairs, structured_pairs))
+    for n in range(2, 7):
+        for stream, reference, head in streams:
+            h = len(head(space, n))
+            budgets = {-1, 0, 1, h - 1, h, h + 1, h + 64}
+            if space.kind == "finite":
+                # the exhaustive threshold of this stream, and the other stream's
+                budgets |= {space.size**n + d for d in (-1, 0, 1)} | {space.size ** (n + 1) + d for d in (-1, 0, 1)}
+            for seed in (0, 7, 42):
+                for budget in sorted(budgets):
+                    got = list(stream(space, n, budget, seed))
+                    assert repr(got) == repr(list(reference(space, n, budget, seed))), (n, budget, seed)
+                assert list(stream(space, n, -1, seed)) == []
