@@ -17,16 +17,19 @@ depends only on the multiset of t and on z, and the sorted tuple is the
 lexicographically smallest of its orbit.  The lower bound, witness and
 indices are those of the scan over every ordered tuple; the axiom and
 property checks, which verify the symmetry, still enumerate every tuple.
-A ``cell_linear`` entry on its own space is exact too.  On the real line
+An entry with a ``type_pairs`` hook is exact on its own space wherever
+the hook returns a list: the max of its ratio over that finite list of
+types is K*_{n,k}, so the scan folds the list and skips sampling and
+refinement.  ``core.step_pairs`` gives the 2(n-1) step pairs for the
+entries linear on every order cell of (x_1..x_n, z) on the line
 (diameter[abs], sum-based[abs], arithmetic-mean, fermat[abs],
-chebyshev-diameter[q=1]) its ratio attains its sup over each order cell of
-(x_1..x_n, z) at a step vector of the cell, so the scan folds the 2(n-1)
-pairs of ``core.step_pairs``.  On the plane (diameter[euclidean],
+chebyshev-diameter[q=1]), and for the planar sups or sums of such an
+entry over linear maps to the line (diameter[euclidean],
 diameter[chebyshev], chebyshev-diameter[q=2], sum-based[chebyshev],
-fermat[chebyshev]) the entry is a sup or a sum of a cell-linear line entry
-over linear maps to the line, so its constant is the line's, attained on
-the x-axis, and the scan folds the same pairs there.  The docstring of
-``core.step_pairs`` carries both proofs.  The values 0 and n may lie
+fermat[chebyshev]), whose constant is the line's, attained on the x-axis.
+``geometry.linear_space_pairs`` gives line-count, for n <= 5, a candidate
+for every labelled linear space on at most n + 1 points.  Each hook's
+docstring carries its proof.  The values of the step pairs may lie
 outside the sampling box, which bounds sampling only.  On other
 continuous spaces, and in ``sampled`` mode, the scan folds the
 entry's own witness recipe, then the candidates of ``core.iter_pairs`` (the
@@ -53,7 +56,6 @@ from .core import (
     distinct_count,
     iter_pairs,
     section,
-    step_pairs,
     # not called here: bench/tracing.py patches both names on this module
     sample_pair,
     structured_pairs,
@@ -86,7 +88,8 @@ class ConstantEstimate:
 
     ``trials`` counts the nondegenerate candidates folded by the scan,
     before refinement; on a finite space, the (multiset, z) candidates, and
-    for a cell-linear entry on its own space, the 2(n-1) step pairs.
+    for an entry whose ``type_pairs`` hook reaches n, its nondegenerate
+    types.
     """
 
     n: int
@@ -153,7 +156,8 @@ def _eval_candidate(ev: Callable[[tuple], float], t: tuple, z: Point, k: int):
     secs = [ev(t[:i] + (z,) + t[i + 1:]) for i in range(n)]
     if k == n:
         return num, _section_sum(secs), _positions(n)
-    chosen = sorted(sorted(range(n), key=lambda j: (secs[j], j))[:k])
+    # the sort is stable, so equal sections go to the lowest positions
+    chosen = sorted(sorted(range(n), key=secs.__getitem__)[:k])
     return num, _section_sum([secs[j] for j in chosen]), tuple(j + 1 for j in chosen)
 
 
@@ -230,9 +234,12 @@ def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int,
         raise ValueError(f"unknown mode: {mode}")
     d = entry.distance
     n = d.arity
-    on_cells = entry.cell_linear and space.kind == d.space_kind and mode != "sampled"
-    if mode == "exact" and space.kind != "finite" and not on_cells:
-        raise ValueError("exact mode needs a finite space, or a cell-linear entry on its own space")
+    hook = entry.type_pairs
+    typed = hook(space, n) if hook is not None and space.kind == d.space_kind and mode != "sampled" else None
+    if mode == "exact" and space.kind != "finite" and typed is None:
+        raise ValueError(
+            "exact mode needs a finite space, or an entry whose type_pairs hook reaches this n on its own space"
+        )
     # sampling includes the full enumeration whenever it fits the budget
     exhaustive = space.kind == "finite" and (
         mode != "sampled" or math.comb(space.size + n - 1, n) * space.size <= max(budget, _ENUM_FLOOR)
@@ -241,8 +248,8 @@ def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int,
         # d is symmetric and the section sum order-free, so the sorted tuple,
         # the smallest of its orbit, carries every ratio and wins every tie
         pairs = itertools.product(itertools.combinations_with_replacement(sorted(space.labels), n), space.labels)
-    elif on_cells:
-        pairs = step_pairs(space, n)
+    elif typed is not None:
+        pairs = typed
     else:
         recipe = entry.witness_recipe
         head = [recipe(space)] if recipe is not None else []
@@ -250,10 +257,11 @@ def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int,
     best, _, _, trials = scan(d.evaluator, pairs, k)
     if best is None:
         raise ValueError("no nondegenerate candidate found within budget")
-    if space.kind != "finite" and not on_cells and math.isfinite(best[0]):
+    exact = exhaustive or typed is not None
+    if space.kind != "finite" and not exact and math.isfinite(best[0]):
         best = _refine(d.evaluator, space, n, k, best)
     witness = Witness(best[1], best[2], best[0], best[3])
-    method = EXACT if exhaustive or on_cells else SAMPLED
+    method = EXACT if exact else SAMPLED
     return ConstantEstimate(n, k, best[0], witness, entry.constants.get(k), method, trials, seed)
 
 

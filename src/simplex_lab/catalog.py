@@ -18,11 +18,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .core import FiniteSpace, NDistance, Point, Space
+from .core import FiniteSpace, NDistance, Point, Space, step_pairs
 from .geometry import (
+    LINEAR_SPACE_TYPES,
     count_lines,
     fermat_value,
     ground_distance,
+    linear_space_pairs,
     smallest_enclosing_circle,
     space_kind_for_ground,
 )
@@ -44,11 +46,13 @@ class CatalogEntry:
 
     Flag values are knowledge, not computation: ``True``/``False`` when the
     property status is known, ``None`` when open.  Checkers verify them.
-    ``cell_linear`` marks a real-line entry whose value and sections are
-    linear on every order cell of (x_1..x_n, z), or a planar entry that is
-    the sup or the sum, over linear maps l: R^2 -> R, of one such line map
-    L(l(t)) and equals L on the x-axis; ``analysis`` then folds the cells'
-    step vectors (``core.step_pairs``) and gets K*_{n,k} exactly.
+    ``type_pairs(space, n)`` returns the finite list of (t, z) candidates
+    that carries K*_{n,k} for every k on the entry's own space, or None
+    where its reduction does not reach n; ``analysis`` then folds that list
+    and reports the max as exact.  ``core.step_pairs`` serves the entries
+    that are linear on every order cell of the line, or that are the sup
+    or the sum of such a line entry over linear maps from the plane;
+    ``geometry.linear_space_pairs`` serves line-count.
 
     The builders in ``constructions`` also set ``space`` (the label space
     the distance is built on), ``exact_evaluator`` (rational values, when
@@ -60,7 +64,7 @@ class CatalogEntry:
     standard: bool | None = None
     repetition_invariant: bool | None = None
     nonincreasing: bool | None = None
-    cell_linear: bool = False
+    type_pairs: Callable[[Space, int], list[tuple[tuple, Point]] | None] | None = None
     constants: Mapping[int, float] = field(default_factory=dict)
     constant_bounds: tuple[float | None, float | None] | None = None
     space: FiniteSpace | None = None
@@ -87,7 +91,7 @@ def _distinct_pair(space: Space) -> tuple[Point, Point]:
     return (0.0, 0.0), (1.0, 0.0)
 
 
-def _standard_entry(d: NDistance, invariant: bool = True, cell_linear: bool = False) -> CatalogEntry:
+def _standard_entry(d: NDistance, invariant: bool = True, type_pairs: Callable | None = None) -> CatalogEntry:
     """A standard entry: K*_{n,k} = 1/(k-1) for every k.
 
     ``invariant`` is both its repetition-invariant and its nonincreasing
@@ -100,7 +104,7 @@ def _standard_entry(d: NDistance, invariant: bool = True, cell_linear: bool = Fa
         return (x,) + (y,) * (n - 1), y
 
     return CatalogEntry(
-        d, recipe, standard=True, repetition_invariant=invariant, nonincreasing=invariant, cell_linear=cell_linear,
+        d, recipe, standard=True, repetition_invariant=invariant, nonincreasing=invariant, type_pairs=type_pairs,
         constants={k: 1.0 / (k - 1) for k in range(2, n + 1)},
     )
 
@@ -148,7 +152,7 @@ def diameter(n: int, d2: str = "abs") -> CatalogEntry:
     ev = _diameter_evaluator(ground_distance(d2))
     d = NDistance(f"diameter[{d2}]", n, space_kind_for_ground(d2), ev)
     # euclidean: the sup over unit functionals; chebyshev: the max over x and y
-    return _standard_entry(d, cell_linear=(d2 != "discrete"))
+    return _standard_entry(d, type_pairs=step_pairs if d2 != "discrete" else None)
 
 
 def sum_based(n: int, d2: str = "abs") -> CatalogEntry:
@@ -161,7 +165,7 @@ def sum_based(n: int, d2: str = "abs") -> CatalogEntry:
 
     d = NDistance(f"sum-based[{d2}]", n, space_kind_for_ground(d2), ev)
     # max(|a|, |b|) = (|a + b| + |a - b|)/2: chebyshev is a sum over (x + y)/2 and (x - y)/2
-    return _standard_entry(d, invariant=False, cell_linear=(d2 in ("abs", "chebyshev")))
+    return _standard_entry(d, invariant=False, type_pairs=step_pairs if d2 in ("abs", "chebyshev") else None)
 
 
 def arithmetic_mean(n: int) -> CatalogEntry:
@@ -172,7 +176,7 @@ def arithmetic_mean(n: int) -> CatalogEntry:
         m = ts[0]
         return sum(x - m for x in ts) / n  # exact 0.0 on constant tuples
 
-    return _standard_entry(NDistance("arithmetic-mean", n, "real-line", ev), invariant=False, cell_linear=True)
+    return _standard_entry(NDistance("arithmetic-mean", n, "real-line", ev), invariant=False, type_pairs=step_pairs)
 
 
 def fermat(n: int, d2: str = "abs") -> CatalogEntry:
@@ -190,7 +194,8 @@ def fermat(n: int, d2: str = "abs") -> CatalogEntry:
     bounds = (1.0 / (n - 1), (4.0 * n - 4.0) / (3.0 * n * n - 4.0 * n))
     return CatalogEntry(
         d, None, standard=None, repetition_invariant=rep, nonincreasing=False,
-        cell_linear=(d2 in ("abs", "chebyshev")),  # chebyshev: the sum over (x + y)/2 and (x - y)/2
+        # chebyshev: the sum over (x + y)/2 and (x - y)/2
+        type_pairs=step_pairs if d2 in ("abs", "chebyshev") else None,
         constant_bounds=bounds,
     )
 
@@ -198,8 +203,11 @@ def fermat(n: int, d2: str = "abs") -> CatalogEntry:
 def line_count(n: int) -> CatalogEntry:
     """Number of lines determined by the distinct argument points.
 
-    For n >= 3 the best constant is only bracketed:
-    1/(n-2+2/n) <= K* < 1/(n-2), the upper bound strict.
+    For n >= 3 the best constant is bracketed: 1/(n-2+2/n) <= K* < 1/(n-2),
+    the upper bound strict.  For n <= 5 the fold over every linear-space
+    type (``geometry.linear_space_pairs``) makes it exact: K*_n is the
+    lower end, 3/5, 2/5 and 5/17 at n = 3, 4 and 5, and K*_{n,k} =
+    (k+1)/(k(k-1)) for k < n (3/2, 2/3 and 5/12).
     """
 
     def ev(t: tuple) -> float:
@@ -208,7 +216,13 @@ def line_count(n: int) -> CatalogEntry:
     d = NDistance("line-count", n, "plane", ev)
     # n / (n^2 - 2n + 2) is 1/(n-2+2/n) in one correctly rounded division
     bounds = (n / (n * n - 2 * n + 2), 1.0 / (n - 2)) if n >= 3 else None
-    return CatalogEntry(d, None, standard=None, repetition_invariant=True, nonincreasing=True, constant_bounds=bounds)
+    constants = {}
+    if n + 1 <= max(LINEAR_SPACE_TYPES):  # where linear_space_pairs reaches
+        constants = {k: (k + 1) / (k * (k - 1)) for k in range(2, n)} | {n: n / (n * n - 2 * n + 2)}
+    return CatalogEntry(
+        d, None, standard=None, repetition_invariant=True, nonincreasing=True, type_pairs=linear_space_pairs,
+        constants=constants, constant_bounds=bounds,
+    )
 
 
 def enclosing_radius(n: int) -> CatalogEntry:
@@ -248,7 +262,7 @@ def chebyshev_diameter(n: int, q: int = 2) -> CatalogEntry:
         raise ValueError("q must be 1 or 2")
     ev = _diameter_evaluator(ground_distance("chebyshev"))
     kind = "real-line" if q == 1 else "plane"
-    return _standard_entry(NDistance(f"chebyshev-diameter[q={q}]", n, kind, ev), cell_linear=True)
+    return _standard_entry(NDistance(f"chebyshev-diameter[q={q}]", n, kind, ev), type_pairs=step_pairs)
 
 
 def _inner_interval_witness(n: int) -> Callable[[Space], tuple[tuple, Point]]:

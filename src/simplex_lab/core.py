@@ -345,11 +345,13 @@ def sample_tuple(space: Space, n: int, rng: random.Random) -> tuple:
     those of one ``uniform`` call per coordinate.
     """
     if space.kind == "finite":
-        return tuple(space.sample(rng) for _ in range(n))
+        # choice and randrange draw the same index from the same _randbelow call
+        choice, labels = rng.choice, space.labels
+        return tuple([choice(labels) for _ in range(n)])
     low, width, draw = space.low, space.high - space.low, rng.random
     if space.kind == "plane":
-        return tuple((low + width * draw(), low + width * draw()) for _ in range(n))
-    return tuple(low + width * draw() for _ in range(n))
+        return tuple([(low + width * draw(), low + width * draw()) for _ in range(n)])
+    return tuple([low + width * draw() for _ in range(n)])
 
 
 def sample_pair(space: Space, n: int, rng: random.Random) -> tuple[tuple, Point]:
@@ -361,9 +363,9 @@ def sample_pair(space: Space, n: int, rng: random.Random) -> tuple[tuple, Point]
     if r < 0.55:
         z = space.sample(rng)
     elif r < 0.80:
-        z = t[rng.randrange(n)]
+        z = rng.choice(t)
     else:
-        z = space.midpoint(t[rng.randrange(n)], t[rng.randrange(n)])
+        z = space.midpoint(rng.choice(t), rng.choice(t))
     return t, z
 
 

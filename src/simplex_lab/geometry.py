@@ -14,7 +14,8 @@ Shewchuk (1997), inside the window where its error bound holds, certifies
 every triple non-collinear, the count is C(m, 2) for m distinct points.
 Otherwise line keys are exact: coordinates are scaled by one power of two
 into integers, so near-collinear floats are never merged or split by
-rounding.
+rounding.  A line count depends only on the linear space the points
+induce, so ``linear_space_pairs`` lists one configuration per type.
 """
 
 from __future__ import annotations
@@ -181,6 +182,85 @@ def _line_key(p: tuple, q: tuple) -> tuple:
     if a < 0 or (a == 0 and b < 0):
         g = -g
     return (a // g, b // g, c // g)
+
+
+# One integer configuration per isomorphism class of linear spaces on m
+# points, m = 1..6: 1, 1, 2, 3, 5 and 10 classes.  A configuration is
+# written as its points "xy", single-digit coordinates; strings keep the
+# module quick to compile.  Each is named by its lines of three or more
+# points; every other pair of points is a line.
+LINEAR_SPACE_TYPES: dict[int, tuple[str, ...]] = {
+    1: ("00",),
+    2: ("00 01",),
+    3: (
+        "00 01 02",  # one line
+        "00 01 10",  # triangle
+    ),
+    4: (
+        "00 01 02 03",  # one line
+        "00 01 02 10",  # a 3-line
+        "00 01 10 11",  # general position
+    ),
+    5: (
+        "00 01 02 03 04",  # one line
+        "00 01 02 03 10",  # a 4-line
+        "00 01 02 10 20",  # two 3-lines through a point
+        "00 01 02 10 11",  # a 3-line
+        "00 01 10 11 23",  # general position
+    ),
+    6: (
+        "00 01 02 03 04 05",  # one line
+        "00 01 02 03 04 10",  # a 5-line
+        "00 01 02 03 10 11",  # a 4-line
+        "00 01 02 03 10 20",  # a 4-line and a 3-line through a point
+        "00 01 02 10 11 23",  # a 3-line
+        "00 01 02 10 11 21",  # two 3-lines through a point
+        "00 01 02 10 11 12",  # two disjoint 3-lines
+        "00 01 02 10 11 20",  # three 3-lines, a triangle
+        "00 01 03 11 22 41",  # four 3-lines, the complete quadrilateral
+        "00 01 10 11 23 32",  # general position
+    ),
+}
+
+
+def linear_space_pairs(space, n: int) -> list[tuple[tuple, tuple]] | None:
+    """Every (t, z) over ``LINEAR_SPACE_TYPES`` on at most n + 1 points, or None for n >= 6.
+
+    For each configuration P, each z in P and each sorted multiset t of n
+    points of P with set(t) | {z} = P, the pair (t, z) in floats.  They
+    carry K*_{n,k} of line-count for every k:
+
+    * ``count_lines`` of a point set is the number of lines of the linear
+      space it induces: its maximal collinear subsets, every pair of
+      points lying on exactly one.  The linear space of a subset is the
+      restriction of that of P.
+    * So d(t), and every section of (t, z), is a function of the labelled
+      linear space of the arguments: the map from x_1..x_n, z onto the
+      distinct points P, and the linear space of P.
+    * Every linear space on m <= 6 points is isomorphic to the one a listed
+      P induces (``tests/test_geometry.py`` checks the table against an
+      abstract enumeration).  Relabelling (t, z) through the isomorphism
+      keeps the labelled linear space, hence the ratio at every k.  The
+      ratio does not change under permutations of t (the sections permute
+      along), so the sorted multiset suffices.
+    * The max over the list is therefore an upper bound on every ratio, and
+      each listed pair is a real configuration: it is K*_{n,k}.
+
+    All values are small integers, so every ratio is one correctly rounded
+    division.  Seven points admit the Fano plane, which no planar point set
+    induces, so from n = 6 on the list would need a realizability test.
+    """
+    if n + 1 > max(LINEAR_SPACE_TYPES):
+        return None
+    out = []
+    for m in range(1, n + 2):
+        for config in LINEAR_SPACE_TYPES[m]:
+            pts = tuple((float(x), float(y)) for x, y in config.split())
+            for z in pts:
+                for t in itertools.combinations_with_replacement(pts, n):
+                    if len(set(t) | {z}) == m:
+                        out.append((t, z))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ the k collapsed values from the shared candidate stream, ``core.iter_pairs``.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import (
@@ -52,11 +53,12 @@ def expand_composition(values: Sequence[Point], comp: Sequence[int]) -> tuple:
 def reduced_evaluator(entry: CatalogEntry, comp: Sequence[int]) -> Callable[[tuple], float]:
     """The k-variable function d'(x1..xk) = d(n1*x1, ..., nk*xk)."""
     ev = entry.distance.evaluator
-    # position j of the expanded tuple holds values[where[j]]
-    where = [i for i, m in enumerate(comp) for _ in range(m)]
+    # value i fills n_i positions of the expanded tuple; with n >= 2
+    # positions the getter always returns a tuple
+    expand = operator.itemgetter(*[i for i, m in enumerate(comp) for _ in range(m)])
 
     def reduced(values: tuple) -> float:
-        return ev(tuple([values[i] for i in where]))
+        return ev(expand(values))
 
     return reduced
 

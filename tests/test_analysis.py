@@ -130,11 +130,12 @@ def test_partial_constants_inner_interval():
 
 def test_estimate_modes():
     entry = catalog.make("cardinality", 3)
-    # exact mode on a continuous space needs a cell-linear entry
+    # exact mode on a continuous space needs a type_pairs hook that reaches n
     for other, space in (
         (entry, RealLine()),
         (catalog.make("inner-interval", 3), RealLine()),
         (catalog.make("enclosing-radius", 3), Plane()),
+        (catalog.make("line-count", 6), Plane()),
     ):
         with pytest.raises(ValueError, match="exact mode"):
             estimate_best_constant(other, space, mode="exact")
@@ -199,6 +200,36 @@ def test_cell_fold_is_exact_on_the_plane(dist_id, params, n):
             w = est.witness
             assert ratio(entry, w.points, w.z, w.indices) == est.lower_bound
             assert all(y == 0.0 for _, y in w.points + (w.z,))
+
+
+_LINE_COUNT_FOLDS = {
+    n: {k: estimate_partial_constant(catalog.make("line-count", n), Plane(), k).lower_bound for k in range(2, n + 1)}
+    for n in (3, 4, 5)
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_no_grid_configuration_beats_the_line_count_fold(data):
+    # on the grid {0..3}^2 coincident points and collinear triples are common,
+    # so the draws cover many linear-space types; none beats the exact fold
+    n = data.draw(st.sampled_from(sorted(_LINE_COUNT_FOLDS)))
+    point = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda p: (float(p[0]), float(p[1])))
+    t = tuple(data.draw(st.lists(point, min_size=n, max_size=n)))
+    z = data.draw(point)
+    ev = catalog.make("line-count", n).distance.evaluator
+    for k, fold in _LINE_COUNT_FOLDS[n].items():
+        best = scan(ev, [(t, z)], k)[0]
+        assert best is None or best[0] <= fold, (k, t, z)
+
+
+def test_line_count_samples_where_the_fold_does_not_reach():
+    entry = catalog.make("line-count", 4)
+    exact = estimate_best_constant(entry, Plane(), budget=50)
+    assert (exact.method, exact.trials, exact.lower_bound) == (EXACT, 115, 0.4)
+    assert estimate_best_constant(entry, Plane(), budget=50, mode="sampled").method == SAMPLED
+    beyond = estimate_best_constant(catalog.make("line-count", 6), Plane(), budget=50)
+    assert (beyond.method, beyond.analytic) == (SAMPLED, None)
 
 
 def test_sampled_equals_exact_on_small_finite():

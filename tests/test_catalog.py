@@ -9,10 +9,11 @@ from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from simplex_lab import catalog
-from simplex_lab.analysis import scan
+from simplex_lab.analysis import estimate_partial_constant, scan
 from simplex_lab.cli import default_space_for
 from simplex_lab.core import (
     CIRCLE_POINTS, PASS, FiniteSpace, Plane, RealLine, check_axioms, check_identity, check_symmetry, section,
+    step_pairs,
 )
 from simplex_lab.geometry import GROUND_KINDS
 
@@ -108,6 +109,22 @@ def test_line_count_values():
     # the lower end 1/(n-2+2/n) is correctly rounded, never above the exact value
     for n in range(3, 13):
         assert catalog.make("line-count", n).constant_bounds[0] == float(Fraction(n, n * n - 2 * n + 2))
+
+
+def test_line_count_constants_are_the_linear_space_fold():
+    # K*_n = n/(n^2-2n+2) and K*_{n,k} = (k+1)/(k(k-1)) for k < n, each correctly
+    # rounded and equal to the exact fold's bound; the bracket stays, and holds
+    for n in range(2, 6):
+        entry = catalog.make("line-count", n)
+        closed = {k: Fraction(k + 1, k * (k - 1)) for k in range(2, n)} | {n: Fraction(n, n * n - 2 * n + 2)}
+        assert entry.constants == {k: float(v) for k, v in closed.items()}
+        for k, v in entry.constants.items():
+            est = estimate_partial_constant(entry, Plane(), k)
+            assert (est.method, est.lower_bound, est.analytic) == ("exact", v, v)
+        if n >= 3:
+            lo, hi = entry.constant_bounds
+            assert lo == entry.constants[n] < hi
+    assert catalog.make("line-count", 6).constants == {}
 
 
 def test_enclosing_radius_values():
@@ -233,7 +250,7 @@ def test_identity_and_symmetry_on_the_default_space(dist_id, params):
 # and 1/(n-1) for every id not listed
 _TABLE_CONSTANTS = {
     "fermat": None,
-    "line-count": None,
+    "line-count": lambda n, params: n / (n * n - 2 * n + 2),  # exact for n <= 5
     "enclosing-area": lambda n, params: 1 / (n - 3 / 2),
     "inner-interval": lambda n, params: 2 / n,
     "inner-interval-power": lambda n, params: 2 ** params["p"] / n,
@@ -269,7 +286,7 @@ _CELL_LINEAR_IDS = _LINE_CELL_LINEAR_IDS | set(_PLANE_CELL_LINEAR)
 
 def test_cell_linear_flags():
     flagged = {vid for vid, (dist_id, params) in _VARIANT_BY_ID.items()
-               if catalog.make(dist_id, 4, **params).cell_linear}
+               if catalog.make(dist_id, 4, **params).type_pairs is step_pairs}
     assert flagged == _CELL_LINEAR_IDS
 
 
@@ -321,7 +338,7 @@ def test_inner_interval_is_not_additive_on_a_cell():
     # the largest gap is a max of gaps, not linear on a cell: the same draws
     # that pass every flagged entry find a counterexample here
     entry = catalog.make("inner-interval", 3)
-    assert not entry.cell_linear
+    assert entry.type_pairs is None
     u, v = find(_one_cell_pair(3), lambda uv: bool(_cell_additivity_failures(entry, *uv)))
     assert _cell_additivity_failures(entry, u, v)
 
@@ -368,7 +385,7 @@ def test_plane_cell_linear_ratios_stay_at_the_line_constant(variant, data):
 def test_enclosing_area_exceeds_the_line_constant():
     # enclosing-area is unflagged, with constant 1/(k - 3/2): the same draws find a ratio above 1/(k-1)
     entry = catalog.make("enclosing-area", 3)
-    assert not entry.cell_linear
+    assert entry.type_pairs is None
     pair = find(_planar_pair(3), lambda p: bool(_ratios_above_standard(entry, p)))
     assert _ratios_above_standard(entry, pair)
 
@@ -376,7 +393,7 @@ def test_enclosing_area_exceeds_the_line_constant():
 def test_readme_names_every_cell_linear_entry():
     # the README's estimation paragraph names exactly the flagged variants
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    (paragraph,) = [p for p in readme.split("\n\n") if "`cell_linear=True`" in p]
+    (paragraph,) = [p for p in readme.split("\n\n") if "`type_pairs=core.step_pairs`" in p]
     paragraph = " ".join(paragraph.split())
     names = {vid: _make(vid, 4).name for vid in _VARIANT_IDS}
     named = {vid for vid, name in names.items() if re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", paragraph)}

@@ -92,9 +92,10 @@ def test_config_error_exit_two():
         ("verify", "--distance", "diameter", "--space", "real:-inf,inf", "--checks", "axioms,repetition,nonincreasing", "--budget", "100"),
         ("verify", "--distance", "diameter", "--space", "real:-1e308,1e308", "--checks", "axioms,repetition,nonincreasing", "--budget", "100"),
         ("verify", "--distance", "diameter:d2=euclidean", "--space", "plane:-inf,0"),
-        # exact mode on a continuous space folds only the cell-linear entries
+        # exact mode on a continuous space needs a type_pairs hook that reaches n
         ("constants", "--distance", "inner-interval", "--space", "real", "--mode", "exact"),
         ("constants", "--distance", "enclosing-radius", "--space", "plane", "--mode", "exact"),
+        ("constants", "--distance", "line-count", "--n", "6", "--mode", "exact"),
         # strong-extremal lives on its own label space
         ("constants", "--distance", "strong-extremal:k=2", "--n", "3", "--space", "real", "--budget", "100"),
         # the report cannot be written: its directory is missing, or --out names a directory
@@ -119,6 +120,16 @@ def test_line_count_passes_at_its_exact_lower_bracket_end():
     assert r.returncode == 0, r.stdout
     (row,) = json.loads(r.stdout)["rows"]
     assert row["observed"] == row["bounds"][0] == 0.6
+
+
+def test_line_count_is_exact_up_to_n_5():
+    argv = ("constants", "--distance", "line-count", "--n", "5", "--k", "2..5", "--mode", "exact", "--tolerance", "0")
+    r = run_cli(*argv)
+    assert r.returncode == 0, r.stdout
+    rows = json.loads(r.stdout)["rows"]
+    assert [row["method"] for row in rows] == ["exact"] * 5
+    assert [row["observed"] for row in rows] == [5 / 17, 3 / 2, 2 / 3, 5 / 12, 5 / 17]
+    assert all(row["observed"] == row["expected"] for row in rows)
 
 
 def test_parse_value_forms():

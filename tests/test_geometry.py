@@ -6,15 +6,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_circle, exact_line_count, grid_fermat, reference_circle
+from helpers import (
+    brute_circle,
+    exact_line_count,
+    grid_fermat,
+    induced_linear_space,
+    linear_space_class,
+    linear_spaces,
+    reference_circle,
+)
 from simplex_lab import geometry
-from simplex_lab.core import CIRCLE_POINTS
+from simplex_lab.core import CIRCLE_POINTS, Plane
 from simplex_lab.geometry import (
+    LINEAR_SPACE_TYPES,
     _SHUFFLE_SEED,
     _shuffle_order,
     count_lines,
     fermat_value,
     ground_distance,
+    linear_space_pairs,
     smallest_enclosing_circle,
     space_kind_for_ground,
 )
@@ -282,3 +292,30 @@ def test_ground_distance_table():
     assert space_kind_for_ground("abs") == "real-line"
     assert space_kind_for_ground("euclidean") == "plane"
     assert space_kind_for_ground("discrete") == "finite"
+
+
+def test_linear_space_types_cover_every_class_once():
+    # the abstract enumeration finds 1, 1, 2, 6, 32, 353 labelled linear spaces
+    # on m = 1..6 points, in 1, 1, 2, 3, 5, 10 classes; the table holds one
+    # configuration per class, read through exact integer collinearity
+    counts = []
+    for m, configs in sorted(LINEAR_SPACE_TYPES.items()):
+        spaces = linear_spaces(m)
+        classes = {linear_space_class(lines, m) for lines in spaces}
+        points = [tuple((int(x), int(y)) for x, y in config.split()) for config in configs]
+        assert all(len(set(p)) == m for p in points)
+        listed = [linear_space_class(induced_linear_space(p), m) for p in points]
+        assert len(set(listed)) == len(listed), m  # pairwise non-isomorphic
+        assert set(listed) == classes, m
+        counts.append((len(spaces), len(classes)))
+    assert counts == [(1, 1), (1, 1), (2, 2), (6, 3), (32, 5), (353, 10)]
+
+
+def test_linear_space_pairs_reach_n_up_to_5():
+    assert [len(linear_space_pairs(Plane(), n)) for n in (3, 4, 5)] == [37, 118, 376]
+    configs = {frozenset((float(x), float(y)) for x, y in c.split()) for cs in LINEAR_SPACE_TYPES.values() for c in cs}
+    for n in (3, 4, 5):
+        for t, z in linear_space_pairs(Plane(), n):
+            assert list(t) == sorted(t) and frozenset(t + (z,)) in configs
+    # seven points admit the Fano plane, which no planar set induces
+    assert linear_space_pairs(Plane(), 6) is None

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplex_lab import catalog
 from simplex_lab.catalog import CatalogEntry
@@ -55,6 +57,18 @@ def test_expand_composition():
             values = tuple(range(k))
             reduced_evaluator(entry, comp)(values)
             assert seen.pop() == expand_composition(values, comp)
+
+
+@pytest.mark.parametrize("dist_id", ["sum-based", "inner-interval", "arithmetic-mean"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reduced_evaluator_is_d_on_the_expanded_tuple(dist_id, data):
+    n = data.draw(st.integers(2, 6))
+    entry = catalog.make(dist_id, n)
+    comp = data.draw(st.sampled_from([c for k in range(1, n + 1) for c in compositions(n, k)]))
+    values = tuple(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=len(comp), max_size=len(comp))))
+    got = reduced_evaluator(entry, comp)(values)
+    assert got == entry.distance.evaluator(expand_composition(values, comp))
 
 
 def test_strong_constant_standard_values():
