@@ -9,34 +9,36 @@ of the prescribed-constant constructions differ only in the candidates
 they feed it.
 
 Estimates are certified lower bounds: every reported value is realized by a
-stored witness whose ratio can be recomputed from the witness alone.  On
-finite spaces the scan is exhaustive and hence exact.  It folds one sorted
-tuple per multiset against every z: an n-distance is symmetric (axiom (ii))
-and section sums are ``math.fsum``, independent of order, so the ratio
-depends only on the multiset of t and on z, and the sorted tuple is the
-lexicographically smallest of its orbit.  The lower bound, witness and
-indices are those of the scan over every ordered tuple; the axiom and
-property checks, which verify the symmetry, still enumerate every tuple.
-An entry with a ``type_pairs`` hook is exact on its own space wherever
-the hook returns a list: the max of its ratio over that finite list of
-types is K*_{n,k}, so the scan folds the list and skips sampling and
-refinement.  ``core.step_pairs`` gives the 2(n-1) step pairs for the
+stored witness whose ratio can be recomputed from the witness alone.  The
+budget alone picks the candidates, and ``method`` says which path ran.  On
+a finite space whose C(size + n - 1, n) * size (multiset, z) pairs fit in
+max(budget, ``_ENUM_FLOOR``) the scan is exhaustive and hence exact.  It
+folds one sorted tuple per multiset against every z: an n-distance is
+symmetric (axiom (ii)) and section sums are ``math.fsum``, independent of
+order, so the ratio depends only on the multiset of t and on z, and the
+sorted tuple is the lexicographically smallest of its orbit.  The lower
+bound, witness and indices are those of the scan over every ordered tuple;
+the axiom and property checks, which verify the symmetry, still enumerate
+every tuple.  An entry with a ``type_pairs`` hook is exact on its own space
+wherever the hook returns a list: the max of its ratio over that finite
+list of types is K*_{n,k}, so the scan folds the list and skips sampling
+and refinement.  ``core.step_pairs`` gives the 2(n-1) step pairs for the
 entries linear on every order cell of (x_1..x_n, z) on the line
 (diameter[abs], sum-based[abs], arithmetic-mean, fermat[abs],
-chebyshev-diameter[q=1]), and for the planar sups or sums of such an
-entry over linear maps to the line (diameter[euclidean],
-diameter[chebyshev], chebyshev-diameter[q=2], sum-based[chebyshev],
-fermat[chebyshev]), whose constant is the line's, attained on the x-axis.
-``geometry.linear_space_pairs`` gives line-count, for n <= 5, a candidate
-for every labelled linear space on at most n + 1 points.  Each hook's
-docstring carries its proof.  The values of the step pairs may lie
-outside the sampling box, which bounds sampling only.  On other
-continuous spaces, and in ``sampled`` mode, the scan folds the
-entry's own witness recipe, then the candidates of ``core.iter_pairs`` (the
-structured extremal families, then seeded samples), and locally refines the
-best candidate by cyclic coordinate descent.  The fold is a max-reduction
-with a total lexicographic tie-break, so results do not depend on
-evaluation order.
+chebyshev-diameter[q=1]), and for the planar sups, sums or integrals of
+such an entry over linear maps to the line (diameter[euclidean],
+diameter[chebyshev], chebyshev-diameter[q=2], sum-based[euclidean],
+sum-based[chebyshev], fermat[chebyshev]), whose constant is the line's,
+attained on the x-axis.  ``geometry.linear_space_pairs`` gives line-count,
+for n <= 5, a candidate for every labelled linear space on at most n + 1
+points.  Each hook's docstring carries its proof.  The values of the step
+pairs may lie outside the sampling box, which bounds sampling only.
+Everywhere else, larger finite spaces included, the scan folds the entry's
+own witness recipe, then the candidates of ``core.iter_pairs`` (the
+structured extremal families, then seeded samples), and on a continuous
+space locally refines the best candidate by cyclic coordinate descent.
+The fold is a max-reduction with a total lexicographic tie-break, so
+results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -86,10 +88,10 @@ class Witness:
 class ConstantEstimate:
     """A certified lower bound for K*_n (k = n) or K*_{n,k} (k < n).
 
-    ``trials`` counts the nondegenerate candidates folded by the scan,
-    before refinement; on a finite space, the (multiset, z) candidates, and
-    for an entry whose ``type_pairs`` hook reaches n, its nondegenerate
-    types.
+    ``method`` is EXACT when the scan folded a finite space's (multiset, z)
+    enumeration or the entry's ``type_pairs`` list, and SAMPLED when it
+    folded the budget's samples.  ``trials`` counts the nondegenerate
+    candidates folded by the scan, before refinement.
     """
 
     n: int
@@ -211,39 +213,30 @@ def scan(
 
 
 def estimate_best_constant(
-    entry: CatalogEntry, space: Space, budget: int = 100_000, seed: int = 42, mode: str = "auto"
+    entry: CatalogEntry, space: Space, budget: int = 100_000, seed: int = 42
 ) -> ConstantEstimate:
     """Estimate K*_n: the supremum of d(t)/sum-of-all-sections."""
-    return _estimate(entry, space, entry.arity, budget, seed, mode)
+    return _estimate(entry, space, entry.arity, budget, seed)
 
 
 def estimate_partial_constant(
-    entry: CatalogEntry, space: Space, k: int, budget: int = 100_000, seed: int = 42, mode: str = "auto"
+    entry: CatalogEntry, space: Space, k: int, budget: int = 100_000, seed: int = 42
 ) -> ConstantEstimate:
     """Estimate K*_{n,k}: the supremum over k-term section sums (2 <= k <= n)."""
     n = entry.arity
     if not 2 <= k <= n:
         raise ValueError(f"k must be in 2..{n}, got {k}")
-    return _estimate(entry, space, k, budget, seed, mode)
+    return _estimate(entry, space, k, budget, seed)
 
 
-def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int, mode: str) -> ConstantEstimate:
+def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int) -> ConstantEstimate:
     if budget < 1:
         raise ValueError("budget must be positive")
-    if mode not in ("auto", "exact", "sampled"):
-        raise ValueError(f"unknown mode: {mode}")
     d = entry.distance
     n = d.arity
+    exhaustive = space.kind == "finite" and math.comb(space.size + n - 1, n) * space.size <= max(budget, _ENUM_FLOOR)
     hook = entry.type_pairs
-    typed = hook(space, n) if hook is not None and space.kind == d.space_kind and mode != "sampled" else None
-    if mode == "exact" and space.kind != "finite" and typed is None:
-        raise ValueError(
-            "exact mode needs a finite space, or an entry whose type_pairs hook reaches this n on its own space"
-        )
-    # sampling includes the full enumeration whenever it fits the budget
-    exhaustive = space.kind == "finite" and (
-        mode != "sampled" or math.comb(space.size + n - 1, n) * space.size <= max(budget, _ENUM_FLOOR)
-    )
+    typed = hook(space, n) if hook is not None and space.kind == d.space_kind else None
     if exhaustive:
         # d is symmetric and the section sum order-free, so the sorted tuple,
         # the smallest of its orbit, carries every ratio and wins every tie

@@ -164,8 +164,9 @@ def sum_based(n: int, d2: str = "abs") -> CatalogEntry:
         return sum(g(p, q) for p, q in itertools.combinations(ts, 2))
 
     d = NDistance(f"sum-based[{d2}]", n, space_kind_for_ground(d2), ev)
-    # max(|a|, |b|) = (|a + b| + |a - b|)/2: chebyshev is a sum over (x + y)/2 and (x - y)/2
-    return _standard_entry(d, invariant=False, type_pairs=step_pairs if d2 in ("abs", "chebyshev") else None)
+    # max(|a|, |b|) = (|a + b| + |a - b|)/2: chebyshev is a sum over (x + y)/2 and (x - y)/2,
+    # and euclidean an integral over directions (Cauchy-Crofton, see core.step_pairs)
+    return _standard_entry(d, invariant=False, type_pairs=step_pairs if d2 != "discrete" else None)
 
 
 def arithmetic_mean(n: int) -> CatalogEntry:

@@ -455,18 +455,17 @@ def run_constants(args) -> dict:
     tol = args.tolerance if args.tolerance is not None else default_tolerance(space)
     ks = parse_int_list(args.k, 2, n) if args.k else []
 
-    full = analysis.estimate_best_constant(entry, space, budget=args.budget, seed=seed, mode=args.mode)
+    full = analysis.estimate_best_constant(entry, space, budget=args.budget, seed=seed)
     rows = [constant_row(f"K*_{n}", full, tol, entry)]
     verdicts = []
     for k in ks:
-        part = analysis.estimate_partial_constant(entry, space, k, budget=args.budget, seed=seed, mode=args.mode)
+        part = analysis.estimate_partial_constant(entry, space, k, budget=args.budget, seed=seed)
         rows.append(constant_row(f"K*_{n},{k}", part, tol))
         verdicts.append(analysis.check_partial_bound(full, part, tol=max(tol, analysis.RELATION_TOL)))
         verdicts.append(analysis.check_symmetrization(full, part, tol=max(tol, analysis.RELATION_TOL)))
 
     config = _base_config(
-        args, seed, space=space_json(space), n=args.n, distance=dist_id, params=params, k=ks, mode=args.mode,
-        tolerance=args.tolerance,
+        args, seed, space=space_json(space), n=args.n, distance=dist_id, params=params, k=ks, tolerance=args.tolerance,
     )
     return make_report("constants", config, rows, [verdict_json(v) for v in verdicts])
 
@@ -564,7 +563,6 @@ _FLAGS = {
     "--arities": {"default": "2..5", "help": "arity range, e.g. 2..6"},
     "--checks": {"default": "axioms", "help": f"comma list of {', '.join(_VERIFY_CHECKS)}"},
     "--strong-constant": {"type": parse_value, "default": None},
-    "--mode": {"choices": ("auto", "exact", "sampled"), "default": "auto"},
     "--tolerance": {"type": tolerance_value, "default": None, "help": "row tolerance; default 1e-9, 1e-6 on the plane"},
     "--budget": {"type": positive_int, "default": DEFAULT_BUDGET},
     "--seed": {"type": int, "default": None, "help": "default 42, or $SIMPLEX_LAB_SEED"},
@@ -587,7 +585,7 @@ _COMMANDS = {
     ),
     "constants": _Command(
         run_constants, "estimate K*_n and partial constants with witnesses",
-        ("--distance", "--space", "--n", "--k", "--mode", "--tolerance"),
+        ("--distance", "--space", "--n", "--k", "--tolerance"),
     ),
     "table1": _Command(run_table1, "reproduce the catalog's constants table", ("--n", "--tolerance")),
     "multidistance": _Command(

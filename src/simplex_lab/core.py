@@ -329,6 +329,9 @@ def step_pairs(space: Space, n: int) -> list[tuple[tuple, Point]]:
     In the sum case each l meets K_L against its own k smallest sections,
     which cost no more than one shared k-set, and the terms add up.  So
     K*_{n,k}(d) <= K*_{n,k}(L), and the x-axis, where d = L, attains it.
+    By Cauchy-Crofton, |v| = 1/4 * integral over theta in [0, 2 pi) of
+    |<v, u_theta>|, so sum-based[euclidean] is an integral of sum-based[abs]
+    over linear maps, and the sum case applies term by term.
     """
     h = float(n)
     pairs = [((0.0,) * (n - m) + (h,) * m, z) for m in range(1, n) for z in (0.0, h)]

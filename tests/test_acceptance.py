@@ -14,6 +14,7 @@ import pytest
 
 from simplex_lab import catalog
 from simplex_lab.analysis import (
+    EXACT,
     Witness,
     check_attainment_transfer,
     check_partial_bound,
@@ -21,6 +22,7 @@ from simplex_lab.analysis import (
     estimate_best_constant,
     estimate_partial_constant,
     ratio,
+    scan,
 )
 from simplex_lab.catalog import CatalogEntry
 from simplex_lab.constructions import (
@@ -34,6 +36,7 @@ from simplex_lab.core import (
     NDistance,
     Plane,
     RealLine,
+    iter_pairs,
     section,
 )
 from simplex_lab.properties import (
@@ -185,16 +188,19 @@ def test_criterion_05_prescribed_constants():
     base = catalog.make("drastic", 4)
     for s in (1 / 3, 0.4, 0.5, 1.0):
         d = single_anchor_distance(base, "e", s, ABE)
-        est = estimate_best_constant(d, ABE, mode="exact")
+        est = estimate_best_constant(d, ABE)
+        assert est.method == EXACT
         assert abs(est.lower_bound - s) <= 1e-12, (s, est.lower_bound)
         for k in (2, 3, 4):
             want = max(4 * s / k, 1.0 / (k - 1))
-            got = estimate_partial_constant(d, ABE, k=k, mode="exact")
+            got = estimate_partial_constant(d, ABE, k=k)
+            assert got.method == EXACT
             assert abs(got.lower_bound - want) <= 1e-12, (s, k, got.lower_bound)
     d = two_anchor_distance("a", "b", 1 / 3, 4, ABCD)
     for k in (2, 3, 4):
         want = 1.0 / (3 - 4 + k)
-        got = estimate_partial_constant(d, ABCD, k=k, mode="exact")
+        got = estimate_partial_constant(d, ABCD, k=k)
+        assert got.method == EXACT
         assert abs(got.lower_bound - want) <= 1e-12, (k, got.lower_bound)
 
 
@@ -309,25 +315,25 @@ def test_criterion_08_multidistance():
         assert lhs <= rhs + 1e-9, (n, k, xs, z, lhs, rhs)
 
 
-@criterion(9, "sampled estimates equal exhaustive enumeration on small finite spaces")
+@criterion(9, "small finite spaces are enumerated at any budget, exactly as the ordered scan")
 def test_criterion_09_sampled_equals_exact():
     labels = ("a", "b", "c", "d")
     for size in (2, 3, 4):
         space = FiniteSpace(labels[:size])
         for n in (2, 3, 4):
+            # every ordered (t, z): size^(n+1) fits this budget, so iter_pairs enumerates
+            ordered = list(iter_pairs(space, n, size ** (n + 1), SEED))
+            assert len(set(ordered)) == size ** (n + 1)
             for name in ("drastic", "cardinality"):
                 entry = catalog.make(name, n)
-                a = estimate_best_constant(entry, space, budget=BUDGET, seed=SEED, mode="sampled")
-                b = estimate_best_constant(entry, space, budget=BUDGET, seed=SEED, mode="exact")
-                assert a == b, (size, n, name)
-                for k in range(2, n + 1):
-                    pa = estimate_partial_constant(
-                        entry, space, k=k, budget=BUDGET, seed=SEED, mode="sampled"
-                    )
-                    pb = estimate_partial_constant(
-                        entry, space, k=k, budget=BUDGET, seed=SEED, mode="exact"
-                    )
-                    assert pa == pb, (size, n, name, k)
+                for k in range(2, n + 1):  # k = n is K*_n
+                    a = estimate_partial_constant(entry, space, k=k, budget=1, seed=SEED)
+                    b = estimate_partial_constant(entry, space, k=k, budget=BUDGET, seed=SEED)
+                    assert a == b, (size, n, name, k)
+                    assert a.method == EXACT
+                    w = a.witness
+                    best = scan(entry.distance.evaluator, ordered, k)[0]
+                    assert (a.lower_bound, w.points, w.z, w.indices) == best, (size, n, name, k)
 
 
 @criterion(10, "open-constant entries stay inside their proven brackets")

@@ -99,7 +99,7 @@ def test_exact_constant_on_finite_catalog():
         ("cardinality", 3, 1 / 2),
         ("cardinality", 4, 1 / 3),
     ):
-        est = estimate_best_constant(catalog.make(name, n), ABC, mode="exact")
+        est = estimate_best_constant(catalog.make(name, n), ABC)
         assert est.method == EXACT
         assert est.lower_bound == pytest.approx(want, abs=1e-12), name
         # the witness certifies the bound on its own
@@ -128,19 +128,8 @@ def test_partial_constants_inner_interval():
         assert est.analytic == pytest.approx(want)
 
 
-def test_estimate_modes():
+def test_estimate_rejects_bad_arguments():
     entry = catalog.make("cardinality", 3)
-    # exact mode on a continuous space needs a type_pairs hook that reaches n
-    for other, space in (
-        (entry, RealLine()),
-        (catalog.make("inner-interval", 3), RealLine()),
-        (catalog.make("enclosing-radius", 3), Plane()),
-        (catalog.make("line-count", 6), Plane()),
-    ):
-        with pytest.raises(ValueError, match="exact mode"):
-            estimate_best_constant(other, space, mode="exact")
-    with pytest.raises(ValueError):
-        estimate_best_constant(entry, ABC, mode="nope")
     with pytest.raises(ValueError):
         estimate_best_constant(entry, ABC, budget=0)
     with pytest.raises(ValueError):
@@ -166,11 +155,10 @@ def test_cell_fold_is_exact_on_the_line(dist_id, params, n):
     # every ordered step vector (x_1..x_n, z) with values 0 and n
     ordered = [(v[:n], v[n]) for v in itertools.product((0.0, h), repeat=n + 1)]
     for k in range(2, n + 1):
-        for mode in ("auto", "exact"):
-            est = estimate_partial_constant(entry, RealLine(), k, mode=mode)
-            assert (est.method, est.lower_bound, est.trials) == (EXACT, 1.0 / (k - 1), 2 * (n - 1))
-            w = est.witness
-            assert ratio(entry, w.points, w.z, w.indices) == est.lower_bound
+        est = estimate_partial_constant(entry, RealLine(), k)
+        assert (est.method, est.lower_bound, est.trials) == (EXACT, 1.0 / (k - 1), 2 * (n - 1))
+        w = est.witness
+        assert ratio(entry, w.points, w.z, w.indices) == est.lower_bound
         if n <= 6:  # the sorted step pairs carry the scan over every ordering
             best = scan(entry.distance.evaluator, ordered, k)[0]
             assert best == (est.lower_bound, w.points, w.z, w.indices)
@@ -180,6 +168,7 @@ _PLANE_CELL_LINEAR = (
     ("diameter", {"d2": "euclidean"}),
     ("diameter", {"d2": "chebyshev"}),
     ("chebyshev-diameter", {"q": 2}),
+    ("sum-based", {"d2": "euclidean"}),
     ("sum-based", {"d2": "chebyshev"}),
     ("fermat", {"d2": "chebyshev"}),
 )
@@ -190,16 +179,15 @@ _PLANE_CELL_LINEAR = (
     "dist_id, params", _PLANE_CELL_LINEAR, ids=[f"{i}-{v}" for i, p in _PLANE_CELL_LINEAR for v in p.values()]
 )
 def test_cell_fold_is_exact_on_the_plane(dist_id, params, n):
-    # each entry is a sup or a sum of a cell-linear line entry over linear maps,
+    # each entry is a sup, a sum or an integral of a cell-linear line entry over linear maps,
     # so the line's step pairs, lifted to the x-axis, give its constant exactly
     entry = catalog.make(dist_id, n, **params)
     for k in range(2, n + 1):
-        for mode in ("auto", "exact"):
-            est = estimate_partial_constant(entry, Plane(), k, mode=mode)
-            assert (est.method, est.lower_bound, est.trials) == (EXACT, 1.0 / (k - 1), 2 * (n - 1))
-            w = est.witness
-            assert ratio(entry, w.points, w.z, w.indices) == est.lower_bound
-            assert all(y == 0.0 for _, y in w.points + (w.z,))
+        est = estimate_partial_constant(entry, Plane(), k)
+        assert (est.method, est.lower_bound, est.trials) == (EXACT, 1.0 / (k - 1), 2 * (n - 1))
+        w = est.witness
+        assert ratio(entry, w.points, w.z, w.indices) == est.lower_bound
+        assert all(y == 0.0 for _, y in w.points + (w.z,))
 
 
 _LINE_COUNT_FOLDS = {
@@ -227,46 +215,48 @@ def test_line_count_samples_where_the_fold_does_not_reach():
     entry = catalog.make("line-count", 4)
     exact = estimate_best_constant(entry, Plane(), budget=50)
     assert (exact.method, exact.trials, exact.lower_bound) == (EXACT, 115, 0.4)
-    assert estimate_best_constant(entry, Plane(), budget=50, mode="sampled").method == SAMPLED
     beyond = estimate_best_constant(catalog.make("line-count", 6), Plane(), budget=50)
     assert (beyond.method, beyond.analytic) == (SAMPLED, None)
 
 
 def test_sampled_equals_exact_on_small_finite():
-    # the sampled path folds in the full enumeration when it fits; at n = 6 the
+    # a small budget still folds the full enumeration when it fits; at n = 6 the
     # 4^7 = 16384 ordered (t, z) pairs exceed the budget, but the enumeration
     # folds only C(9, 6) * 4 = 336 (multiset, z) pairs
-    for n, budget in ((4, 100_000), (6, 5_000)):
+    for n, budget in ((4, 1), (6, 5_000)):
         entry = catalog.make("cardinality", n)
-        a = estimate_best_constant(entry, ABCD, budget=budget, seed=42, mode="sampled")
-        b = estimate_best_constant(entry, ABCD, budget=budget, seed=42, mode="exact")
+        a = estimate_best_constant(entry, ABCD, budget=budget, seed=42)
+        b = estimate_best_constant(entry, ABCD, seed=42)
         assert a == b
         assert a.method == EXACT
 
 
 def test_sampled_fit_counts_multisets():
-    # the enumeration fits when C(size + n - 1, n) * size <= max(budget, 4096)
+    # the enumeration fits when C(size + n - 1, n) * size <= max(budget, 4096);
+    # past that the budget bounds the work, by sampling
     entry = catalog.make("cardinality", 6)
     space = FiniteSpace(tuple("abcdefgh"))
     fit = math.comb(8 + 6 - 1, 6) * 8
-    assert estimate_best_constant(entry, space, budget=fit, mode="sampled").method == EXACT
-    assert estimate_best_constant(entry, space, budget=fit - 1, mode="sampled").method == SAMPLED
+    assert estimate_best_constant(entry, space, budget=fit).method == EXACT
+    sampled = estimate_best_constant(entry, space, budget=fit - 1)
+    assert sampled.method == SAMPLED
+    assert sampled.trials <= fit - 1
 
 
 def test_sampled_on_continuous_space():
-    entry = catalog.make("diameter", 4)
-    est = estimate_best_constant(entry, RealLine(), budget=20_000, seed=42, mode="sampled")
+    entry = catalog.make("inner-interval", 4)
+    est = estimate_best_constant(entry, RealLine(), budget=20_000, seed=42)
     assert est.method == SAMPLED
-    assert est.lower_bound == pytest.approx(1 / 3, abs=1e-9)
+    assert est.lower_bound == pytest.approx(1 / 2, abs=1e-9)
     # determinism: same seed, same estimate
-    again = estimate_best_constant(entry, RealLine(), budget=20_000, seed=42, mode="sampled")
+    again = estimate_best_constant(entry, RealLine(), budget=20_000, seed=42)
     assert again == est
     assert est.trials > 0
 
 
 @pytest.mark.parametrize(
     "entry, space",
-    [(catalog.make("diameter", 4), RealLine()), (catalog.make("diameter", 4, d2="euclidean"), Plane())],
+    [(catalog.make("inner-interval", 4), RealLine()), (catalog.make("enclosing-radius", 4), Plane())],
     ids=["line", "plane"],
 )
 @pytest.mark.parametrize("budget", [1, 5, 300])
@@ -274,7 +264,7 @@ def test_sampled_estimate_folds_recipe_then_iter_pairs(entry, space, budget):
     # the sampled candidates are the recipe, then iter_pairs for the rest of the budget
     pairs = [entry.witness_recipe(space)] + list(iter_pairs(space, 4, budget - 1, 7))
     assert len(pairs) == budget
-    est = estimate_best_constant(entry, space, budget=budget, seed=7, mode="sampled")
+    est = estimate_best_constant(entry, space, budget=budget, seed=7)
     assert est.method == SAMPLED
     assert est.trials == sum(distinct_count(t) >= 2 for t, _ in pairs)
 
@@ -458,7 +448,8 @@ def test_exhaustive_estimate_equals_the_product_scan(n, size):
         cases.append((strong, strong.space))
     for entry, sp in cases:
         for k in range(2, n + 1):
-            est = estimate_partial_constant(entry, sp, k, mode="exact")
+            est = estimate_partial_constant(entry, sp, k)
+            assert est.method == EXACT
             w = est.witness
             assert (est.lower_bound, w.points, w.z, w.indices) == product_scan(entry, sp, k), (entry.name, k)
 
@@ -492,5 +483,6 @@ def test_single_anchor_bound_does_not_round_above_its_constant():
     # a position-order float sum gave 0.25000000000000006 for the first tuple
     entry, space = _SYMMETRY_CASES["single-anchor[cardinality,s=0.25,e=c]"]
     assert ratio(entry, ("a", "a", "a", "b", "a"), "c") == ratio(entry, ("a", "a", "a", "a", "b"), "c") == 0.25
-    est = estimate_best_constant(entry, space, mode="exact")
+    est = estimate_best_constant(entry, space)
+    assert est.method == EXACT
     assert est.lower_bound <= Fraction(1, 4)

@@ -273,11 +273,12 @@ def test_constants_match_the_catalog_table(dist_id, params):
 _VARIANT_BY_ID = dict(zip(_VARIANT_IDS, _VARIANTS))
 _LINE_CELL_LINEAR_IDS = {"diameter[d2=abs]", "sum-based[d2=abs]", "arithmetic-mean", "fermat[d2=abs]",
                          "chebyshev-diameter[q=1]"}
-# each flagged planar variant, with the line variant L it is a sup or a sum of
+# each flagged planar variant, with the line variant L it is a sup, a sum or an integral of
 _PLANE_CELL_LINEAR = {
     "diameter[d2=euclidean]": "diameter[d2=abs]",
     "diameter[d2=chebyshev]": "diameter[d2=abs]",
     "chebyshev-diameter[q=2]": "diameter[d2=abs]",
+    "sum-based[d2=euclidean]": "sum-based[d2=abs]",
     "sum-based[d2=chebyshev]": "sum-based[d2=abs]",
     "fermat[d2=chebyshev]": "fermat[d2=abs]",
 }

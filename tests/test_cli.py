@@ -92,10 +92,10 @@ def test_config_error_exit_two():
         ("verify", "--distance", "diameter", "--space", "real:-inf,inf", "--checks", "axioms,repetition,nonincreasing", "--budget", "100"),
         ("verify", "--distance", "diameter", "--space", "real:-1e308,1e308", "--checks", "axioms,repetition,nonincreasing", "--budget", "100"),
         ("verify", "--distance", "diameter:d2=euclidean", "--space", "plane:-inf,0"),
-        # exact mode on a continuous space needs a type_pairs hook that reaches n
+        # the budget alone picks how an estimate runs: no former --mode value is accepted
         ("constants", "--distance", "inner-interval", "--space", "real", "--mode", "exact"),
-        ("constants", "--distance", "enclosing-radius", "--space", "plane", "--mode", "exact"),
-        ("constants", "--distance", "line-count", "--n", "6", "--mode", "exact"),
+        ("constants", "--distance", "enclosing-radius", "--space", "plane", "--mode", "sampled"),
+        ("constants", "--distance", "cardinality", "--space", "finite:3", "--mode", "auto"),
         # strong-extremal lives on its own label space
         ("constants", "--distance", "strong-extremal:k=2", "--n", "3", "--space", "real", "--budget", "100"),
         # the report cannot be written: its directory is missing, or --out names a directory
@@ -123,7 +123,7 @@ def test_line_count_passes_at_its_exact_lower_bracket_end():
 
 
 def test_line_count_is_exact_up_to_n_5():
-    argv = ("constants", "--distance", "line-count", "--n", "5", "--k", "2..5", "--mode", "exact", "--tolerance", "0")
+    argv = ("constants", "--distance", "line-count", "--n", "5", "--k", "2..5", "--tolerance", "0")
     r = run_cli(*argv)
     assert r.returncode == 0, r.stdout
     rows = json.loads(r.stdout)["rows"]
@@ -186,7 +186,7 @@ def test_constants_inner_interval():
 
 def test_constants_exact_mode_on_the_line():
     # diameter[abs] is linear on the order cells of the line: its step vectors give K*_4 exactly
-    r = run_cli("constants", "--distance", "diameter", "--space", "real", "--mode", "exact")
+    r = run_cli("constants", "--distance", "diameter", "--space", "real")
     assert r.returncode == 0, r.stderr
     (row,) = json.loads(r.stdout)["rows"]
     assert row["method"] == "exact"
@@ -196,11 +196,19 @@ def test_constants_exact_mode_on_the_line():
 def test_constants_exact_mode_on_the_plane():
     # diameter[euclidean] is the sup of diameter[abs] over unit functionals: the
     # line's step vectors, on the x-axis, give K*_4 exactly
-    r = run_cli("constants", "--distance", "diameter:d2=euclidean", "--space", "plane", "--mode", "exact")
+    r = run_cli("constants", "--distance", "diameter:d2=euclidean", "--space", "plane")
     assert r.returncode == 0, r.stderr
     (row,) = json.loads(r.stdout)["rows"]
     assert row["method"] == "exact"
     assert row["observed"] == 1 / 3
+
+
+def test_constants_budget_bounds_a_large_finite_space():
+    # C(17, 6) * 12 = 148,512 (multiset, z) pairs exceed max(1000, 4096), so the estimate samples
+    r = run_cli("constants", "--distance", "cardinality", "--space", "finite:12", "--n", "6", "--budget", "1000")
+    assert r.returncode == 0, r.stderr
+    (row,) = json.loads(r.stdout)["rows"]
+    assert (row["method"], row["observed"]) == ("sampled", 0.2)
 
 
 def test_constants_enclosing_area_n3():
@@ -403,7 +411,6 @@ _FLAG_VALUES = {
     "--arities": ("2", "2..3", "2..5", "2,3,4", "3..4", "2..x"),
     "--checks": ("axioms", "repetition", "nonincreasing", "strong", "axioms,strong", "bogus", ""),
     "--strong-constant": ("1/2", "1", "nan", "inf", "x"),
-    "--mode": ("auto", "exact", "sampled", "x"),
     "--tolerance": ("1e-9", "0", "100", "x"),
     "--budget": ("1", "4", "20", "0"),
     "--seed": ("0", "7", "x"),

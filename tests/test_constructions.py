@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from simplex_lab import catalog
-from simplex_lab.analysis import estimate_best_constant, estimate_partial_constant, ratio
+from simplex_lab.analysis import EXACT, estimate_best_constant, estimate_partial_constant, ratio
 from simplex_lab.constructions import (
     single_anchor_distance,
     strong_extremal_distance,
@@ -91,7 +91,8 @@ def test_single_anchor_constant_is_prescribed():
     base = catalog.make("drastic", 4)
     for s in (1 / 3, 0.4, 0.5, 1.0):
         d = single_anchor_distance(base, "e", s, ABE)
-        est = estimate_best_constant(d, ABE, mode="exact")
+        est = estimate_best_constant(d, ABE)
+        assert est.method == EXACT
         assert est.lower_bound == pytest.approx(s, abs=1e-12), s
         # prescribed witness attains it
         t, z = d.witness_recipe(ABE)
@@ -102,7 +103,8 @@ def test_single_anchor_partial_constants():
     base = catalog.make("drastic", 4)
     d = single_anchor_distance(base, "e", 0.5, ABE)
     for k in (2, 3, 4):
-        est = estimate_partial_constant(d, ABE, k=k, mode="exact")
+        est = estimate_partial_constant(d, ABE, k=k)
+        assert est.method == EXACT
         want = max(4 * 0.5 / k, 1.0 / (k - 1))
         assert est.lower_bound == pytest.approx(want, abs=1e-12), k
 
@@ -153,11 +155,13 @@ def test_two_anchor_values():
 
 def test_two_anchor_constants():
     d = two_anchor_distance("a", "b", 1 / 3, 4, ABCD)
-    est = estimate_best_constant(d, ABCD, mode="exact")
+    est = estimate_best_constant(d, ABCD)
+    assert est.method == EXACT
     assert est.lower_bound == pytest.approx(1 / 3, abs=1e-12)
     for k in (2, 3, 4):
         want = 1.0 / (1.0 / (1 / 3) - 4 + k)
-        got = estimate_partial_constant(d, ABCD, k=k, mode="exact")
+        got = estimate_partial_constant(d, ABCD, k=k)
+        assert got.method == EXACT
         assert got.lower_bound == pytest.approx(want, abs=1e-12), k
     # the stored witness hits the prescribed constant exactly
     t, z = d.witness_recipe(ABCD)
