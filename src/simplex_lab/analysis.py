@@ -31,7 +31,9 @@ diameter[chebyshev], chebyshev-diameter[q=2], sum-based[euclidean],
 sum-based[chebyshev], fermat[chebyshev]), whose constant is the line's,
 attained on the x-axis.  ``geometry.linear_space_pairs`` gives line-count,
 for n <= 5, a candidate for every labelled linear space on at most n + 1
-points.  Each hook's docstring carries its proof.  The values of the step
+points.  ``catalog.gap_pairs`` gives inner-interval and inner-interval-power
+one pair, t = (0, 2, ..., 2) with z = 1, for every n.  Each hook's
+docstring carries its proof.  The values of the step
 pairs may lie outside the sampling box, which bounds sampling only.
 Everywhere else, larger finite spaces included, the scan folds the entry's
 own witness recipe, then the candidates of ``core.iter_pairs`` (the
@@ -74,7 +76,7 @@ _REFINE_ROUNDS = 20
 _ENUM_FLOOR = 4096  # finite spaces at least this small always get enumerated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """A (tuple, z) pair with the section positions used in the denominator."""
 
@@ -84,7 +86,7 @@ class Witness:
     indices: tuple[int, ...]  # 1-based positions, sorted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstantEstimate:
     """A certified lower bound for K*_n (k = n) or K*_{n,k} (k < n).
 

@@ -11,12 +11,13 @@ the k cheapest sections are selected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .core import FiniteSpace, NDistance, Point, Space, step_pairs
 from .geometry import (
@@ -52,7 +53,9 @@ class CatalogEntry:
     and reports the max as exact.  ``core.step_pairs`` serves the entries
     that are linear on every order cell of the line, or that are the sup
     or the sum of such a line entry over linear maps from the plane;
-    ``geometry.linear_space_pairs`` serves line-count.
+    ``geometry.linear_space_pairs`` serves line-count, and ``gap_pairs``
+    inner-interval and inner-interval-power.  Each list is an immutable
+    tuple, built once per space kind and n and shared by every witness.
 
     The builders in ``constructions`` also set ``space`` (the label space
     the distance is built on), ``exact_evaluator`` (rational values, when
@@ -64,7 +67,7 @@ class CatalogEntry:
     standard: bool | None = None
     repetition_invariant: bool | None = None
     nonincreasing: bool | None = None
-    type_pairs: Callable[[Space, int], list[tuple[tuple, Point]] | None] | None = None
+    type_pairs: Callable[[Space, int], Sequence[tuple[tuple, Point]] | None] | None = None
     constants: Mapping[int, float] = field(default_factory=dict)
     constant_bounds: tuple[float | None, float | None] | None = None
     space: FiniteSpace | None = None
@@ -183,7 +186,9 @@ def arithmetic_mean(n: int) -> CatalogEntry:
 def fermat(n: int, d2: str = "abs") -> CatalogEntry:
     """Minimal summed ground distance from the arguments to one point.
 
-    No closed-form best constant is known; the bracket below is the trivial
+    abs and chebyshev are standard, K*_{n,k} = 1/(k-1): the step-pair fold
+    of ``core.step_pairs`` is exact for both.  For euclidean and discrete no
+    closed-form best constant is known; the bracket below is the trivial
     lower bound 1/(n-1) and the known upper bound (4n-4)/(3n^2-4n).
     """
 
@@ -192,13 +197,13 @@ def fermat(n: int, d2: str = "abs") -> CatalogEntry:
 
     d = NDistance(f"fermat[{d2}]", n, space_kind_for_ground(d2), ev)
     rep = False if d2 in ("abs", "euclidean") else None
+    if d2 in ("abs", "chebyshev"):  # chebyshev: the sum over (x + y)/2 and (x - y)/2
+        return CatalogEntry(
+            d, None, standard=True, repetition_invariant=rep, nonincreasing=False, type_pairs=step_pairs,
+            constants={k: 1.0 / (k - 1) for k in range(2, n + 1)},
+        )
     bounds = (1.0 / (n - 1), (4.0 * n - 4.0) / (3.0 * n * n - 4.0 * n))
-    return CatalogEntry(
-        d, None, standard=None, repetition_invariant=rep, nonincreasing=False,
-        # chebyshev: the sum over (x + y)/2 and (x - y)/2
-        type_pairs=step_pairs if d2 in ("abs", "chebyshev") else None,
-        constant_bounds=bounds,
-    )
+    return CatalogEntry(d, None, standard=None, repetition_invariant=rep, nonincreasing=False, constant_bounds=bounds)
 
 
 def line_count(n: int) -> CatalogEntry:
@@ -266,6 +271,41 @@ def chebyshev_diameter(n: int, q: int = 2) -> CatalogEntry:
     return _standard_entry(NDistance(f"chebyshev-diameter[q={q}]", n, kind, ev), type_pairs=step_pairs)
 
 
+def gap_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
+    """The one pair t = (0, 2, ..., 2), z = 1, which carries K*_{n,k} = 2^p/k.
+
+    d is the p-th power of the largest gap of t, p >= 1 real and n >= 2^p
+    (inner-interval is p = 1).  At n = 2, so p = 1, d is |x_1 - x_2| and
+    the ratio is at most 1 = 2/2 by the triangle inequality.  For n >= 3
+    let (a, b) be a largest gap of t, of length g:
+
+    * z inside (a, b), with z - a = lambda*g.  A section that keeps a and
+      b splits the gap at z, so its largest gap is at least
+      max(lambda, 1-lambda)*g >= g/2.  Only the sections that drop the only
+      copy of a, or of b, lose the split, and their largest gaps are at
+      least b - z = (1-lambda)*g and z - a = lambda*g.  A k-set holds at
+      most one of each, and max(lambda, 1-lambda) >= 1/2 and
+      lambda^p + (1-lambda)^p >= 2^(1-p) (convexity), so the p-th powers
+      of any k sections sum to at least k*g^p/2^p.
+    * z outside (a, b).  A section keeps a gap of length at least g
+      unless it drops the only copy of a, or of b, from an end of t.  At
+      n >= 3 a and b cannot both be single copies at the ends, since no
+      point lies strictly between them.  So at most one section loses the
+      gap, and the ratio is at most 1/(k-1) <= 2^p/k.
+
+    So K*_{n,k} <= 2^p/k, and the pair attains it: d = 2^p and every
+    section's largest gap is 1, so each ratio is the one correctly rounded
+    division 2^p/k (2/3 is 0.6666666666666666).  The list depends only on
+    n, so it is built once and shared.
+    """
+    return _gap_pair(n)
+
+
+@functools.cache
+def _gap_pair(n: int) -> tuple[tuple[tuple, Point], ...]:
+    return (((0.0,) + (2.0,) * (n - 1), 1.0),)
+
+
 def _inner_interval_witness(n: int) -> Callable[[Space], tuple[tuple, Point]]:
     def recipe(space: Space) -> tuple[tuple, Point]:
         return (0.0,) + (1.0,) * (n - 1), 0.5
@@ -276,18 +316,24 @@ def _inner_interval_witness(n: int) -> Callable[[Space], tuple[tuple, Point]]:
 def largest_inner_interval(n: int) -> CatalogEntry:
     """Largest gap between consecutive sorted arguments.
 
-    Nonstandard for n >= 3: best constant 2/n, best partial constants 2/k.
-    Repetition-invariant but not nonincreasing under identification.
+    Nonstandard for n >= 3: best constant 2/n, best partial constants 2/k,
+    exact through the one pair of ``gap_pairs`` (its docstring has the
+    proof).  Repetition-invariant but not nonincreasing under
+    identification.
     """
     d = NDistance("inner-interval", n, "real-line", _largest_gap)
     return CatalogEntry(
         d, _inner_interval_witness(n), standard=(n == 2), repetition_invariant=True, nonincreasing=(n == 2),
-        constants={k: 2.0 / k for k in range(2, n + 1)},
+        type_pairs=gap_pairs, constants={k: 2.0 / k for k in range(2, n + 1)},
     )
 
 
 def inner_interval_power(n: int, p: int) -> CatalogEntry:
-    """p-th power of the largest inner interval; an n-distance iff n >= 2^p."""
+    """p-th power of the largest inner interval; an n-distance iff n >= 2^p.
+
+    Best partial constants 2^p/k for every k, best constant 2^p/n, exact
+    through the one pair of ``gap_pairs`` (its docstring has the proof).
+    """
     if p < 1 or not math.isfinite(p):
         raise ValueError(f"p must be finite and at least 1, got {p!r}")
     # n < 2^n.bit_length(), so a larger p needs no power, which could overflow
@@ -297,11 +343,10 @@ def inner_interval_power(n: int, p: int) -> CatalogEntry:
     def ev(t: tuple) -> float:
         return _largest_gap(t) ** p
 
-    kk = {k: 2.0 / k for k in range(2, n + 1)} if p == 1 else {n: (2.0**p) / n}
     d = NDistance(f"inner-interval-power[p={p}]", n, "real-line", ev)
     return CatalogEntry(
         d, _inner_interval_witness(n), standard=(n == 2 and p == 1), repetition_invariant=True, nonincreasing=False,
-        constants=kk,
+        type_pairs=gap_pairs, constants={k: 2**p / k for k in range(2, n + 1)},
     )
 
 

@@ -8,6 +8,7 @@ matching the usual mathematical convention for arguments x_1, ..., x_n.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -297,7 +298,7 @@ def structured_pairs(space: Space, n: int) -> list[tuple[tuple, Point]]:
     return [(t, z) for t in structured_tuples(space, n) for z in z_candidates(space, t)]
 
 
-def step_pairs(space: Space, n: int) -> list[tuple[tuple, Point]]:
+def step_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
     """The 2(n-1) sorted step pairs ``((0,)*(n-m) + (h,)*m, z)``, m in 1..n-1, z in {0, h}, h = n.
 
     They carry K*_{n,k} of every real-line distance whose value d(t) and
@@ -332,11 +333,19 @@ def step_pairs(space: Space, n: int) -> list[tuple[tuple, Point]]:
     By Cauchy-Crofton, |v| = 1/4 * integral over theta in [0, 2 pi) of
     |<v, u_theta>|, so sum-based[euclidean] is an integral of sum-based[abs]
     over linear maps, and the sum case applies term by term.
+
+    The list depends only on ``space.kind`` and n, so it is built once and
+    shared: every witness drawn from it holds the same tuples.
     """
+    return _step_pairs(space.kind, n)
+
+
+@functools.cache
+def _step_pairs(kind: str, n: int) -> tuple[tuple[tuple, Point], ...]:
     h = float(n)
-    pairs = [((0.0,) * (n - m) + (h,) * m, z) for m in range(1, n) for z in (0.0, h)]
-    if space.kind == "plane":
-        return [(tuple((x, 0.0) for x in t), (z, 0.0)) for t, z in pairs]
+    pairs = tuple(((0.0,) * (n - m) + (h,) * m, z) for m in range(1, n) for z in (0.0, h))
+    if kind == "plane":
+        return tuple((tuple((x, 0.0) for x in t), (z, 0.0)) for t, z in pairs)
     return pairs
 
 

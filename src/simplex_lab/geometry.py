@@ -223,7 +223,7 @@ LINEAR_SPACE_TYPES: dict[int, tuple[str, ...]] = {
 }
 
 
-def linear_space_pairs(space, n: int) -> list[tuple[tuple, tuple]] | None:
+def linear_space_pairs(space, n: int) -> tuple[tuple[tuple, tuple], ...] | None:
     """Every (t, z) over ``LINEAR_SPACE_TYPES`` on at most n + 1 points, or None for n >= 6.
 
     For each configuration P, each z in P and each sorted multiset t of n
@@ -249,7 +249,13 @@ def linear_space_pairs(space, n: int) -> list[tuple[tuple, tuple]] | None:
     All values are small integers, so every ratio is one correctly rounded
     division.  Seven points admit the Fano plane, which no planar point set
     induces, so from n = 6 on the list would need a realizability test.
+    The list depends only on n, so it is built once and shared.
     """
+    return _linear_space_pairs(n)
+
+
+@functools.cache
+def _linear_space_pairs(n: int) -> tuple[tuple[tuple, tuple], ...] | None:
     if n + 1 > max(LINEAR_SPACE_TYPES):
         return None
     out = []
@@ -260,7 +266,7 @@ def linear_space_pairs(space, n: int) -> list[tuple[tuple, tuple]] | None:
                 for t in itertools.combinations_with_replacement(pts, n):
                     if len(set(t) | {z}) == m:
                         out.append((t, z))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,22 @@ def test_partial_constants_inner_interval():
         assert est.analytic == pytest.approx(want)
 
 
+@pytest.mark.parametrize("params", [{}, {"p": 2}, {"p": 1.5}], ids=["p=1", "p=2", "p=1.5"])
+def test_gap_pair_fold_is_exact(params):
+    # K*_{n,k} = 2^p/k from the one pair of catalog.gap_pairs, one correctly rounded division
+    p = params.get("p", 1)
+    for n in range(2, 9):
+        if n < 2**p:
+            continue
+        entry = catalog.make("inner-interval-power" if params else "inner-interval", n, **params)
+        for k in range(2, n + 1):
+            est = estimate_partial_constant(entry, RealLine(), k)
+            assert (est.method, est.trials, est.lower_bound, est.analytic) == (EXACT, 1, 2**p / k, 2**p / k)
+            w = est.witness
+            assert (w.points, w.z) == ((0.0,) + (2.0,) * (n - 1), 1.0)
+            assert ratio(entry, w.points, w.z, w.indices) == est.lower_bound
+
+
 def test_estimate_rejects_bad_arguments():
     entry = catalog.make("cardinality", 3)
     with pytest.raises(ValueError):
@@ -244,10 +260,11 @@ def test_sampled_fit_counts_multisets():
 
 
 def test_sampled_on_continuous_space():
-    entry = catalog.make("inner-interval", 4)
+    # drastic's space kind is "any", so no type list serves it on the line
+    entry = catalog.make("drastic", 4)
     est = estimate_best_constant(entry, RealLine(), budget=20_000, seed=42)
     assert est.method == SAMPLED
-    assert est.lower_bound == pytest.approx(1 / 2, abs=1e-9)
+    assert est.lower_bound == pytest.approx(1 / 3, abs=1e-9)
     # determinism: same seed, same estimate
     again = estimate_best_constant(entry, RealLine(), budget=20_000, seed=42)
     assert again == est
@@ -256,7 +273,7 @@ def test_sampled_on_continuous_space():
 
 @pytest.mark.parametrize(
     "entry, space",
-    [(catalog.make("inner-interval", 4), RealLine()), (catalog.make("enclosing-radius", 4), Plane())],
+    [(catalog.make("drastic", 4), RealLine()), (catalog.make("enclosing-radius", 4), Plane())],
     ids=["line", "plane"],
 )
 @pytest.mark.parametrize("budget", [1, 5, 300])

@@ -91,9 +91,17 @@ def test_fermat_values():
     # repetition invariance for this entry
     assert d(0.0, 0.0, 1.0, 1.0) == pytest.approx(2.0)
     assert d(0.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
-    lo, hi = catalog.make("fermat", 4).constant_bounds
-    assert lo == pytest.approx(1 / 3)
-    assert hi == pytest.approx(12 / 32)
+    # abs and chebyshev fold the step pairs exactly: standard, with no bracket
+    for d2 in ("abs", "chebyshev"):
+        entry = catalog.make("fermat", 4, d2=d2)
+        assert (entry.standard, entry.constant_bounds) == (True, None)
+        assert entry.constants == {k: 1 / (k - 1) for k in range(2, 5)}
+    for d2 in ("euclidean", "discrete"):
+        entry = catalog.make("fermat", 4, d2=d2)
+        assert (entry.standard, entry.constants) == (None, {})
+        lo, hi = entry.constant_bounds
+        assert lo == pytest.approx(1 / 3)
+        assert hi == pytest.approx(12 / 32)
 
 
 def test_line_count_values():
@@ -249,7 +257,7 @@ def test_identity_and_symmetry_on_the_default_space(dist_id, params):
 # K*_n of the README's catalog table; None where the table says "bracketed",
 # and 1/(n-1) for every id not listed
 _TABLE_CONSTANTS = {
-    "fermat": None,
+    "fermat": lambda n, params: 1 / (n - 1) if params["d2"] in ("abs", "chebyshev") else None,
     "line-count": lambda n, params: n / (n * n - 2 * n + 2),  # exact for n <= 5
     "enclosing-area": lambda n, params: 1 / (n - 3 / 2),
     "inner-interval": lambda n, params: 2 / n,
@@ -261,11 +269,11 @@ _TABLE_CONSTANTS = {
 def test_constants_match_the_catalog_table(dist_id, params):
     n = 4
     entry = catalog.make(dist_id, n, **params)
-    closed_form = _TABLE_CONSTANTS.get(dist_id, lambda n, params: 1 / (n - 1))
+    closed_form = _TABLE_CONSTANTS.get(dist_id, lambda n, params: 1 / (n - 1))(n, params)
     if closed_form is None:
         assert n not in entry.constants
     else:
-        assert entry.constants[n] == closed_form(n, params)
+        assert entry.constants[n] == closed_form
     if entry.standard is True:
         assert all(entry.constants[k] == 1 / (k - 1) for k in range(2, n + 1))
 
@@ -339,9 +347,24 @@ def test_inner_interval_is_not_additive_on_a_cell():
     # the largest gap is a max of gaps, not linear on a cell: the same draws
     # that pass every flagged entry find a counterexample here
     entry = catalog.make("inner-interval", 3)
-    assert entry.type_pairs is None
+    assert entry.type_pairs is not step_pairs
     u, v = find(_one_cell_pair(3), lambda uv: bool(_cell_additivity_failures(entry, *uv)))
     assert _cell_additivity_failures(entry, u, v)
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for p in (1, 2) for n in range(3, 8) if n >= 2**p])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_gap_ratios_stay_at_most_two_to_the_p_over_k(n, p, data):
+    # the bound half of catalog.gap_pairs, in exact arithmetic: no (t, z) has a ratio above 2^p/k
+    # at any k; few small integers, so that repeated points, equal gaps and z on a point are common
+    ev = catalog.make("inner-interval-power", n, p=p).distance.evaluator
+    values = st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(lambda xs: len(set(xs)) > 1)
+    t = tuple(map(Fraction, data.draw(values)))
+    z = Fraction(data.draw(st.integers(-1, 6)))
+    num = ev(t)
+    secs = sorted(ev(section(t, i, z)) for i in range(1, n + 1))
+    assert all(num * k <= 2**p * sum(secs[:k]) for k in range(2, n + 1)), (t, z)
 
 
 def _make(variant: str, n: int):

@@ -33,6 +33,7 @@ from simplex_lab.core import (
     point_kind,
     sample_pair,
     section,
+    step_pairs,
     structured_pairs,
     structured_tuples,
 )
@@ -245,6 +246,15 @@ def test_iter_tuples_exhaustive_when_small():
     a = list(iter_tuples(RealLine(), 3, budget=50, seed=5))
     b = list(iter_tuples(RealLine(), 3, budget=50, seed=5))
     assert a == b
+
+
+def test_step_pairs_are_built_once_per_kind_and_n():
+    # one immutable list, shared by every estimate and witness; the box does not enter it
+    pairs = step_pairs(RealLine(), 4)
+    assert pairs is step_pairs(RealLine(), 4)
+    assert pairs is step_pairs(RealLine(-2.5, 7.0), 4)
+    assert type(pairs) is tuple and all(type(pair) is tuple for pair in pairs)
+    assert step_pairs(Plane(), 4) is step_pairs(Plane(), 4) != pairs
 
 
 @pytest.mark.parametrize(
