@@ -19,10 +19,12 @@ order, so the ratio depends only on the multiset of t and on z, and the
 sorted tuple is the lexicographically smallest of its orbit.  The lower
 bound, witness and indices are those of the scan over every ordered tuple;
 the axiom and property checks, which verify the symmetry, still enumerate
-every tuple.  An entry with a ``type_pairs`` hook is exact on its own space
-wherever the hook returns a list: the max of its ratio over that finite
-list of types is K*_{n,k}, so the scan folds the list and skips sampling
-and refinement.  ``core.step_pairs`` gives the 2(n-1) step pairs for the
+every tuple, except that axiom (iii) in ``cli`` verify folds the entry's
+type list where one exists (``core.check_simplex``).  An entry with a
+``type_pairs`` hook is exact on its own space wherever the hook returns a
+list: the max of its ratio over that finite list of types is K*_{n,k}, so
+the scan folds the list and skips sampling and refinement.
+``core.step_pairs`` gives the 2(n-1) step pairs for the
 entries linear on every order cell of (x_1..x_n, z) on the line
 (diameter[abs], sum-based[abs], arithmetic-mean, fermat[abs],
 chebyshev-diameter[q=1]), and for the planar sups, sums or integrals of
@@ -237,8 +239,7 @@ def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int)
     d = entry.distance
     n = d.arity
     exhaustive = space.kind == "finite" and math.comb(space.size + n - 1, n) * space.size <= max(budget, _ENUM_FLOOR)
-    hook = entry.type_pairs
-    typed = hook(space, n) if hook is not None and space.kind == d.space_kind else None
+    typed = entry.type_list(space)
     if exhaustive:
         # d is symmetric and the section sum order-free, so the sorted tuple,
         # the smallest of its orbit, carries every ratio and wins every tie

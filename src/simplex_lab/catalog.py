@@ -82,6 +82,19 @@ class CatalogEntry:
     def arity(self) -> int:
         return self.distance.arity
 
+    def type_list(self, space: Space) -> Sequence[tuple[tuple, Point]] | None:
+        """The ``type_pairs`` list on ``space``, or None.
+
+        None without a hook, off the entry's own space kind (an "any"
+        entry has no hook), and where the hook's reduction does not reach
+        n.  Estimates fold the list as exact, and ``cli`` verify decides
+        axiom (iii) on it.
+        """
+        hook = self.type_pairs
+        if hook is None or space.kind != self.distance.space_kind:
+            return None
+        return hook(space, self.arity)
+
     def __call__(self, *points: Point) -> float:
         return self.distance(*points)
 

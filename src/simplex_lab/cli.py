@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import analysis, catalog, constructions, core, properties
+from . import analysis, catalog, constructions, core, geometry, properties
 from .core import FiniteSpace, Plane, RealLine, Space
 
 SCHEMA = "simplex-lab/1"
@@ -190,6 +190,7 @@ def build_distance(dist_id: str, params: dict, n: int, space: Space | None) -> t
         raise ValueError(f"bad parameters for {dist_id!r}: {exc}") from exc
     sp = space if space is not None else default_space_for(entry.distance.space_kind)
     _check_space_compatible(entry.distance, sp)
+    _check_box_range(entry, params, sp)
     return entry, sp
 
 
@@ -201,6 +202,19 @@ def _reject_leftovers(dist_id: str, params: dict) -> None:
 def _check_space_compatible(d: core.NDistance, space: Space) -> None:
     if d.space_kind != "any" and d.space_kind != space.kind:
         raise ValueError(f"{d.name} lives on a {d.space_kind} space, got {space.kind}")
+
+
+def _check_box_range(entry: catalog.CatalogEntry, params: dict, space: Space) -> None:
+    """Reject a sampling box on which the entry's floats would overflow."""
+    if entry.name.startswith("inner-interval-power"):
+        width, p = space.high - space.low, params["p"]
+        try:
+            width**p
+        except OverflowError:
+            raise ValueError(f"the box width {width:g} to the power p={p} overflows a float; narrow --space") from None
+    elif entry.name.startswith("enclosing-") and max(-space.low, space.high) > geometry.ENCLOSING_COORD_LIMIT:
+        limit = geometry.ENCLOSING_COORD_LIMIT
+        raise ValueError(f"{entry.name} needs box coordinates within +-{limit:.3g} (2^340); narrow --space")
 
 
 def resolve_seed(explicit: int | None) -> int:
@@ -418,7 +432,8 @@ def run_verify(args) -> dict:
     verdicts = []
     for c in checks:
         if c == "axioms":
-            verdicts.extend(core.check_axioms(entry.distance, space, budget=args.budget, seed=seed))
+            pairs = entry.type_list(space)
+            verdicts.extend(core.check_axioms(entry.distance, space, budget=args.budget, seed=seed, pairs=pairs))
         elif c == "repetition":
             verdicts.append(
                 properties.check_repetition_invariance(

@@ -35,6 +35,8 @@ _WEISZFELD_MAX_ITER = 10_000
 # window of |l| + |r| in which count_lines trusts it
 _ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _ORIENT_LOW, _ORIENT_HIGH = 2.0**-400, 2.0**400
+# coordinates within +-2^340 (about 2.2e102) keep the enclosing circle's cubic terms finite
+ENCLOSING_COORD_LIMIT = 2.0**340
 
 GROUND_KINDS = ("abs", "euclidean", "chebyshev", "discrete")
 
@@ -46,7 +48,13 @@ class Circle:
 
 
 def smallest_enclosing_circle(points) -> Circle:
-    """Minimal-radius circle enclosing all the points (at least one required)."""
+    """Minimal-radius circle enclosing all the points (at least one required).
+
+    Coordinates must lie within +-``ENCLOSING_COORD_LIMIT`` = 2^340, about
+    2.2e102.  There the circumcircle's cubic terms, at most 12 L^3 for
+    coordinates within +-L, stay below 2^1024.  Past about 1e103 they
+    overflow, and three distinct points can get radius 0.0.
+    """
     pts = sorted({(float(p[0]), float(p[1])) for p in points})
     if not pts:
         raise ValueError("at least one point required")

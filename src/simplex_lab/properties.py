@@ -352,7 +352,9 @@ def check_multi_to_ndistance(
     """Converse direction: a nonincreasing multidistance member dominating
     its own restriction g(x, z) <= d_n(x, z, ..., z) satisfies the simplex
     inequality with constant 1.  Hypotheses are verified first; failures of
-    a hypothesis yield NOT_APPLICABLE rather than FAIL.
+    a hypothesis yield NOT_APPLICABLE rather than FAIL.  The simplex check
+    samples ``budget`` candidates even where the entry has a type list, so
+    a budget of 0 checks nothing and the verdict is NOT_APPLICABLE.
     """
     from .core import check_simplex
 

@@ -9,11 +9,11 @@ from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from simplex_lab import catalog
-from simplex_lab.analysis import estimate_partial_constant, scan
+from simplex_lab.analysis import EXACT, estimate_partial_constant, scan
 from simplex_lab.cli import default_space_for
 from simplex_lab.core import (
-    CIRCLE_POINTS, PASS, FiniteSpace, Plane, RealLine, check_axioms, check_identity, check_symmetry, section,
-    step_pairs,
+    CIRCLE_POINTS, PASS, FiniteSpace, Plane, RealLine, check_axioms, check_identity, check_simplex, check_symmetry,
+    section, step_pairs,
 )
 from simplex_lab.geometry import GROUND_KINDS
 
@@ -297,6 +297,49 @@ def test_cell_linear_flags():
     flagged = {vid for vid, (dist_id, params) in _VARIANT_BY_ID.items()
                if catalog.make(dist_id, 4, **params).type_pairs is step_pairs}
     assert flagged == _CELL_LINEAR_IDS
+
+
+def _hooked_cases():
+    """(id, params, n) for every variant and n in 2..6 whose type list exists on its default space."""
+    for (dist_id, params), vid in zip(_VARIANTS, _VARIANT_IDS):
+        for n in range(2, 7):
+            try:
+                entry = catalog.make(dist_id, n, **params)
+            except ValueError:  # inner-interval-power[p=2] needs n >= 4
+                continue
+            if entry.type_list(default_space_for(entry.distance.space_kind)) is not None:
+                yield pytest.param(dist_id, params, n, id=f"{vid}-n{n}")
+
+
+@pytest.mark.parametrize("dist_id, params, n", _hooked_cases())
+def test_simplex_verdict_on_the_type_list_is_exact(dist_id, params, n):
+    entry = catalog.make(dist_id, n, **params)
+    space = default_space_for(entry.distance.space_kind)
+    pairs = entry.type_list(space)
+    kstar = entry.constants[n]
+    exact = check_simplex(entry.distance, space, pairs=pairs)
+    # sampling may overshoot K* by an ulp or two, so only the statuses are compared
+    assert exact.status == check_simplex(entry.distance, space, budget=2000, seed=42).status
+    # line-count's list also holds degenerate tuples, which the scan skips
+    checked = sum(len(set(t)) > 1 for t, _ in pairs)
+    assert exact.details == {"checked": checked, "max_ratio": kstar, "method": EXACT}
+    assert checked == len(pairs) or dist_id == "line-count"
+    half = check_simplex(entry.distance, space, constant=kstar / 2, pairs=pairs)
+    assert half.failed
+    for ce in (half.counterexample, half.worst):
+        assert (ce["tuple"], ce["z"]) in pairs
+
+
+def test_type_list_only_on_the_entrys_own_space_kind():
+    assert catalog.make("arithmetic-mean", 4).type_list(RealLine(-3.0, 5.0)) is step_pairs(RealLine(), 4)
+    assert catalog.make("arithmetic-mean", 4).type_list(Plane()) is None
+    assert catalog.make("diameter", 4, d2="euclidean").type_list(Plane()) is step_pairs(Plane(), 4)
+    assert catalog.make("drastic", 4).type_list(RealLine()) is None  # no hook
+    assert catalog.make("line-count", 6).type_list(Plane()) is None  # beyond the linear-space table
+    # check_axioms hands the list to the simplex check only
+    entry = catalog.make("inner-interval", 4)
+    *_, simplex = check_axioms(entry.distance, RealLine(), budget=64, pairs=entry.type_list(RealLine()))
+    assert simplex.details == {"checked": 1, "max_ratio": 0.5, "method": EXACT}
 
 
 @st.composite

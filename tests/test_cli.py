@@ -104,6 +104,9 @@ def test_config_error_exit_two():
         # p is finite and at least 1, and a huge p is rejected without computing 2^p
         ("constants", "--distance", "inner-interval-power:p=nan", "--n", "4"),
         ("constants", "--distance", "inner-interval-power:p=1e308", "--n", "4"),
+        # values that overflow a float on the box: the gap's p-th power, the enclosing circle's cubic terms
+        ("verify", "--distance", "inner-interval-power:p=2", "--n", "4", "--space", "real:-1e160,1e160", "--budget", "200"),
+        ("verify", "--distance", "enclosing-radius", "--n", "3", "--space", "plane:-1e110,1e110", "--budget", "200"),
     ],
 )
 def test_bad_input_exits_two_without_traceback(args):
@@ -112,6 +115,16 @@ def test_bad_input_exits_two_without_traceback(args):
     assert r.stdout == ""
     assert "error:" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_verify_decides_the_simplex_axiom_on_the_type_list():
+    r = run_cli("verify", "--distance", "arithmetic-mean", "--n", "4")
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    (v,) = [v for v in report["verdicts"] if v["property"].startswith("simplex(")]
+    assert v["status"] == "pass"
+    # the 2(n-1) step pairs, and K*_4 = 1/3 bit for bit (sampling read 0.33333333333333337)
+    assert v["details"] == {"checked": 6, "max_ratio": 0.3333333333333333, "method": "exact"}
 
 
 def test_line_count_passes_at_its_exact_lower_bracket_end():

@@ -181,6 +181,16 @@ def test_check_symmetry_catches_violation():
     assert v.failed
 
 
+def test_check_symmetry_evaluates_each_permutation_once():
+    # n <= 4: the base value plus the n! - 1 permutations other than t itself
+    calls = []
+    entry = catalog.make("cardinality", 3)
+    d = NDistance("counted", 3, "any", lambda t: calls.append(t) or entry.distance.evaluator(t))
+    v = check_symmetry(d, ABC, budget=27)
+    assert v.passed and v.details["checked"] == 27
+    assert len(calls) == 27 * 6
+
+
 def test_check_simplex_pass_and_fail():
     entry = catalog.make("cardinality", 3)
     ok = check_simplex(entry.distance, ABC, constant=0.5)

@@ -122,6 +122,16 @@ def test_circle_matches_the_reference_bit_for_bit(pts):
     assert [x.hex() for x in got] == [x.hex() for x in reference_circle(pts)]
 
 
+@pytest.mark.parametrize("scale", [1e102, geometry.ENCLOSING_COORD_LIMIT])
+def test_circle_is_correct_up_to_the_coordinate_limit(scale):
+    # the circumcircle's cubic terms stay finite within +-2^340; at 1e103 this radius came out 0.0
+    # (5, 0), (-4, 3) and (-3, -4): an acute triangle, so its circumcircle is the enclosing one
+    pts = [(scale * x / 5.0, scale * y / 5.0) for x, y in (CIRCLE_POINTS[0], CIRCLE_POINTS[3], CIRCLE_POINTS[5])]
+    c = smallest_enclosing_circle(pts)
+    assert c.radius == pytest.approx(scale, rel=1e-12)
+    assert c.center == (pytest.approx(0.0, abs=1e-12 * scale), pytest.approx(0.0, abs=1e-12 * scale))
+
+
 def test_circle_points_lie_on_radius_five():
     assert len(CIRCLE_POINTS) == 8
     for x, y in CIRCLE_POINTS:
