@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import FiniteSpace, NDistance, Point, Space, step_pairs
 from .geometry import (
@@ -53,9 +53,12 @@ class CatalogEntry:
     and reports the max as exact.  ``core.step_pairs`` serves the entries
     that are linear on every order cell of the line, or that are the sup
     or the sum of such a line entry over linear maps from the plane;
-    ``geometry.linear_space_pairs`` serves line-count, and ``gap_pairs``
-    inner-interval and inner-interval-power.  Each list is an immutable
-    tuple, built once per space kind and n and shared by every witness.
+    ``geometry.linear_space_pairs`` serves line-count, ``gap_pairs``
+    inner-interval and inner-interval-power, and ``partition_pairs`` the
+    entries that see only which arguments are equal (drastic, cardinality
+    and the discrete diameter, sum-based and fermat).  Each list is an
+    immutable tuple, built once per space kind (labels, for
+    ``partition_pairs``) and n and shared by every witness.
 
     The builders in ``constructions`` also set ``space`` (the label space
     the distance is built on), ``exact_evaluator`` (rational values, when
@@ -85,13 +88,13 @@ class CatalogEntry:
     def type_list(self, space: Space) -> Sequence[tuple[tuple, Point]] | None:
         """The ``type_pairs`` list on ``space``, or None.
 
-        None without a hook, off the entry's own space kind (an "any"
-        entry has no hook), and where the hook's reduction does not reach
-        n.  Estimates fold the list as exact, and ``cli`` verify decides
-        axiom (iii) on it.
+        None without a hook, off the entry's own space kind (every space
+        is an "any" entry's own), and where the hook's reduction does not
+        reach n.  Estimates fold the list as exact, and
+        ``cli`` verify decides axiom (iii) on it.
         """
         hook = self.type_pairs
-        if hook is None or space.kind != self.distance.space_kind:
+        if hook is None or self.distance.space_kind not in ("any", space.kind):
             return None
         return hook(space, self.arity)
 
@@ -151,7 +154,7 @@ def drastic(n: int) -> CatalogEntry:
     def ev(t: tuple) -> float:
         return 0.0 if len(set(t)) == 1 else 1.0
 
-    return _standard_entry(NDistance("drastic", n, "any", ev))
+    return _standard_entry(NDistance("drastic", n, "any", ev), type_pairs=partition_pairs)
 
 
 def cardinality(n: int) -> CatalogEntry:
@@ -160,7 +163,7 @@ def cardinality(n: int) -> CatalogEntry:
     def ev(t: tuple) -> float:
         return float(len(set(t)) - 1)
 
-    return _standard_entry(NDistance("cardinality", n, "any", ev))
+    return _standard_entry(NDistance("cardinality", n, "any", ev), type_pairs=partition_pairs)
 
 
 def diameter(n: int, d2: str = "abs") -> CatalogEntry:
@@ -168,7 +171,7 @@ def diameter(n: int, d2: str = "abs") -> CatalogEntry:
     ev = _diameter_evaluator(ground_distance(d2))
     d = NDistance(f"diameter[{d2}]", n, space_kind_for_ground(d2), ev)
     # euclidean: the sup over unit functionals; chebyshev: the max over x and y
-    return _standard_entry(d, type_pairs=step_pairs if d2 != "discrete" else None)
+    return _standard_entry(d, type_pairs=partition_pairs if d2 == "discrete" else step_pairs)
 
 
 def sum_based(n: int, d2: str = "abs") -> CatalogEntry:
@@ -182,7 +185,7 @@ def sum_based(n: int, d2: str = "abs") -> CatalogEntry:
     d = NDistance(f"sum-based[{d2}]", n, space_kind_for_ground(d2), ev)
     # max(|a|, |b|) = (|a + b| + |a - b|)/2: chebyshev is a sum over (x + y)/2 and (x - y)/2,
     # and euclidean an integral over directions (Cauchy-Crofton, see core.step_pairs)
-    return _standard_entry(d, invariant=False, type_pairs=step_pairs if d2 != "discrete" else None)
+    return _standard_entry(d, invariant=False, type_pairs=partition_pairs if d2 == "discrete" else step_pairs)
 
 
 def arithmetic_mean(n: int) -> CatalogEntry:
@@ -199,10 +202,18 @@ def arithmetic_mean(n: int) -> CatalogEntry:
 def fermat(n: int, d2: str = "abs") -> CatalogEntry:
     """Minimal summed ground distance from the arguments to one point.
 
-    abs and chebyshev are standard, K*_{n,k} = 1/(k-1): the step-pair fold
-    of ``core.step_pairs`` is exact for both.  For euclidean and discrete no
-    closed-form best constant is known; the bracket below is the trivial
+    abs, chebyshev and discrete are standard, K*_{n,k} = 1/(k-1): the
+    step-pair fold of ``core.step_pairs`` is exact for abs and chebyshev,
+    and the type fold of ``partition_pairs`` for discrete.  For euclidean
+    no closed-form best constant is known; the bracket below is the trivial
     lower bound 1/(n-1) and the known upper bound (4n-4)/(3n^2-4n).
+
+    discrete: d(t) = n - mu, mu the largest multiplicity in t.  A section
+    raises one multiplicity by at most one, so no section is below d - 1,
+    and it is d - 1 only where z has multiplicity mu in t and t_i != z: at
+    most n - mu = d positions.  Every other section is at least d.  So any
+    k sections sum to at least k*d - min(k, d) >= d*(k-1), the ratio is at
+    most 1/(k-1), and (x, y, ..., y) with z = y attains it.
     """
 
     def ev(t: tuple) -> float:
@@ -210,9 +221,10 @@ def fermat(n: int, d2: str = "abs") -> CatalogEntry:
 
     d = NDistance(f"fermat[{d2}]", n, space_kind_for_ground(d2), ev)
     rep = False if d2 in ("abs", "euclidean") else None
-    if d2 in ("abs", "chebyshev"):  # chebyshev: the sum over (x + y)/2 and (x - y)/2
+    if d2 != "euclidean":  # chebyshev: the sum over (x + y)/2 and (x - y)/2
         return CatalogEntry(
-            d, None, standard=True, repetition_invariant=rep, nonincreasing=False, type_pairs=step_pairs,
+            d, None, standard=True, repetition_invariant=rep, nonincreasing=False,
+            type_pairs=partition_pairs if d2 == "discrete" else step_pairs,
             constants={k: 1.0 / (k - 1) for k in range(2, n + 1)},
         )
     bounds = (1.0 / (n - 1), (4.0 * n - 4.0) / (3.0 * n * n - 4.0 * n))
@@ -317,6 +329,69 @@ def gap_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
 @functools.cache
 def _gap_pair(n: int) -> tuple[tuple[tuple, Point], ...]:
     return (((0.0,) + (2.0,) * (n - 1), 1.0),)
+
+
+def partition_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
+    """One (t, z) per equality type of n arguments and a point z.
+
+    The type of (t, z) is the partition of the n+1 arguments into blocks of
+    equal points, up to permutations of t.  For each integer partition
+    n = m_1 + ... + m_b, m_1 >= ... >= m_b, the list holds the sorted t
+    that gives the j-th label m_j times, with z the label of the first
+    block of each distinct size, or the next unused label.  Types with more
+    blocks than the space has labels do not occur and are left out, and so
+    is the constant t (b = 1), which no ratio counts.  That is 10, 16 and
+    25 pairs at n = 4, 5 and 6 on five labels.
+
+    They carry K*_{n,k} of every symmetric d with d(f(t)) = d(t) for every
+    injection f of the points, applied to each argument: such a d sees only
+    which arguments are equal.  A section commutes with f,
+    sec_i(f(t), f(z)) = f(sec_i(t, z)), so every section is f-invariant
+    too, and permuting t only permutes its sections, which leaves the k
+    smallest as a multiset.  So the ratio to the k smallest sections
+    depends only on the type.  Every (t, z) has a listed type: permute t so
+    that equal points are adjacent and the blocks come in non-increasing
+    size, swap blocks of equal size so that z lies in the first block of
+    its size (or in none), and relabel by the injection onto the labels in
+    order.  Each listed pair is a real configuration, so the max of the
+    fold is K*_{n,k}.  It is also the lexicographically smallest sorted
+    representative of its type, which an exhaustive enumeration's
+    tie-break picks, so on a finite space the fold gives the enumeration's
+    bound, witness and indices.
+
+    The labels are the sorted labels of a finite space, 0, 1, ..., n on
+    the line and (0, 0), (1, 0), ..., (n, 0) on the plane.  The list is an
+    immutable tuple, built once per (labels, n).
+    """
+    if space.kind == "finite":
+        labels = tuple(sorted(space.labels))
+    elif space.kind == "real-line":
+        labels = tuple(float(i) for i in range(n + 1))
+    else:
+        labels = tuple((float(i), 0.0) for i in range(n + 1))
+    return _partition_pairs(labels, n)
+
+
+def _integer_partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts at most ``largest``, non-increasing, largest first part first."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _integer_partitions(n - first, first):
+            yield (first,) + rest
+
+
+@functools.cache
+def _partition_pairs(labels: tuple, n: int) -> tuple[tuple[tuple, Point], ...]:
+    out = []
+    for sizes in _integer_partitions(n, n):
+        b = len(sizes)
+        if not 2 <= b <= len(labels):
+            continue
+        t = tuple(labels[j] for j, m in enumerate(sizes) for _ in range(m))
+        zs = [labels[j] for j, m in enumerate(sizes) if j == 0 or sizes[j - 1] != m] + list(labels[b:b + 1])
+        out.extend((t, z) for z in zs)
+    return tuple(out)
 
 
 def _inner_interval_witness(n: int) -> Callable[[Space], tuple[tuple, Point]]:

@@ -234,9 +234,10 @@ LINEAR_SPACE_TYPES: dict[int, tuple[str, ...]] = {
 def linear_space_pairs(space, n: int) -> tuple[tuple[tuple, tuple], ...] | None:
     """Every (t, z) over ``LINEAR_SPACE_TYPES`` on at most n + 1 points, or None for n >= 6.
 
-    For each configuration P, each z in P and each sorted multiset t of n
-    points of P with set(t) | {z} = P, the pair (t, z) in floats.  They
-    carry K*_{n,k} of line-count for every k:
+    For each configuration P of at least two points, each z in P and each
+    sorted multiset t of n points of P with set(t) | {z} = P, the pair
+    (t, z) in floats, leaving out the constant t, which no ratio counts.
+    They carry K*_{n,k} of line-count for every k:
 
     * ``count_lines`` of a point set is the number of lines of the linear
       space it induces: its maximal collinear subsets, every pair of
@@ -267,12 +268,12 @@ def _linear_space_pairs(n: int) -> tuple[tuple[tuple, tuple], ...] | None:
     if n + 1 > max(LINEAR_SPACE_TYPES):
         return None
     out = []
-    for m in range(1, n + 2):
+    for m in range(2, n + 2):  # one point has only constant t
         for config in LINEAR_SPACE_TYPES[m]:
             pts = tuple((float(x), float(y)) for x, y in config.split())
             for z in pts:
                 for t in itertools.combinations_with_replacement(pts, n):
-                    if len(set(t) | {z}) == m:
+                    if len(set(t) | {z}) == m and t[0] != t[-1]:
                         out.append((t, z))
     return tuple(out)
 

@@ -4,14 +4,17 @@ The strong k-variable inequality quantifies over groupings: split the n
 arguments into k nonempty blocks, collapse each block to its value, and
 bound the collapsed distance by M times the sum of its k sections.  The
 checkers here enumerate all compositions (ordered block sizes) and draw
-the k collapsed values from the shared candidate stream, ``core.iter_pairs``.
+the k collapsed values from the shared candidate stream, ``core.iter_pairs``,
+except for the entries that see only which arguments are equal: for them
+the strong check folds ``catalog.partition_pairs`` for every composition,
+and its verdict is exact.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     EQUAL_TOL,
@@ -25,10 +28,8 @@ from .core import (
     iter_tuples,
     section,
 )
-from .analysis import scan
-
-if TYPE_CHECKING:
-    from .catalog import CatalogEntry
+from .analysis import EXACT, scan
+from .catalog import CatalogEntry, partition_pairs
 
 
 def compositions(n: int, k: int) -> list[tuple[int, ...]]:
@@ -105,18 +106,37 @@ def check_strong_k_simplex(
     budget: int = 50_000,
     seed: int = 0,
 ) -> PropertyVerdict:
-    """Verify d(n1*x1,...,nk*xk) <= M (sum of k sections) over all groupings."""
+    """Verify d(n1*x1,...,nk*xk) <= M (sum of k sections) over all groupings.
+
+    Each composition c = (n1..nk) gives the k-variable reduced evaluator
+    d_c.  Where the entry's hook is ``catalog.partition_pairs`` the check
+    folds ``partition_pairs(space, k)`` for every c, ignores ``budget`` and
+    reports ``method: exact``.  This is exact although d_c is not
+    symmetric: d_c(f(v)) = d_c(v) for every injection f still holds, so
+    d_c's ratio depends only on which of (v_1..v_k, z) are equal, but a
+    permutation pi of the positions moves the composition along,
+    d_c(v) = d_{pi c}(pi v), and the sections with it.  Any (v, z) is such
+    a pi away from a listed pair, of the composition pi c, and the check
+    folds every composition, so together the folds cover every (values, z).
+    A counterexample is one of the listed pairs, a real configuration.
+    Other entries fold ``budget // len(compositions)`` candidates of
+    ``core.iter_pairs`` per composition.
+    """
     n = entry.arity
     if not 2 <= k <= n:
         raise ValueError(f"k must be in 2..{n}, got {k}")
     prop = f"strong-simplex(k={k}, M={constant:g})"
     comps = compositions(n, k)
+    exact = entry.type_pairs is partition_pairs
     per_comp = max(1, budget // len(comps))
     checked = 0
     max_ratio = 0.0
     first = worst = None  # (composition, violation)
     for ci, comp in enumerate(comps):
-        pairs = iter_pairs(space, k, per_comp, derive_seed(seed, 200 + ci))
+        if exact:
+            pairs = partition_pairs(space, k)
+        else:
+            pairs = iter_pairs(space, k, per_comp, derive_seed(seed, 200 + ci))
         best, c_first, c_worst, c_checked = scan(reduced_evaluator(entry, comp), pairs, k, constant)
         checked += c_checked
         if best is not None:
@@ -126,6 +146,8 @@ def check_strong_k_simplex(
             if worst is None or c_worst[0] > worst[1][0]:
                 worst = (comp, c_worst)
     details = {"checked": checked, "compositions": len(comps), "max_ratio": max_ratio}
+    if exact:
+        details["method"] = EXACT
     ce = worst_ce = None
     if first is not None:
         ce, worst_ce = (

@@ -117,25 +117,35 @@ def product_scan(entry, space, k):
     """Best ``(ratio, t, z, indices)`` over every ordered (t, z) of a finite space.
 
     Independent of ``analysis.scan`` and of the multiset reduction of the
-    exhaustive estimates: every tuple of ``itertools.product`` is tried, the
-    denominator is the ``math.fsum`` of the k smallest sections (ties to the
-    lowest positions), degenerate tuples are skipped, and equal ratios go to
-    the lexicographically smallest (t, z).
+    exhaustive estimates: every tuple of ``itertools.product`` is tried, by
+    the rules of ``ordered_scan_by_k``.
     """
-    ev = entry.distance.evaluator
     n = entry.arity
-    best = None
-    for t in itertools.product(space.labels, repeat=n):
+    pairs = itertools.product(itertools.product(space.labels, repeat=n), space.labels)
+    return ordered_scan_by_k(entry.distance.evaluator, pairs, n)[k]
+
+
+def ordered_scan_by_k(ev, pairs, n):
+    """``{k: best (ratio, t, z, indices)}`` for every k in 2..n, in one pass over ``pairs``.
+
+    The denominator is the ``math.fsum`` of the k smallest sections (ties to
+    the lowest positions), degenerate tuples are skipped, and equal ratios
+    go to the lexicographically smallest (t, z).  Each candidate's sections
+    are evaluated once for all k.
+    """
+    best = dict.fromkeys(range(2, n + 1))
+    for t, z in pairs:
         if len(set(t)) < 2:
             continue
         num = ev(t)
-        for z in space.labels:
-            secs = [ev(t[:i] + (z,) + t[i + 1:]) for i in range(n)]
-            chosen = sorted(sorted(range(n), key=lambda j: (secs[j], j))[:k])
+        secs = [ev(t[:i] + (z,) + t[i + 1:]) for i in range(n)]
+        order = sorted(range(n), key=lambda j: (secs[j], j))
+        for k, b in best.items():
+            chosen = sorted(order[:k])
             den = math.fsum(secs[j] for j in chosen)
             r = num / den if den != 0.0 else math.inf
-            if best is None or r > best[0] or (r == best[0] and (t, z) < (best[1], best[2])):
-                best = (r, t, z, tuple(j + 1 for j in chosen))
+            if b is None or r > b[0] or (r == b[0] and (t, z) < (b[1], b[2])):
+                best[k] = (r, t, z, tuple(j + 1 for j in chosen))
     return best
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -235,12 +236,18 @@ def test_line_count_samples_where_the_fold_does_not_reach():
     assert (beyond.method, beyond.analytic) == (SAMPLED, None)
 
 
+def _hookless(dist_id, n):
+    """The catalog entry without its type list, so that it enumerates or samples."""
+    return dataclasses.replace(catalog.make(dist_id, n), type_pairs=None)
+
+
 def test_sampled_equals_exact_on_small_finite():
     # a small budget still folds the full enumeration when it fits; at n = 6 the
     # 4^7 = 16384 ordered (t, z) pairs exceed the budget, but the enumeration
-    # folds only C(9, 6) * 4 = 336 (multiset, z) pairs
+    # folds only C(9, 6) * 4 = 336 (multiset, z) pairs.  Without its hook, so
+    # that cardinality enumerates rather than folding its type list
     for n, budget in ((4, 1), (6, 5_000)):
-        entry = catalog.make("cardinality", n)
+        entry = _hookless("cardinality", n)
         a = estimate_best_constant(entry, ABCD, budget=budget, seed=42)
         b = estimate_best_constant(entry, ABCD, seed=42)
         assert a == b
@@ -249,8 +256,9 @@ def test_sampled_equals_exact_on_small_finite():
 
 def test_sampled_fit_counts_multisets():
     # the enumeration fits when C(size + n - 1, n) * size <= max(budget, 4096);
-    # past that the budget bounds the work, by sampling
-    entry = catalog.make("cardinality", 6)
+    # past that the budget bounds the work, by sampling.  An entry with a type
+    # list folds it instead, so cardinality is taken without its hook
+    entry = _hookless("cardinality", 6)
     space = FiniteSpace(tuple("abcdefgh"))
     fit = math.comb(8 + 6 - 1, 6) * 8
     assert estimate_best_constant(entry, space, budget=fit).method == EXACT
@@ -260,8 +268,8 @@ def test_sampled_fit_counts_multisets():
 
 
 def test_sampled_on_continuous_space():
-    # drastic's space kind is "any", so no type list serves it on the line
-    entry = catalog.make("drastic", 4)
+    # without its type list, drastic samples on the line
+    entry = _hookless("drastic", 4)
     est = estimate_best_constant(entry, RealLine(), budget=20_000, seed=42)
     assert est.method == SAMPLED
     assert est.lower_bound == pytest.approx(1 / 3, abs=1e-9)
@@ -273,7 +281,7 @@ def test_sampled_on_continuous_space():
 
 @pytest.mark.parametrize(
     "entry, space",
-    [(catalog.make("drastic", 4), RealLine()), (catalog.make("enclosing-radius", 4), Plane())],
+    [(_hookless("drastic", 4), RealLine()), (catalog.make("enclosing-radius", 4), Plane())],
     ids=["line", "plane"],
 )
 @pytest.mark.parametrize("budget", [1, 5, 300])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from helpers import ordered_scan_by_k
 from simplex_lab import catalog
 from simplex_lab.analysis import EXACT, estimate_partial_constant, scan
 from simplex_lab.cli import default_space_for
 from simplex_lab.core import (
     CIRCLE_POINTS, PASS, FiniteSpace, Plane, RealLine, check_axioms, check_identity, check_simplex, check_symmetry,
-    section, step_pairs,
+    iter_pairs, section, step_pairs,
 )
 from simplex_lab.geometry import GROUND_KINDS
 
@@ -91,17 +93,17 @@ def test_fermat_values():
     # repetition invariance for this entry
     assert d(0.0, 0.0, 1.0, 1.0) == pytest.approx(2.0)
     assert d(0.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
-    # abs and chebyshev fold the step pairs exactly: standard, with no bracket
-    for d2 in ("abs", "chebyshev"):
+    # abs and chebyshev fold the step pairs exactly, discrete the equality types:
+    # standard, with no bracket
+    for d2 in ("abs", "chebyshev", "discrete"):
         entry = catalog.make("fermat", 4, d2=d2)
         assert (entry.standard, entry.constant_bounds) == (True, None)
         assert entry.constants == {k: 1 / (k - 1) for k in range(2, 5)}
-    for d2 in ("euclidean", "discrete"):
-        entry = catalog.make("fermat", 4, d2=d2)
-        assert (entry.standard, entry.constants) == (None, {})
-        lo, hi = entry.constant_bounds
-        assert lo == pytest.approx(1 / 3)
-        assert hi == pytest.approx(12 / 32)
+    entry = catalog.make("fermat", 4, d2="euclidean")
+    assert (entry.standard, entry.constants) == (None, {})
+    lo, hi = entry.constant_bounds
+    assert lo == pytest.approx(1 / 3)
+    assert hi == pytest.approx(12 / 32)
 
 
 def test_line_count_values():
@@ -257,7 +259,7 @@ def test_identity_and_symmetry_on_the_default_space(dist_id, params):
 # K*_n of the README's catalog table; None where the table says "bracketed",
 # and 1/(n-1) for every id not listed
 _TABLE_CONSTANTS = {
-    "fermat": lambda n, params: 1 / (n - 1) if params["d2"] in ("abs", "chebyshev") else None,
+    "fermat": lambda n, params: 1 / (n - 1) if params["d2"] != "euclidean" else None,
     "line-count": lambda n, params: n / (n * n - 2 * n + 2),  # exact for n <= 5
     "enclosing-area": lambda n, params: 1 / (n - 3 / 2),
     "inner-interval": lambda n, params: 2 / n,
@@ -299,6 +301,88 @@ def test_cell_linear_flags():
     assert flagged == _CELL_LINEAR_IDS
 
 
+_PARTITION_IDS = {"drastic", "cardinality", "diameter[d2=discrete]", "sum-based[d2=discrete]", "fermat[d2=discrete]"}
+
+
+def test_partition_flags():
+    flagged = {vid for vid, (dist_id, params) in _VARIANT_BY_ID.items()
+               if catalog.make(dist_id, 4, **params).type_pairs is catalog.partition_pairs}
+    assert flagged == _PARTITION_IDS
+
+
+_COORD = st.floats(-1e6, 1e6, allow_nan=False)
+_POINTS = {
+    "finite": st.text("abcdefgh", min_size=1, max_size=2),
+    "line": _COORD,
+    "plane": st.tuples(_COORD, _COORD),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_partition_entries_see_only_which_arguments_are_equal(data):
+    # the premise of partition_pairs: d(f(t)) = d(t) for every injective relabelling f
+    vid = data.draw(st.sampled_from(sorted(_PARTITION_IDS)))
+    n = data.draw(st.integers(2, 6))
+    pattern = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    point = _POINTS[data.draw(st.sampled_from(sorted(_POINTS)))]
+    f, g = (data.draw(st.lists(point, min_size=n, max_size=n, unique=True)) for _ in range(2))
+    ev = _make(vid, n).distance.evaluator
+    assert ev(tuple(f[i] for i in pattern)) == ev(tuple(g[i] for i in pattern))
+
+
+def _equality_type(t, z):
+    """The multiset of (multiplicity in t, is z) over the points of (t, z)."""
+    return sorted((t.count(v), v == z) for v in set(t) | {z})
+
+
+def test_partition_pairs_list_one_pair_per_equality_type():
+    for n in range(2, 7):
+        for size in range(2, n + 3):
+            space = FiniteSpace(tuple("abcdefgh"[:size]))
+            pairs = catalog.partition_pairs(space, n)
+            assert all(list(t) == sorted(t) for t, _ in pairs)
+            types = {tuple(_equality_type(t, z)) for t in itertools.combinations_with_replacement(space.labels, n)
+                     if len(set(t)) > 1 for z in space.labels}
+            assert sorted(tuple(_equality_type(t, z)) for t, z in pairs) == sorted(types), (n, size)
+        # every type fits on the line and the plane, which take the points 0..n
+        line, plane = catalog.partition_pairs(RealLine(), n), catalog.partition_pairs(Plane(), n)
+        assert len(line) == len(catalog.partition_pairs(FiniteSpace(tuple("abcdefgh"[:n + 1])), n))
+        assert plane == tuple((tuple((x, 0.0) for x in t), (z, 0.0)) for t, z in line)
+        assert {x for t, z in line for x in t + (z,)} <= set(map(float, range(n + 1)))
+    five = FiniteSpace(tuple("abcde"))
+    assert [len(catalog.partition_pairs(five, n)) for n in (4, 5, 6)] == [10, 16, 25]
+
+
+def test_partition_list_is_built_once_per_labels_and_n():
+    abc = catalog.partition_pairs(FiniteSpace(("c", "a", "b")), 4)
+    assert abc is catalog.partition_pairs(FiniteSpace(("a", "b", "c")), 4)
+    assert abc is catalog.make("cardinality", 4).type_list(FiniteSpace(("b", "c", "a")))
+    assert catalog.partition_pairs(RealLine(-3.0, 5.0), 4) is catalog.partition_pairs(RealLine(), 4)
+    assert catalog.partition_pairs(Plane(0.0, 2.0), 4) is catalog.partition_pairs(Plane(), 4)
+    assert abc is not catalog.partition_pairs(FiniteSpace(("a", "b", "c")), 5)
+
+
+@pytest.mark.parametrize("vid", sorted(_PARTITION_IDS))
+def test_partition_fold_equals_the_ordered_scan(vid):
+    # for every k, n = 2..5 and 2..n+2 labels the fold gives the bound, witness
+    # and indices of a scan over every ordered (t, z) of the space, and the
+    # estimate folds the list, not the enumeration
+    for n in range(2, 6):
+        entry = _make(vid, n)
+        ev = entry.distance.evaluator
+        for size in range(2, n + 3):
+            space = FiniteSpace(tuple("abcdefg"[:size]))
+            pairs = catalog.partition_pairs(space, n)
+            ordered = ordered_scan_by_k(ev, iter_pairs(space, n, size ** (n + 1), 0), n)
+            for k in range(2, n + 1):
+                assert scan(ev, pairs, k)[0] == ordered[k], (n, size, k)
+                est = estimate_partial_constant(entry, space, k)
+                w = est.witness
+                assert (est.lower_bound, w.points, w.z, w.indices) == ordered[k]
+                assert (est.method, est.trials) == (EXACT, len(pairs))
+
+
 def _hooked_cases():
     """(id, params, n) for every variant and n in 2..6 whose type list exists on its default space."""
     for (dist_id, params), vid in zip(_VARIANTS, _VARIANT_IDS):
@@ -320,10 +404,8 @@ def test_simplex_verdict_on_the_type_list_is_exact(dist_id, params, n):
     exact = check_simplex(entry.distance, space, pairs=pairs)
     # sampling may overshoot K* by an ulp or two, so only the statuses are compared
     assert exact.status == check_simplex(entry.distance, space, budget=2000, seed=42).status
-    # line-count's list also holds degenerate tuples, which the scan skips
-    checked = sum(len(set(t)) > 1 for t, _ in pairs)
-    assert exact.details == {"checked": checked, "max_ratio": kstar, "method": EXACT}
-    assert checked == len(pairs) or dist_id == "line-count"
+    # no list holds a constant t, so the scan folds every listed pair
+    assert exact.details == {"checked": len(pairs), "max_ratio": kstar, "method": EXACT}
     half = check_simplex(entry.distance, space, constant=kstar / 2, pairs=pairs)
     assert half.failed
     for ce in (half.counterexample, half.worst):
@@ -334,7 +416,11 @@ def test_type_list_only_on_the_entrys_own_space_kind():
     assert catalog.make("arithmetic-mean", 4).type_list(RealLine(-3.0, 5.0)) is step_pairs(RealLine(), 4)
     assert catalog.make("arithmetic-mean", 4).type_list(Plane()) is None
     assert catalog.make("diameter", 4, d2="euclidean").type_list(Plane()) is step_pairs(Plane(), 4)
-    assert catalog.make("drastic", 4).type_list(RealLine()) is None  # no hook
+    # an "any" entry's list serves every space; without a hook there is none
+    drastic = catalog.make("drastic", 4)
+    assert drastic.type_list(RealLine()) is catalog.partition_pairs(RealLine(), 4)
+    assert dataclasses.replace(drastic, type_pairs=None).type_list(RealLine()) is None
+    assert catalog.make("fermat", 4, d2="discrete").type_list(RealLine()) is None
     assert catalog.make("line-count", 6).type_list(Plane()) is None  # beyond the linear-space table
     # check_axioms hands the list to the simplex check only
     entry = catalog.make("inner-interval", 4)

@@ -217,11 +217,17 @@ def test_constants_exact_mode_on_the_plane():
 
 
 def test_constants_budget_bounds_a_large_finite_space():
-    # C(17, 6) * 12 = 148,512 (multiset, z) pairs exceed max(1000, 4096), so the estimate samples
-    r = run_cli("constants", "--distance", "cardinality", "--space", "finite:12", "--n", "6", "--budget", "1000")
+    # C(17, 6) * 12 = 148,512 (multiset, z) pairs exceed max(1000, 4096), so an
+    # entry without a type list samples; two-anchor at s = 1/(n-1) has none
+    r = run_cli("constants", "--distance", "two-anchor:s=0.2", "--space", "finite:12", "--n", "6", "--budget", "1000")
     assert r.returncode == 0, r.stderr
     (row,) = json.loads(r.stdout)["rows"]
     assert (row["method"], row["observed"]) == ("sampled", 0.2)
+    # cardinality folds its equality types, whatever the space's size
+    r = run_cli("constants", "--distance", "cardinality", "--space", "finite:12", "--n", "6", "--budget", "1000")
+    assert r.returncode == 0, r.stderr
+    (row,) = json.loads(r.stdout)["rows"]
+    assert (row["method"], row["observed"]) == ("exact", 0.2)
 
 
 def test_constants_enclosing_area_n3():

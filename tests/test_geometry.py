@@ -322,10 +322,12 @@ def test_linear_space_types_cover_every_class_once():
 
 
 def test_linear_space_pairs_reach_n_up_to_5():
-    assert [len(linear_space_pairs(Plane(), n)) for n in (3, 4, 5)] == [37, 118, 376]
+    # no constant t: the one-point configuration and the two constant t on two points are left out
+    assert [len(linear_space_pairs(Plane(), n)) for n in (3, 4, 5)] == [34, 115, 373]
     configs = {frozenset((float(x), float(y)) for x, y in c.split()) for cs in LINEAR_SPACE_TYPES.values() for c in cs}
     for n in (3, 4, 5):
         for t, z in linear_space_pairs(Plane(), n):
             assert list(t) == sorted(t) and frozenset(t + (z,)) in configs
+            assert len(set(t)) > 1
     # seven points admit the Fano plane, which no planar set induces
     assert linear_space_pairs(Plane(), 6) is None

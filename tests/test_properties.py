@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -6,16 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import naive_scan
 from simplex_lab import catalog
 from simplex_lab.catalog import CatalogEntry
 from simplex_lab.core import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
+    TOL,
     FiniteSpace,
     NDistance,
     Plane,
     RealLine,
+    iter_pairs,
+    section,
 )
 from simplex_lab.properties import (
     check_lemma_mixed_bound,
@@ -122,6 +127,52 @@ def test_strong_k_simplex_arith_mean():
     assert v.failed
     ce = v.counterexample
     assert ce is not None and "composition" in ce
+
+
+ABCDE = FiniteSpace(tuple("abcde"))
+
+
+@pytest.mark.parametrize("dist_id, params", [
+    ("drastic", {}), ("cardinality", {}),
+    # reduced by a composition, these two depend on it, so every composition counts
+    ("sum-based", {"d2": "discrete"}), ("fermat", {"d2": "discrete"}),
+])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_strong_check_on_the_equality_types_is_exact(dist_id, params, n):
+    # the verdict and max_ratio of every composition's ordered scan, at any budget
+    entry = catalog.make(dist_id, n, **params)
+    for k in range(2, n + 1):
+        for constant in (strong_constant_standard(n, k), strong_constant_standard(n, k) / 2):
+            v = check_strong_k_simplex(entry, k, constant, ABCDE, budget=1)
+            comps = compositions(n, k)
+            assert v.details["method"] == "exact"
+            assert v.details["checked"] == len(comps) * len(catalog.partition_pairs(ABCDE, k))
+            folds = [naive_scan(reduced_evaluator(entry, comp), iter_pairs(ABCDE, k, 5 ** (k + 1), 0), k, constant)
+                     for comp in comps]
+            assert v.details["max_ratio"] == max(best[0] for best, *_ in folds)
+            assert v.failed == any(first is not None for _, first, _, _ in folds)
+            if v.failed:  # the largest violation too
+                assert v.worst["lhs"] - v.worst["rhs"] == max(worst[0] for *_, worst, _ in folds if worst)
+        # at M/2 the check fails, on a listed pair: a real configuration
+        assert v.failed
+        ce = v.counterexample
+        assert (ce["values"], ce["z"]) in catalog.partition_pairs(ABCDE, k)
+        ev = reduced_evaluator(entry, ce["composition"])
+        total = sum(ev(section(ce["values"], i, ce["z"])) for i in range(1, k + 1))
+        assert ce["lhs"] == ev(ce["values"]) > constant * total + TOL
+    # without the hook the check samples its budget
+    hookless = dataclasses.replace(entry, type_pairs=None)
+    assert "method" not in check_strong_k_simplex(hookless, n, 1.0, ABCDE, budget=64).details
+
+
+def test_strong_check_builds_one_list_per_k():
+    # every composition of n into k blocks folds the same list
+    catalog._partition_pairs.cache_clear()
+    entry = catalog.make("cardinality", 5)
+    for k in range(2, 6):
+        check_strong_k_simplex(entry, k, 1.0, ABCDE)
+    assert sum(len(compositions(5, k)) for k in range(2, 6)) == 15
+    assert catalog._partition_pairs.cache_info().misses == 4
 
 
 def test_lemma_mixed_bound():
