@@ -36,7 +36,9 @@ sum-based[chebyshev], fermat[chebyshev]), whose constant is the line's,
 attained on the x-axis.  ``geometry.linear_space_pairs`` gives line-count,
 for n <= 5, a candidate for every labelled linear space on at most n + 1
 points.  ``catalog.gap_pairs`` gives inner-interval and inner-interval-power
-one pair, t = (0, 2, ..., 2) with z = 1, for every n.
+one pair, t = (0, 2, ..., 2) with z = 1, for every n, and
+``catalog.circle_pairs`` gives enclosing-radius and enclosing-area one
+pair, t = ((0, 0), (1, 0), ..., (1, 0), (2, 0)) with z = (1, 0).
 ``catalog.partition_pairs`` gives the entries that see only which
 arguments are equal (drastic, cardinality, and diameter, sum-based and
 fermat on the discrete ground) one pair per equality type of (t, z): 10,
@@ -46,7 +48,9 @@ pairs may lie outside the sampling box, which bounds sampling only.
 Everywhere else, larger finite spaces included, the scan folds the entry's
 own witness recipe, then the candidates of ``core.iter_pairs`` (the
 structured extremal families, then seeded samples), and on a continuous
-space locally refines the best candidate by cyclic coordinate descent.
+space locally refines the best candidate by cyclic coordinate descent
+(in the catalog, only fermat[euclidean] and line-count beyond n = 5 get
+there).
 The fold is a max-reduction with a total lexicographic tie-break, so
 results do not depend on evaluation order.
 """

@@ -54,7 +54,8 @@ class CatalogEntry:
     that are linear on every order cell of the line, or that are the sup
     or the sum of such a line entry over linear maps from the plane;
     ``geometry.linear_space_pairs`` serves line-count, ``gap_pairs``
-    inner-interval and inner-interval-power, and ``partition_pairs`` the
+    inner-interval and inner-interval-power, ``circle_pairs``
+    enclosing-radius and enclosing-area, and ``partition_pairs`` the
     entries that see only which arguments are equal (drastic, cardinality
     and the discrete diameter, sum-based and fermat).  Each list is an
     immutable tuple, built once per space kind (labels, for
@@ -214,21 +215,27 @@ def fermat(n: int, d2: str = "abs") -> CatalogEntry:
     most n - mu = d positions.  Every other section is at least d.  So any
     k sections sum to at least k*d - min(k, d) >= d*(k-1), the ratio is at
     most 1/(k-1), and (x, y, ..., y) with z = y attains it.
+
+    On every ground, repetition-invariant and nonincreasing exactly for
+    n <= 3: two values x, y cost g(x, y) whatever their multiplicities,
+    since 2g(p, x) + g(p, y) >= g(x, y), and identifying two of three
+    values x, y, w leaves g(x, w) <= g(p, x) + g(p, y) + g(p, w).  At
+    n = 4, (x, x, x, y) costs g(x, y) and (x, x, y, y) costs 2g(x, y).
     """
 
     def ev(t: tuple) -> float:
         return fermat_value(t, d2)
 
     d = NDistance(f"fermat[{d2}]", n, space_kind_for_ground(d2), ev)
-    rep = False if d2 in ("abs", "euclidean") else None
+    rep = n <= 3
     if d2 != "euclidean":  # chebyshev: the sum over (x + y)/2 and (x - y)/2
         return CatalogEntry(
-            d, None, standard=True, repetition_invariant=rep, nonincreasing=False,
+            d, None, standard=True, repetition_invariant=rep, nonincreasing=rep,
             type_pairs=partition_pairs if d2 == "discrete" else step_pairs,
             constants={k: 1.0 / (k - 1) for k in range(2, n + 1)},
         )
     bounds = (1.0 / (n - 1), (4.0 * n - 4.0) / (3.0 * n * n - 4.0 * n))
-    return CatalogEntry(d, None, standard=None, repetition_invariant=rep, nonincreasing=False, constant_bounds=bounds)
+    return CatalogEntry(d, None, standard=None, repetition_invariant=rep, nonincreasing=rep, constant_bounds=bounds)
 
 
 def line_count(n: int) -> CatalogEntry:
@@ -257,19 +264,24 @@ def line_count(n: int) -> CatalogEntry:
 
 
 def enclosing_radius(n: int) -> CatalogEntry:
-    """Radius of the smallest circle enclosing the argument points."""
+    """Radius of the smallest circle enclosing the argument points.
+
+    Standard, K*_{n,k} = 1/(k-1), exact through the one pair of
+    ``circle_pairs`` (its docstring has the proof).
+    """
 
     def ev(t: tuple) -> float:
         return smallest_enclosing_circle(t).radius
 
-    return _standard_entry(NDistance("enclosing-radius", n, "plane", ev))
+    return _standard_entry(NDistance("enclosing-radius", n, "plane", ev), type_pairs=circle_pairs)
 
 
 def enclosing_area(n: int) -> CatalogEntry:
     """Area of the smallest circle enclosing the argument points (n >= 3).
 
     Nonstandard: the best constant is 1/(n - 3/2), and the best partial
-    constants are 1/(k - 3/2).
+    constants are 1/(k - 3/2), exact through the one pair of
+    ``circle_pairs`` (its docstring has the proof).
     """
     if n < 3:
         raise ValueError("enclosing-area needs arity n >= 3")
@@ -284,7 +296,9 @@ def enclosing_area(n: int) -> CatalogEntry:
 
     kk = {k: 1.0 / (k - 1.5) for k in range(2, n + 1)}
     d = NDistance("enclosing-area", n, "plane", ev)
-    return CatalogEntry(d, recipe, standard=False, repetition_invariant=True, nonincreasing=True, constants=kk)
+    return CatalogEntry(
+        d, recipe, standard=False, repetition_invariant=True, nonincreasing=True, type_pairs=circle_pairs, constants=kk,
+    )
 
 
 def chebyshev_diameter(n: int, q: int = 2) -> CatalogEntry:
@@ -329,6 +343,44 @@ def gap_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
 @functools.cache
 def _gap_pair(n: int) -> tuple[tuple[tuple, Point], ...]:
     return (((0.0,) + (2.0,) * (n - 1), 1.0),)
+
+
+def circle_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
+    """The one pair t = ((0, 0), (1, 0), ..., (1, 0), (2, 0)), z = (1, 0).
+
+    It carries K*_{n,k} of the smallest enclosing circle: 1/(k-1) for its
+    radius and 1/(k-3/2) for its area.  Let R be the radius of the circle
+    of t, fixed by a support set B of t on its boundary: a diametral pair
+    {a, b}, or a triangle {a, b, c} with no obtuse angle and circumradius
+    R.  A section that keeps every point of B keeps radius >= R; only the
+    sections that drop the only copy of a support point can shrink.
+
+    * Two supports.  The section without a still holds b and z, and the
+      one without b holds a and z, so their radii are at least |b - z|/2
+      and |a - z|/2, which sum to at least |a - b|/2 = R, and their areas
+      sum to at least pi(|a - z|^2 + |b - z|^2)/4 >= pi R^2/2.
+    * Three supports.  The section without a holds b and c, so its radius
+      is at least |bc|/2 = R sin A, and likewise for b and c.  No angle is
+      obtuse, so A + B >= pi/2 and sin A + sin B >= sin A + cos A >= 1,
+      sin^2 A + sin^2 B >= 1; with all three, sin A + sin B + sin C >= 2
+      (a concave function of the angles, least at (pi/2, pi/2, 0)) and
+      sin^2 A + sin^2 B + sin^2 C = 2 + 2 cos A cos B cos C >= 2.
+
+    So any k sections sum to at least (k-1)R, and their areas to at least
+    (k-3/2) pi R^2: K*_{n,k} <= 1/(k-1) for the radius and <= 1/(k-3/2)
+    for the area.  The pair attains both: d(t) = 1 (area pi), the sections
+    that drop (0, 0) or (2, 0) are 1/2 (pi/4), and those that drop a
+    midpoint are 1 (pi).  At n = 2 it is t = ((0, 0), (2, 0)).  The radius
+    bound is the one correctly rounded division 1/(k-1); the area bound,
+    pi over the rounded (k-3/2) pi, may be an ulp off 1/(k-3/2).  The list
+    depends only on n, so it is built once and shared.
+    """
+    return _circle_pair(n)
+
+
+@functools.cache
+def _circle_pair(n: int) -> tuple[tuple[tuple, Point], ...]:
+    return ((((0.0, 0.0),) + ((1.0, 0.0),) * (n - 2) + ((2.0, 0.0),), (1.0, 0.0)),)
 
 
 def partition_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:

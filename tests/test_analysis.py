@@ -145,6 +145,25 @@ def test_gap_pair_fold_is_exact(params):
             assert ratio(entry, w.points, w.z, w.indices) == est.lower_bound
 
 
+def test_circle_pair_fold_is_exact():
+    # K*_{n,k} from the one pair of catalog.circle_pairs: the radius's 1/(k-1) is one correctly
+    # rounded division; the area's pi / fl((k - 3/2) pi) is within one ulp of 1/(k - 3/2)
+    for n in range(2, 9):
+        pair = (((0.0, 0.0),) + ((1.0, 0.0),) * (n - 2) + ((2.0, 0.0),), (1.0, 0.0))
+        for dist_id in ("enclosing-radius", "enclosing-area")[: 1 if n == 2 else 2]:
+            entry = catalog.make(dist_id, n)
+            for k in range(2, n + 1):
+                est = estimate_partial_constant(entry, Plane(), k)
+                assert (est.method, est.trials, est.analytic) == (EXACT, 1, entry.constants[k])
+                w = est.witness
+                assert (w.points, w.z) == pair
+                assert ratio(entry, w.points, w.z, w.indices) == est.lower_bound
+                if dist_id == "enclosing-radius":
+                    assert est.lower_bound == 1 / (k - 1)
+                else:
+                    assert abs(est.lower_bound - 1 / (k - 1.5)) <= math.ulp(1 / (k - 1.5)), (n, k)
+
+
 def test_estimate_rejects_bad_arguments():
     entry = catalog.make("cardinality", 3)
     with pytest.raises(ValueError):
@@ -281,7 +300,7 @@ def test_sampled_on_continuous_space():
 
 @pytest.mark.parametrize(
     "entry, space",
-    [(_hookless("drastic", 4), RealLine()), (catalog.make("enclosing-radius", 4), Plane())],
+    [(_hookless("drastic", 4), RealLine()), (_hookless("enclosing-radius", 4), Plane())],
     ids=["line", "plane"],
 )
 @pytest.mark.parametrize("budget", [1, 5, 300])

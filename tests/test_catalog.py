@@ -9,7 +9,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from helpers import ordered_scan_by_k
+from helpers import brute_circle, ordered_scan_by_k
 from simplex_lab import catalog
 from simplex_lab.analysis import EXACT, estimate_partial_constant, scan
 from simplex_lab.cli import default_space_for
@@ -536,11 +536,87 @@ def test_plane_cell_linear_ratios_stay_at_the_line_constant(variant, data):
 
 
 def test_enclosing_area_exceeds_the_line_constant():
-    # enclosing-area is unflagged, with constant 1/(k - 3/2): the same draws find a ratio above 1/(k-1)
+    # enclosing-area folds circle_pairs, not the step pairs, with constant 1/(k - 3/2): the same
+    # draws find a ratio above 1/(k-1)
     entry = catalog.make("enclosing-area", 3)
-    assert entry.type_pairs is None
+    assert entry.type_pairs is catalog.circle_pairs
     pair = find(_planar_pair(3), lambda p: bool(_ratios_above_standard(entry, p)))
     assert _ratios_above_standard(entry, pair)
+
+
+def test_circle_flags():
+    flagged = {vid for vid, (dist_id, params) in _VARIANT_BY_ID.items()
+               if catalog.make(dist_id, 4, **params).type_pairs is catalog.circle_pairs}
+    assert flagged == {"enclosing-radius", "enclosing-area"}
+
+
+def test_circle_list_is_built_once_per_n():
+    pairs = catalog.circle_pairs(Plane(), 4)
+    assert pairs == ((((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0)), (1.0, 0.0)),)
+    assert pairs is catalog.circle_pairs(Plane(-3.0, 5.0), 4)
+    assert pairs is catalog.make("enclosing-radius", 4).type_list(Plane())
+    assert pairs is catalog.make("enclosing-area", 4).type_list(Plane())
+    assert pairs is not catalog.circle_pairs(Plane(), 5)
+    assert catalog.circle_pairs(Plane(), 2) == ((((0.0, 0.0), (2.0, 0.0)), (1.0, 0.0)),)
+
+
+def _circle_ratios_above_bound(t, z) -> list[tuple[str, int]]:
+    """The (measure, k) whose ratio at (t, z) exceeds the circle_pairs bound by more than a relative 4 * 2^-52.
+
+    Radii come from the exhaustive ``brute_circle``, not from Welzl's loop.
+    """
+    n = len(t)
+    r = brute_circle(t)[2]
+    secs = sorted(brute_circle(section(t, i, z))[2] for i in range(1, n + 1))
+    slack = 1 + 4 * 2.0**-52
+    out = []
+    for k in range(2, n + 1):
+        low = secs[:k]
+        if r > math.fsum(low) / (k - 1) * slack:
+            out.append(("radius", k))
+        if r * r > math.fsum(s * s for s in low) / (k - 1.5) * slack:
+            out.append(("area", k))
+    return out
+
+
+_GRID = st.integers(-3, 3).map(float)
+# multiples of 2^-10: far apart next to the 1e-9 slack with which brute_circle accepts a cover
+_DYADIC = st.integers(-2**12, 2**12).map(lambda v: v / 2**10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_circle_ratios_stay_at_most_the_circle_bound(data):
+    # the bound half of catalog.circle_pairs: no (t, z) has a radius ratio above 1/(k-1),
+    # or an area ratio above 1/(k - 3/2), at any k
+    n = data.draw(st.integers(2, 6))
+    point = st.tuples(*[data.draw(st.sampled_from([_GRID, _DYADIC]))] * 2)
+    t = tuple(data.draw(st.lists(point, min_size=n, max_size=n).filter(lambda ps: len(set(ps)) > 1)))
+    z = data.draw(point)
+    assert _circle_ratios_above_bound(t, z) == [], (t, z)
+
+
+_S3 = math.sqrt(3.0)
+
+
+@pytest.mark.parametrize("t, z, radius, area", [
+    # an equilateral triangle with z at its centre, three supports: every section is the
+    # diametral circle of a side, radius 1 against R = 2/sqrt(3)
+    (((0.0, 0.0), (2.0, 0.0), (1.0, _S3)), (1.0, _S3 / 3), [2 / _S3 / k for k in (2, 3)], [4 / 3 / k for k in (2, 3)]),
+    # a right triangle, z at the right angle: sections R sin A = 3/2, R sin B = 2 and R, with R = 5/2;
+    # sin^2 A + sin^2 B = 1, so the area ratio at k = 2 is 1
+    (((0.0, 0.0), (4.0, 0.0), (0.0, 3.0)), (0.0, 0.0), [2.5 / 3.5, 2.5 / 6], [1.0, 6.25 / 12.5]),
+    # both supports doubled: every section keeps both, so every section is R
+    (((0.0, 0.0), (0.0, 0.0), (2.0, 0.0), (2.0, 0.0)), (1.0, 0.0), [1 / k for k in (2, 3, 4)],
+     [1 / k for k in (2, 3, 4)]),
+])
+def test_circle_bound_on_explicit_configurations(t, z, radius, area):
+    n = len(t)
+    for dist_id, want in (("enclosing-radius", radius), ("enclosing-area", area)):
+        ev = catalog.make(dist_id, n).distance.evaluator
+        got = [scan(ev, [(t, z)], k)[0][0] for k in range(2, n + 1)]
+        assert got == pytest.approx(want, rel=1e-12), dist_id
+    assert _circle_ratios_above_bound(t, z) == []
 
 
 def test_readme_names_every_cell_linear_entry():

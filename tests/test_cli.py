@@ -264,6 +264,16 @@ def test_table1_small_budget():
         assert row["status"] in ("pass", "info"), row
 
 
+def test_table1_rows_are_all_exact():
+    # every row folds a type list, so each observed value is its closed form, enclosing-radius's 1/3 included
+    r = run_cli("table1", "--n", "4", "--seed", "42")
+    assert r.returncode == 0, r.stderr
+    rows = json.loads(r.stdout)["rows"]
+    assert len(rows) == 12
+    for row in rows:
+        assert (row["method"], row["observed"]) == ("exact", row["expected"]), row["name"]
+
+
 def test_multidistance_family_pass():
     r = run_cli(
         "multidistance", "--family", "cardinality", "--arities", "2..4", "--budget", "4000",

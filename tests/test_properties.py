@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import naive_scan
 from simplex_lab import catalog
 from simplex_lab.catalog import CatalogEntry
+from simplex_lab.cli import default_space_for, resolve_strong_constant
 from simplex_lab.core import (
     FAIL,
     NOT_APPLICABLE,
@@ -22,6 +23,7 @@ from simplex_lab.core import (
     iter_pairs,
     section,
 )
+from simplex_lab.geometry import GROUND_KINDS
 from simplex_lab.properties import (
     check_lemma_mixed_bound,
     check_multi_to_ndistance,
@@ -214,6 +216,31 @@ def test_repetition_invariance_fermat():
     d = catalog.make("fermat", 4)
     assert d(0.0, 0.0, 1.0, 1.0) == pytest.approx(2.0)
     assert d(0.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("ground", GROUND_KINDS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_fermat_flags_are_the_checkers_verdicts(ground, n):
+    # repetition-invariant and nonincreasing exactly for n <= 3, on every ground
+    entry = catalog.make("fermat", n, d2=ground)
+    space = default_space_for(entry.distance.space_kind)
+    rep = check_repetition_invariance(entry, space)
+    noninc = check_nonincreasing_identification(entry, space, budget=200)
+    assert (rep.passed, noninc.passed) == (entry.repetition_invariant, entry.nonincreasing) == (n <= 3, n <= 3)
+
+
+@pytest.mark.parametrize("ground", GROUND_KINDS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_fermat_passes_the_standard_strong_constant(ground, n):
+    # at n <= 3 the standard grounds are standard and repetition-invariant, so the strong
+    # check takes the standard formula, and euclidean passes at the same constants
+    entry = catalog.make("fermat", n, d2=ground)
+    space = default_space_for(entry.distance.space_kind)
+    for k in range(2, n + 1):
+        constant = strong_constant_standard(n, k)
+        if ground != "euclidean":
+            assert resolve_strong_constant(entry, n, k, None) == (constant, "standard-formula")
+        assert check_strong_k_simplex(entry, k, constant, space, budget=500, seed=42).passed, k
 
 
 def test_nonincreasing_identification():
