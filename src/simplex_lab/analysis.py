@@ -25,7 +25,9 @@ bound, witness and indices are those of the scan over every ordered tuple;
 the axiom and property checks, which verify the symmetry, still enumerate
 every tuple, except that axiom (iii) in ``cli`` verify folds the entry's
 type list where one exists (``core.check_simplex``), and so does the strong
-check for ``partition_pairs`` entries (``properties.check_strong_k_simplex``).
+check for ``partition_pairs`` entries (``properties.check_strong_k_simplex``);
+identity, symmetry and, for ``partition_pairs`` entries, the nonincreasing
+check walk the permutations of ``CatalogEntry.axiom_tuples``.
 ``core.step_pairs`` gives the 2(n-1) step pairs for the
 entries linear on every order cell of (x_1..x_n, z) on the line
 (diameter[abs], sum-based[abs], arithmetic-mean, fermat[abs],

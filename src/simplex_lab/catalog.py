@@ -91,16 +91,82 @@ class CatalogEntry:
 
         None without a hook, off the entry's own space kind (every space
         is an "any" entry's own), and where the hook's reduction does not
-        reach n.  Estimates fold the list as exact, and
-        ``cli`` verify decides axiom (iii) on it.
+        reach n.  Estimates fold the list as exact, ``cli`` verify decides
+        axiom (iii) on it, and ``axiom_tuples`` builds on it.
         """
         hook = self.type_pairs
         if hook is None or self.distance.space_kind not in ("any", space.kind):
             return None
         return hook(space, self.arity)
 
+    def axiom_tuples(self, space: Space) -> tuple[tuple, ...] | None:
+        """The tuples whose distinct permutations decide identity and symmetry, or None.
+
+        For the ``partition_pairs`` entries on every space, and the
+        ``core.step_pairs`` entries on the real line, they are the distinct
+        tuples t of ``type_list(space)`` and the constant tuple of the first
+        one's last point.  ``core.check_identity`` requires d = 0 on the
+        constant tuple and d > 0 on every permutation of the others, and
+        ``core.check_symmetry`` requires d to be equal across the
+        permutations of each.  None for every other hook or space, where
+        ``type_list`` is None, and where the permutations number more than
+        ``AXIOM_PERMUTATION_LIMIT``; those checks then sample.
+
+        * Partition entries.  d(f(t)) = d(t) for every injection f of the
+          points, so d(u) depends only on the set partition of the n
+          positions into equal points.  The listed t hold one tuple per
+          shape of partition that the space can hold, so every u on the
+          space is f(pi t) for a listed t, a permutation pi and an
+          injection f, and d(u) = d(pi t).  Every constant tuple is an f of
+          the listed one.  So d >= 0, and d = 0 exactly on the constants,
+          holds everywhere if it holds on the permutations; and since
+          sigma u = f(sigma pi t), d(sigma u) = d(u) holds if d agrees
+          across the permutations of each t.
+        * Line step-pair entries.  d ignores z, so with z below every
+          coordinate it is linear on each order cell of t, the cone where
+          one ordering of the n coordinates holds.  That cell is the line
+          of constants plus the nonnegative combinations of its n - 1 step
+          generators, the 0/h tuples that are h on the top j positions,
+          j in 1..n-1; the permutations of the listed (0, ..., 0, h, ..., h)
+          are all 2^n - 2 nonconstant 0/h tuples, the generators of every
+          cell.  By
+          linearity d(c, ..., c) = (c/h) d(h, ..., h), so d vanishes on
+          every constant if and only if on (h, ..., h), and then at a point
+          c + sum_j c_j e_j of the cell d is sum_j c_j d(e_j).  So d >= 0
+          with d = 0 only on constants if and only if d(e) > 0 at every
+          generator e.  A permutation sigma maps each cell, and its
+          generators, onto another cell and its generators, so
+          d(sigma x) = sum_j c_j d(sigma e_j), and d is symmetric if and
+          only if d(sigma e) = d(e) for every 0/h tuple e, that is, if d
+          agrees across the permutations of each listed tuple.
+        """
+        hook = self.type_pairs
+        if hook is not partition_pairs and not (hook is step_pairs and space.kind == "real-line"):
+            return None
+        pairs = self.type_list(space)
+        if pairs is None:
+            return None
+        tuples = tuple(dict.fromkeys(t for t, _ in pairs))
+        if sum(map(_permutation_count, tuples)) > AXIOM_PERMUTATION_LIMIT:
+            return None
+        return tuples + ((tuples[0][-1],) * self.arity,)
+
     def __call__(self, *points: Point) -> float:
         return self.distance(*points)
+
+
+# the most distinct permutations ``axiom_tuples`` hands to the identity and
+# symmetry checks, about as many tuples as they sample at the CLI's default
+# budget; their number grows faster than n!, and a partition entry on the
+# line has 95,502 at n = 8 and 871,029 at n = 9
+AXIOM_PERMUTATION_LIMIT = 100_000
+
+
+def _permutation_count(t: tuple) -> int:
+    count = math.factorial(len(t))
+    for v in set(t):
+        count //= math.factorial(t.count(v))
+    return count
 
 
 def _distinct_pair(space: Space) -> tuple[Point, Point]:

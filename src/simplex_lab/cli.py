@@ -432,8 +432,10 @@ def run_verify(args) -> dict:
     verdicts = []
     for c in checks:
         if c == "axioms":
-            pairs = entry.type_list(space)
-            verdicts.extend(core.check_axioms(entry.distance, space, budget=args.budget, seed=seed, pairs=pairs))
+            verdicts.extend(core.check_axioms(
+                entry.distance, space, budget=args.budget, seed=seed,
+                pairs=entry.type_list(space), tuples=entry.axiom_tuples(space),
+            ))
         elif c == "repetition":
             verdicts.append(
                 properties.check_repetition_invariance(

@@ -408,34 +408,69 @@ def iter_pairs(space: Space, n: int, budget: int, seed: int) -> Iterator[tuple[t
 # axiom checkers
 
 
-def check_identity(d: NDistance, space: Space, budget: int = 4096, seed: int = 0) -> PropertyVerdict:
-    """Axiom (i): d(t) = 0 exactly when all points of t coincide (and d >= 0)."""
+def distinct_permutations(t: tuple) -> Iterator[tuple]:
+    """Every distinct ordering of ``t`` once, ``t`` itself first."""
+    if len(t) <= 1:
+        yield t
+        return
+    for v in dict.fromkeys(t):
+        i = t.index(v)
+        for rest in distinct_permutations(t[:i] + t[i + 1 :]):
+            yield (v,) + rest
+
+
+def check_identity(
+    d: NDistance, space: Space, budget: int = 4096, seed: int = 0, tuples: Sequence[tuple] | None = None
+) -> PropertyVerdict:
+    """Axiom (i): d(t) = 0 exactly when all points of t coincide (and d >= 0).
+
+    Without ``tuples`` the check folds ``budget`` tuples of ``iter_tuples``.
+    ``tuples`` is an entry's ``axiom_tuples``, whose distinct permutations
+    are proven to decide the axiom (its docstring has the proof): the check
+    folds every one of them instead, ignores ``budget`` and reports
+    ``method: exact``.  A counterexample is a real configuration.
+    """
     prop = f"identity({d.name})"
+    if tuples is None:
+        candidates = iter_tuples(space, d.arity, budget, seed)
+    else:
+        candidates = itertools.chain.from_iterable(map(distinct_permutations, tuples))
     checked = 0
     ce = None
-    for t in iter_tuples(space, d.arity, budget, seed):
+    for t in candidates:
         v = d.evaluator(t)
         degenerate = distinct_count(t) == 1
         if v < 0 or (degenerate != (v == 0.0)):
             ce = {"tuple": t, "value": v}
             break
         checked += 1
-    return PropertyVerdict.of(prop, {"checked": checked}, ce)
+    return PropertyVerdict.of(prop, _with_method({"checked": checked}, tuples), ce)
 
 
 def check_symmetry(
-    d: NDistance, space: Space, budget: int = 512, seed: int = 0
+    d: NDistance, space: Space, budget: int = 512, seed: int = 0, tuples: Sequence[tuple] | None = None
 ) -> PropertyVerdict:
-    """Axiom (ii): invariance under permutation of the arguments."""
+    """Axiom (ii): invariance under permutation of the arguments.
+
+    Without ``tuples`` the check compares d on each of ``budget`` tuples of
+    ``iter_tuples`` with d on its other permutations (all of them for
+    n <= 4, ten seeded shuffles beyond).  ``tuples`` is an entry's
+    ``axiom_tuples``: the check compares d on each listed tuple with d on
+    every other distinct permutation of it, which is proven to decide the
+    axiom, ignores ``budget`` and reports ``method: exact``.  ``checked``
+    counts the tuples whose permutations all agreed.
+    """
     prop = f"symmetry({d.name})"
     tol = 0.0 if space.kind == "finite" else EQUAL_TOL
     n = d.arity
     rng = random.Random(derive_seed(seed, 2))
     checked = 0
     ce = None
-    for t in iter_tuples(space, n, budget, seed):
+    for t in iter_tuples(space, n, budget, seed) if tuples is None else tuples:
         base = d.evaluator(t)
-        if n <= 4:
+        if tuples is not None:
+            perms = itertools.islice(distinct_permutations(t), 1, None)
+        elif n <= 4:
             # the first permutation is t itself, already evaluated as base
             perms = itertools.islice(itertools.permutations(t), 1, None)
         else:
@@ -452,7 +487,14 @@ def check_symmetry(
         if ce is not None:
             break
         checked += 1
-    return PropertyVerdict.of(prop, {"checked": checked, "tolerance": tol}, ce)
+    return PropertyVerdict.of(prop, _with_method({"checked": checked, "tolerance": tol}, tuples), ce)
+
+
+def _with_method(details: dict, tuples: Sequence[tuple] | None) -> dict:
+    """``details`` with ``method: exact`` where a proven list decided the check."""
+    from .analysis import EXACT
+
+    return details if tuples is None else {**details, "method": EXACT}
 
 
 def check_simplex(
@@ -475,14 +517,12 @@ def check_simplex(
     K*_n depends on the scale of the candidates; the listed pairs are small
     integers.
     """
-    from .analysis import EXACT, scan
+    from .analysis import scan
 
     prop = f"simplex({d.name},K={constant:g})"
     candidates = iter_pairs(space, d.arity, budget, seed) if pairs is None else pairs
     best, first, worst, checked = scan(d.evaluator, candidates, d.arity, constant)
-    details = {"checked": checked, "max_ratio": best[0] if best else 0.0}
-    if pairs is not None:
-        details["method"] = EXACT
+    details = _with_method({"checked": checked, "max_ratio": best[0] if best else 0.0}, pairs)
     ce = worst_ce = None
     if first is not None:
         ce, worst_ce = (
@@ -498,15 +538,18 @@ def check_axioms(
     budget: int = 4096,
     seed: int = 0,
     pairs: Sequence[tuple[tuple, Point]] | None = None,
+    tuples: Sequence[tuple] | None = None,
 ) -> list[PropertyVerdict]:
     """All three n-distance axioms (simplex inequality taken with constant 1).
 
     ``pairs``, a proven type list, decides the simplex inequality exactly
-    (see ``check_simplex``); identity and symmetry always take their own
-    ``budget``-bounded streams.
+    (see ``check_simplex``), and ``tuples``, an entry's ``axiom_tuples``,
+    decides identity and symmetry exactly (see ``check_identity`` and
+    ``check_symmetry``).  A check without its list takes its own
+    ``budget``-bounded stream.
     """
     return [
-        check_identity(d, space, budget=budget, seed=seed),
-        check_symmetry(d, space, budget=max(64, budget // 8), seed=seed),
+        check_identity(d, space, budget=budget, seed=seed, tuples=tuples),
+        check_symmetry(d, space, budget=max(64, budget // 8), seed=seed, tuples=tuples),
         check_simplex(d, space, budget=budget, seed=seed, pairs=pairs),
     ]

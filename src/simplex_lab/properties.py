@@ -7,7 +7,8 @@ checkers here enumerate all compositions (ordered block sizes) and draw
 the k collapsed values from the shared candidate stream, ``core.iter_pairs``,
 except for the entries that see only which arguments are equal: for them
 the strong check folds ``catalog.partition_pairs`` for every composition,
-and its verdict is exact.
+and its verdict is exact.  For the same entries the nonincreasing check
+walks the permutations of ``CatalogEntry.axiom_tuples``, and is exact too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import (
     Space,
     derive_seed,
     distinct_count,
+    distinct_permutations,
     iter_pairs,
     iter_tuples,
     section,
@@ -267,14 +269,27 @@ def check_nonincreasing_identification(
 
     This implies repetition invariance, so a pass here is cross-checked
     against the repetition check and demoted to FAIL on contradiction.
+
+    The tuples are ``budget`` of ``iter_tuples``, except for the
+    ``partition_pairs`` entries where ``axiom_tuples`` is a list: there
+    the check walks every distinct permutation of each listed tuple,
+    ignores ``budget`` and reports ``method: exact``.  Such a d sees only
+    which arguments are equal, and identifying t_i with t_j gives a tuple
+    whose set partition depends only on that of t and on (i, j), so
+    d(u) - d(t) does too; the permutations realise every set partition
+    that the space can hold (see ``CatalogEntry.axiom_tuples``).
     """
     n = entry.arity
     prop = "nonincreasing-identification"
     ev = entry.distance.evaluator
     checked = 0
     first_ce = None
-    per = max(1, budget)
-    for t in iter_tuples(space, n, per, derive_seed(seed, 500)):
+    tuples = entry.axiom_tuples(space) if entry.type_pairs is partition_pairs else None
+    if tuples is None:
+        candidates = iter_tuples(space, n, max(1, budget), derive_seed(seed, 500))
+    else:
+        candidates = itertools.chain.from_iterable(map(distinct_permutations, tuples))
+    for t in candidates:
         if distinct_count(t) < 2:
             continue
         base = ev(t)
@@ -292,6 +307,8 @@ def check_nonincreasing_identification(
         if first_ce is not None:
             break
     details = {"checked": checked}
+    if tuples is not None:
+        details["method"] = EXACT
     if first_ce is None:
         rep = check_repetition_invariance(entry, space, seed=seed)
         if rep.failed:
@@ -375,8 +392,10 @@ def check_multi_to_ndistance(
     its own restriction g(x, z) <= d_n(x, z, ..., z) satisfies the simplex
     inequality with constant 1.  Hypotheses are verified first; failures of
     a hypothesis yield NOT_APPLICABLE rather than FAIL.  The simplex check
-    samples ``budget`` candidates even where the entry has a type list, so
-    a budget of 0 checks nothing and the verdict is NOT_APPLICABLE.
+    folds the entry's ``type_list`` where it has one and ``budget > 0``,
+    and reports ``method: exact``; otherwise it samples ``budget``
+    candidates, so a budget of 0 checks nothing and the verdict is
+    NOT_APPLICABLE.
     """
     from .core import check_simplex
 
@@ -401,5 +420,6 @@ def check_multi_to_ndistance(
                     "dn": ev((x,) + (z,) * (n - 1)),
                 },
             )
-    simplex = check_simplex(d, space, budget=budget, seed=seed)
+    pairs = entry.type_list(space) if budget > 0 else None
+    simplex = check_simplex(d, space, budget=budget, seed=seed, pairs=pairs)
     return PropertyVerdict.of(prop, simplex.details, simplex.counterexample)

@@ -16,17 +16,22 @@ def brute_circle(points):
 
     Every minimal circle is either the diameter circle of two points or the
     circumcircle of three, so trying all of them is exact.  O(n^4), fine for
-    the handful of points used in tests.
+    the handful of points used in tests.  The cover and collinearity slacks
+    are relative to the size of the configuration (its radius or largest
+    coordinate), so tiny and nearly collinear configurations get their true
+    radius.
     """
     pts = list(dict.fromkeys((float(x), float(y)) for x, y in points))
     if not pts:
         raise ValueError("no points")
     if len(pts) == 1:
         return (pts[0][0], pts[0][1], 0.0)
+    scale = max(abs(v) for p in pts for v in p)
 
     def covers(c):
         cx, cy, r = c
-        return all(math.hypot(x - cx, y - cy) <= r + 1e-9 for x, y in pts)
+        bound = r + 1e-12 * max(r, scale)
+        return all(math.hypot(x - cx, y - cy) <= bound for x, y in pts)
 
     best = None
     for a, b in itertools.combinations(pts, 2):
@@ -36,7 +41,7 @@ def brute_circle(points):
             best = c
     for a, b, c3 in itertools.combinations(pts, 3):
         d = 2.0 * (a[0] * (b[1] - c3[1]) + b[0] * (c3[1] - a[1]) + c3[0] * (a[1] - b[1]))
-        if abs(d) < 1e-12:
+        if abs(d) <= 1e-12 * scale * scale:
             continue
         ux = ((a[0] ** 2 + a[1] ** 2) * (b[1] - c3[1])
               + (b[0] ** 2 + b[1] ** 2) * (c3[1] - a[1])

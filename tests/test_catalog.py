@@ -14,10 +14,11 @@ from simplex_lab import catalog
 from simplex_lab.analysis import EXACT, estimate_partial_constant, scan
 from simplex_lab.cli import default_space_for
 from simplex_lab.core import (
-    CIRCLE_POINTS, PASS, FiniteSpace, Plane, RealLine, check_axioms, check_identity, check_simplex, check_symmetry,
-    iter_pairs, section, step_pairs,
+    CIRCLE_POINTS, PASS, FiniteSpace, NDistance, Plane, RealLine, check_axioms, check_identity, check_simplex,
+    check_symmetry, distinct_permutations, evaluate, iter_pairs, section, step_pairs,
 )
 from simplex_lab.geometry import GROUND_KINDS
+from simplex_lab.properties import check_nonincreasing_identification
 
 
 def test_available_ids_and_aliases():
@@ -428,6 +429,149 @@ def test_type_list_only_on_the_entrys_own_space_kind():
     assert simplex.details == {"checked": 1, "max_ratio": 0.5, "method": EXACT}
 
 
+
+def _axiom_spaces(entry):
+    """Finite spaces of 2..7 labels for a partition entry, and the line where its list reaches it."""
+    spaces = []
+    if entry.type_pairs is catalog.partition_pairs:
+        spaces = [FiniteSpace(tuple("abcdefg"[:size])) for size in range(2, 8)]
+    return spaces + [RealLine()] if entry.distance.space_kind in ("any", "real-line") else spaces
+
+
+def _set_partition(u):
+    # the partition of the positions into equal points, as each position's first equal position
+    return tuple(u.index(x) for x in u)
+
+
+def test_axiom_tuples_realise_every_set_partition_and_every_step_generator():
+    # the coverage half of the proofs in CatalogEntry.axiom_tuples
+    for n in range(2, 7):
+        for size in range(2, 8):
+            tuples = catalog.make("cardinality", n).axiom_tuples(FiniteSpace(tuple("abcdefg"[:size])))
+            got = {_set_partition(u) for t in tuples for u in distinct_permutations(t)}
+            assert got == {_set_partition(u) for u in itertools.product(range(size), repeat=n)}, (n, size)
+        tuples = catalog.make("arithmetic-mean", n).axiom_tuples(RealLine())
+        perms = [u for t in tuples for u in distinct_permutations(t)]
+        h = float(n)
+        assert len(perms) == len(set(perms)) == 2**n - 1
+        assert set(perms) == set(itertools.product((0.0, h), repeat=n)) - {(0.0,) * n}
+        assert tuples[-1] == (h,) * n
+
+
+def test_axiom_tuples_only_for_partition_and_line_step_pair_entries():
+    assert catalog.make("drastic", 4).axiom_tuples(Plane()) is not None
+    assert catalog.make("arithmetic-mean", 4).axiom_tuples(Plane()) is None  # no type list off the line
+    assert catalog.make("diameter", 4, d2="euclidean").axiom_tuples(Plane()) is None  # a planar step-pair entry
+    assert catalog.make("fermat", 4, d2="discrete").axiom_tuples(RealLine()) is None
+    for dist_id, space in (("inner-interval", RealLine()), ("enclosing-radius", Plane()), ("line-count", Plane())):
+        entry = catalog.make(dist_id, 4)
+        assert entry.type_list(space) is not None and entry.axiom_tuples(space) is None
+    assert dataclasses.replace(catalog.make("drastic", 4), type_pairs=None).axiom_tuples(RealLine()) is None
+    # past the permutation limit the checks sample: 95,502 permutations at n = 8 on the line, 871,029 at n = 9
+    assert catalog.make("drastic", 8).axiom_tuples(RealLine()) is not None
+    assert catalog.make("drastic", 9).axiom_tuples(RealLine()) is None
+    assert catalog.make("drastic", 9).axiom_tuples(FiniteSpace(("a", "b", "c"))) is not None
+    # check_axioms hands the tuples to identity and symmetry only
+    entry = catalog.make("cardinality", 4)
+    tuples = entry.axiom_tuples(RealLine())
+    identity, symmetry, simplex = check_axioms(entry.distance, RealLine(), budget=64, tuples=tuples)
+    assert identity.details["method"] == symmetry.details["method"] == EXACT
+    assert "method" not in simplex.details
+
+
+@pytest.mark.parametrize("variant", sorted(_PARTITION_IDS | _LINE_CELL_LINEAR_IDS))
+def test_identity_and_symmetry_on_the_axiom_tuples_agree_with_sampling(variant):
+    for n in range(2, 7):
+        entry = _make(variant, n)
+        for space in _axiom_spaces(entry):
+            tuples = entry.axiom_tuples(space)
+            perms = sum(1 for t in tuples for _ in distinct_permutations(t))
+            for check, budget, checked in ((check_identity, 512, perms), (check_symmetry, 64, len(tuples))):
+                exact = check(entry.distance, space, tuples=tuples)
+                sampled = check(entry.distance, space, budget=budget, seed=42)
+                assert exact.status == sampled.status == PASS, (n, space, exact, sampled)
+                assert exact.details["method"] == EXACT and exact.details["checked"] == checked > 0
+
+
+@pytest.mark.parametrize("variant", sorted(_PARTITION_IDS))
+def test_nonincreasing_on_the_axiom_tuples_agrees_with_sampling(variant):
+    for n in range(2, 7):
+        entry = _make(variant, n)
+        hookless = dataclasses.replace(entry, type_pairs=None)
+        for space in _axiom_spaces(entry):
+            exact = check_nonincreasing_identification(entry, space)
+            sampled = check_nonincreasing_identification(hookless, space, budget=200, seed=42)
+            assert exact.status == sampled.status, (n, space, exact, sampled)
+            assert exact.details["method"] == EXACT and exact.details["checked"] > 0
+            assert "method" not in sampled.details
+
+
+def _mutant(n, hook, ev):
+    kind = "any" if hook is catalog.partition_pairs else "real-line"
+    return catalog.CatalogEntry(NDistance("mutant", n, kind, ev), type_pairs=hook)
+
+
+def _assert_asymmetry_recomputes(entry, space):
+    v = check_symmetry(entry.distance, space, tuples=entry.axiom_tuples(space))
+    assert v.failed and v.details["method"] == EXACT
+    ce = v.counterexample
+    assert sorted(ce["tuple"]) == sorted(ce["permuted"])
+    assert evaluate(entry.distance, ce["tuple"]) == ce["value"] != ce["permuted_value"]
+    assert evaluate(entry.distance, ce["permuted"]) == ce["permuted_value"]
+
+
+def test_axiom_tuples_catch_asymmetric_entries():
+    def label_invariant(t):
+        return 0.0 if len(set(t)) == 1 else 1.0 if t[0] == t[1] else 2.0
+
+    def cell_linear(t):
+        return max(t) - min(t) + (t[0] - min(t))
+
+    for n in range(2, 7):
+        if n >= 3:  # at n = 2, t[0] == t[1] only on constants
+            for space in (FiniteSpace(("a", "b")), FiniteSpace(("a", "b", "c")), RealLine()):
+                _assert_asymmetry_recomputes(_mutant(n, catalog.partition_pairs, label_invariant), space)
+        entry = _mutant(n, step_pairs, cell_linear)
+        _assert_asymmetry_recomputes(entry, RealLine())
+        assert check_identity(entry.distance, RealLine(), tuples=entry.axiom_tuples(RealLine())).passed
+
+
+def test_axiom_tuples_catch_a_zero_on_any_one_nonconstant_tuple():
+    # for each hook, every nonconstant permuted tuple in turn is the one tuple where d vanishes
+    for n in range(2, 6):
+        for hook, space in ((step_pairs, RealLine()), (catalog.partition_pairs, RealLine()),
+                            (catalog.partition_pairs, FiniteSpace(("a", "b", "c")))):
+            tuples = _mutant(n, hook, None).axiom_tuples(space)
+            for bad in (u for t in tuples[:-1] for u in distinct_permutations(t)):
+                entry = _mutant(n, hook, lambda t, bad=bad: 0.0 if t == bad or len(set(t)) == 1 else 1.0)
+                v = check_identity(entry.distance, space, tuples=entry.axiom_tuples(space))
+                assert v.failed and v.counterexample == {"tuple": bad, "value": 0.0}
+                assert evaluate(entry.distance, bad) == 0.0
+
+
+def test_nonincreasing_on_the_axiom_tuples_reaches_every_identification():
+    # a d that rises only on one set partition q fails wherever identifying two arguments reaches q
+    for n in (4, 5):
+        tuples = catalog.make("drastic", n).axiom_tuples(RealLine())
+        for q in {_set_partition(u) for t in tuples for u in distinct_permutations(t)}:
+            if not 2 <= len(set(q)) < n:
+                continue
+            entry = _mutant(n, catalog.partition_pairs,
+                            lambda t, q=q: 0.0 if len(set(t)) == 1 else 2.0 if _set_partition(t) == q else 1.0)
+            v = check_nonincreasing_identification(entry, RealLine())
+            assert v.failed and _set_partition(v.counterexample["identified"]) == q, (n, q)
+
+def test_nonincreasing_on_the_axiom_tuples_fails_with_a_real_identification():
+    # fermat[discrete] at n = 4: identifying (a, a, a, b) to (a, a, b, b) raises d from 1 to 2
+    entry = catalog.make("fermat", 4, d2="discrete")
+    v = check_nonincreasing_identification(entry, FiniteSpace(("a", "b", "c")))
+    assert v.failed and v.details["method"] == EXACT
+    ce = v.counterexample
+    t, u = ce["tuple"], ce["identified"]
+    (i,) = [i for i in range(4) if t[i] != u[i]]
+    assert u[i] in t
+    assert evaluate(entry.distance, t) == ce["before"] < ce["after"] == evaluate(entry.distance, u)
+
 @st.composite
 def _one_cell_pair(draw, n):
     """Two (t, z) points of one order cell of (x_1..x_n, z), integer multiples of n.
@@ -580,7 +724,7 @@ def _circle_ratios_above_bound(t, z) -> list[tuple[str, int]]:
 
 
 _GRID = st.integers(-3, 3).map(float)
-# multiples of 2^-10: far apart next to the 1e-9 slack with which brute_circle accepts a cover
+# multiples of 2^-10, a finer grid than the integers
 _DYADIC = st.integers(-2**12, 2**12).map(lambda v: v / 2**10)
 
 

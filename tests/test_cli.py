@@ -127,6 +127,17 @@ def test_verify_decides_the_simplex_axiom_on_the_type_list():
     assert v["details"] == {"checked": 6, "max_ratio": 0.3333333333333333, "method": "exact"}
 
 
+def test_verify_decides_identity_and_symmetry_on_the_axiom_tuples():
+    # the partition and line step-pair entries are exact; inner-interval still samples
+    for dist_id, space, exact in (("cardinality", "finite:3", True), ("arithmetic-mean", "real", True),
+                                  ("inner-interval", "real", False)):
+        r = run_cli("verify", "--distance", dist_id, "--n", "4", "--space", space, "--budget", "2000")
+        assert r.returncode == 0, r.stderr
+        identity, symmetry, _ = json.loads(r.stdout)["verdicts"]
+        for v, prop in ((identity, "identity("), (symmetry, "symmetry(")):
+            assert v["property"].startswith(prop) and v["status"] == "pass"
+            assert (v["details"].get("method") == "exact") is exact, (dist_id, v)
+
 def test_line_count_passes_at_its_exact_lower_bracket_end():
     # 3/5 is attained, and the bracket's lower end is 3/5 correctly rounded
     r = run_cli("constants", "--distance", "line-count", "--n", "3", "--tolerance", "0", "--budget", "3000")

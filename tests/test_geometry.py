@@ -56,6 +56,18 @@ def test_circle_matches_brute_force():
         assert got.radius == pytest.approx(want[2], abs=1e-7), (trial, pts)
 
 
+def test_brute_circle_gets_tiny_and_nearly_collinear_radii():
+    # the oracle's cover slack is relative: an absolute 1e-9 accepted the circle of (0, 0) and (1e-10, 0),
+    # radius 5e-11, and of the two right points of the second set, radius 0.49999999995
+    for pts, radius in (
+        ([(0.0, 0.0), (1e-10, 0.0), (0.0, 1e-10)], math.hypot(1e-10, 1e-10) / 2.0),
+        ([(2.0, 0.0), (1.0, 0.0), (1.0000000001, 0.0)], 0.5),
+    ):
+        cx, cy, r = brute_circle(pts)
+        got = smallest_enclosing_circle(pts)
+        assert r == pytest.approx(radius, rel=1e-12) and got.radius == pytest.approx(r, rel=1e-12)
+        assert (cx, cy) == pytest.approx(got.center, rel=1e-12)
+
 def test_circle_is_order_independent():
     pts = [(5, 0), (3, 4), (0, 5), (-3, 4), (1, 1)]
     base = smallest_enclosing_circle(pts)

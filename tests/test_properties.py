@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import naive_scan
 from simplex_lab import catalog
+from simplex_lab.analysis import EXACT
 from simplex_lab.catalog import CatalogEntry
 from simplex_lab.cli import default_space_for, resolve_strong_constant
 from simplex_lab.core import (
@@ -295,6 +296,19 @@ def test_multidistance_validation():
             [catalog.make("enclosing-radius", 2), catalog.make("enclosing-radius", 4)], Plane()
         )
 
+
+def test_multi_to_ndistance_folds_the_type_list():
+    # with a budget, the simplex check folds the member's proven list; a budget of 0 checks nothing
+    g = lambda x, z: float(x != z)
+    for n in (3, 4, 5):
+        entry = catalog.make("cardinality", n)
+        space = FiniteSpace(("a", "b", "c", "d"))
+        v = check_multi_to_ndistance(entry, g, space, budget=400, seed=0)
+        assert v.passed and v.details["method"] == EXACT
+        assert v.details["checked"] == len(entry.type_list(space))
+        assert v.details["max_ratio"] == 1 / (n - 1)
+        empty = check_multi_to_ndistance(entry, g, space, budget=0, seed=0)
+        assert empty.status == NOT_APPLICABLE and "method" not in empty.details
 
 def test_multi_to_ndistance_converse():
     entry = catalog.make("enclosing-radius", 3)
