@@ -48,8 +48,10 @@ fermat on the discrete ground) one pair per equality type of (t, z): 10,
 docstring carries its proof.  The values of the step
 pairs may lie outside the sampling box, which bounds sampling only.
 Everywhere else, larger finite spaces included, the scan folds the entry's
-own witness recipe, then the candidates of ``core.iter_pairs`` (the
-structured extremal families, then seeded samples), and on a continuous
+own witness recipe where it has one (only the ``constructions`` set one,
+for finite spaces too large to enumerate), then the candidates of
+``core.iter_pairs`` (the structured extremal families, then seeded
+samples), and on a continuous
 space locally refines the best candidate by cyclic coordinate descent
 (in the catalog, only fermat[euclidean] and line-count beyond n = 5 get
 there).
@@ -66,6 +68,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import (
+    EXACT,
+    SAMPLED,
     TOL,
     DegenerateTupleError,
     Point,
@@ -81,9 +85,6 @@ from .core import (
 
 if TYPE_CHECKING:
     from .catalog import CatalogEntry
-
-EXACT = "exact"
-SAMPLED = "sampled"
 
 RELATION_TOL = 1e-6  # slack of the relations between estimated constants
 _REFINE_ROUNDS = 20

@@ -4,9 +4,8 @@ Every evaluator sorts its argument tuple first: all of these maps are
 symmetric by definition, so the sort changes no value but makes permutation
 invariance bit-exact.  Evaluators return exactly 0.0 on constant tuples.
 
-``witness_recipe`` callables map a space to a (tuple, z) pair realizing the
-known best constant; the same pairs realize the known partial constants once
-the k cheapest sections are selected.
+No catalog entry sets ``witness_recipe``: wherever a constant is known, the
+entry's ``type_pairs`` list carries it and its pairs are the witnesses.
 """
 
 from __future__ import annotations
@@ -61,8 +60,10 @@ class CatalogEntry:
     immutable tuple, built once per space kind (labels, for
     ``partition_pairs``) and n and shared by every witness.
 
-    The builders in ``constructions`` also set ``space`` (the label space
-    the distance is built on), ``exact_evaluator`` (rational values, when
+    The builders in ``constructions`` also set ``witness_recipe`` (the
+    (t, z) that attains their constant, which an estimate folds first on a
+    label space too large to enumerate), ``space`` (the label space the
+    distance is built on), ``exact_evaluator`` (rational values, when
     known) and ``params`` (the construction's own numbers).
     """
 
@@ -169,29 +170,15 @@ def _permutation_count(t: tuple) -> int:
     return count
 
 
-def _distinct_pair(space: Space) -> tuple[Point, Point]:
-    if space.kind == "finite":
-        return space.labels[0], space.labels[1]
-    if space.kind == "real-line":
-        return 0.0, 1.0
-    return (0.0, 0.0), (1.0, 0.0)
-
-
-def _standard_entry(d: NDistance, invariant: bool = True, type_pairs: Callable | None = None) -> CatalogEntry:
+def _standard_entry(d: NDistance, type_pairs: Callable, invariant: bool = True) -> CatalogEntry:
     """A standard entry: K*_{n,k} = 1/(k-1) for every k.
 
     ``invariant`` is both its repetition-invariant and its nonincreasing
     flag.  The witness (x, y, ..., y) with z = y has ratio 1/(n-1).
     """
-    n = d.arity
-
-    def recipe(space: Space) -> tuple[tuple, Point]:
-        x, y = _distinct_pair(space)
-        return (x,) + (y,) * (n - 1), y
-
     return CatalogEntry(
-        d, recipe, standard=True, repetition_invariant=invariant, nonincreasing=invariant, type_pairs=type_pairs,
-        constants={k: 1.0 / (k - 1) for k in range(2, n + 1)},
+        d, standard=True, repetition_invariant=invariant, nonincreasing=invariant, type_pairs=type_pairs,
+        constants={k: 1.0 / (k - 1) for k in range(2, d.arity + 1)},
     )
 
 
@@ -242,7 +229,14 @@ def diameter(n: int, d2: str = "abs") -> CatalogEntry:
 
 
 def sum_based(n: int, d2: str = "abs") -> CatalogEntry:
-    """Sum of the ground distances over all unordered argument pairs."""
+    """Sum of the ground distances over all unordered argument pairs.
+
+    On every ground, repetition-invariant and nonincreasing exactly for
+    n <= 3: (x, x, y) and (x, y, y) both cost 2g(x, y), and identifying two
+    of three values x, y, w leaves 2g(x, w) <= g(x, y) + g(y, w) + g(x, w).
+    For n >= 4, (x, y, ..., y) costs (n-1)g(x, y), and identifying one of
+    its y with x gives the same value set at 2(n-2)g(x, y), which is more.
+    """
     g = ground_distance(d2)
 
     def ev(t: tuple) -> float:
@@ -252,18 +246,24 @@ def sum_based(n: int, d2: str = "abs") -> CatalogEntry:
     d = NDistance(f"sum-based[{d2}]", n, space_kind_for_ground(d2), ev)
     # max(|a|, |b|) = (|a + b| + |a - b|)/2: chebyshev is a sum over (x + y)/2 and (x - y)/2,
     # and euclidean an integral over directions (Cauchy-Crofton, see core.step_pairs)
-    return _standard_entry(d, invariant=False, type_pairs=partition_pairs if d2 == "discrete" else step_pairs)
+    return _standard_entry(d, invariant=n <= 3, type_pairs=partition_pairs if d2 == "discrete" else step_pairs)
 
 
 def arithmetic_mean(n: int) -> CatalogEntry:
-    """Mean of the arguments minus their minimum (reals only)."""
+    """Mean of the arguments minus their minimum (reals only).
+
+    Repetition-invariant and nonincreasing exactly at n = 2, where d is
+    |x_1 - x_2|/2 and identifying its two arguments gives 0.  For n >= 3,
+    (0, ..., 0, 1) is 1/n, and identifying one of its 0s with its 1 gives
+    the same value set at 2/n.
+    """
 
     def ev(t: tuple) -> float:
         ts = sorted(t)
         m = ts[0]
         return sum(x - m for x in ts) / n  # exact 0.0 on constant tuples
 
-    return _standard_entry(NDistance("arithmetic-mean", n, "real-line", ev), invariant=False, type_pairs=step_pairs)
+    return _standard_entry(NDistance("arithmetic-mean", n, "real-line", ev), invariant=n == 2, type_pairs=step_pairs)
 
 
 def fermat(n: int, d2: str = "abs") -> CatalogEntry:
@@ -295,13 +295,9 @@ def fermat(n: int, d2: str = "abs") -> CatalogEntry:
     d = NDistance(f"fermat[{d2}]", n, space_kind_for_ground(d2), ev)
     rep = n <= 3
     if d2 != "euclidean":  # chebyshev: the sum over (x + y)/2 and (x - y)/2
-        return CatalogEntry(
-            d, None, standard=True, repetition_invariant=rep, nonincreasing=rep,
-            type_pairs=partition_pairs if d2 == "discrete" else step_pairs,
-            constants={k: 1.0 / (k - 1) for k in range(2, n + 1)},
-        )
+        return _standard_entry(d, invariant=rep, type_pairs=partition_pairs if d2 == "discrete" else step_pairs)
     bounds = (1.0 / (n - 1), (4.0 * n - 4.0) / (3.0 * n * n - 4.0 * n))
-    return CatalogEntry(d, None, standard=None, repetition_invariant=rep, nonincreasing=rep, constant_bounds=bounds)
+    return CatalogEntry(d, standard=None, repetition_invariant=rep, nonincreasing=rep, constant_bounds=bounds)
 
 
 def line_count(n: int) -> CatalogEntry:
@@ -324,7 +320,7 @@ def line_count(n: int) -> CatalogEntry:
     if n + 1 <= max(LINEAR_SPACE_TYPES):  # where linear_space_pairs reaches
         constants = {k: (k + 1) / (k * (k - 1)) for k in range(2, n)} | {n: n / (n * n - 2 * n + 2)}
     return CatalogEntry(
-        d, None, standard=None, repetition_invariant=True, nonincreasing=True, type_pairs=linear_space_pairs,
+        d, standard=None, repetition_invariant=True, nonincreasing=True, type_pairs=linear_space_pairs,
         constants=constants, constant_bounds=bounds,
     )
 
@@ -356,14 +352,10 @@ def enclosing_area(n: int) -> CatalogEntry:
         r = smallest_enclosing_circle(t).radius
         return math.pi * r * r
 
-    def recipe(space: Space) -> tuple[tuple, Point]:
-        # two diametral points plus n-2 copies of their midpoint, z = midpoint
-        return ((0.0, 0.0), (2.0, 0.0)) + ((1.0, 0.0),) * (n - 2), (1.0, 0.0)
-
     kk = {k: 1.0 / (k - 1.5) for k in range(2, n + 1)}
     d = NDistance("enclosing-area", n, "plane", ev)
     return CatalogEntry(
-        d, recipe, standard=False, repetition_invariant=True, nonincreasing=True, type_pairs=circle_pairs, constants=kk,
+        d, standard=False, repetition_invariant=True, nonincreasing=True, type_pairs=circle_pairs, constants=kk,
     )
 
 
@@ -490,21 +482,25 @@ def partition_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
     return _partition_pairs(labels, n)
 
 
-def _integer_partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-    """The partitions of n into parts at most ``largest``, non-increasing, largest first part first."""
+def _integer_partitions(n: int, largest: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into at most ``parts`` parts of at most ``largest``, largest first part first.
+
+    Each is non-increasing; a first part below n/parts would leave too much for the other parts.
+    """
     if n == 0:
         yield ()
-    for first in range(min(n, largest), 0, -1):
-        for rest in _integer_partitions(n - first, first):
+        return
+    for first in range(min(n, largest), -(-n // parts) - 1, -1):
+        for rest in _integer_partitions(n - first, first, parts - 1):
             yield (first,) + rest
 
 
 @functools.cache
 def _partition_pairs(labels: tuple, n: int) -> tuple[tuple[tuple, Point], ...]:
     out = []
-    for sizes in _integer_partitions(n, n):
+    for sizes in _integer_partitions(n, n, len(labels)):
         b = len(sizes)
-        if not 2 <= b <= len(labels):
+        if b < 2:
             continue
         t = tuple(labels[j] for j, m in enumerate(sizes) for _ in range(m))
         zs = [labels[j] for j, m in enumerate(sizes) if j == 0 or sizes[j - 1] != m] + list(labels[b:b + 1])
@@ -512,11 +508,19 @@ def _partition_pairs(labels: tuple, n: int) -> tuple[tuple[tuple, Point], ...]:
     return tuple(out)
 
 
-def _inner_interval_witness(n: int) -> Callable[[Space], tuple[tuple, Point]]:
-    def recipe(space: Space) -> tuple[tuple, Point]:
-        return (0.0,) + (1.0,) * (n - 1), 0.5
+def _gap_entry(name: str, n: int, p: float, ev: Callable[[tuple], float]) -> CatalogEntry:
+    """The p-th power of the largest gap, n >= 2^p: K*_{n,k} = 2^p/k through ``gap_pairs``.
 
-    return recipe
+    Repetition-invariant, since the largest gap depends only on the set of
+    values.  Standard and nonincreasing exactly at n = 2, where p = 1 and d
+    is |x_1 - x_2|: identifying its two arguments gives 0.  For n >= 3 the
+    best constant 2^p/n is above 1/(n-1), and identifying the 1 of
+    (0, 1, 2, ..., 2), largest gap 1, with its 0 doubles the largest gap.
+    """
+    return CatalogEntry(
+        NDistance(name, n, "real-line", ev), standard=(n == 2), repetition_invariant=True, nonincreasing=(n == 2),
+        type_pairs=gap_pairs, constants={k: 2**p / k for k in range(2, n + 1)},
+    )
 
 
 def largest_inner_interval(n: int) -> CatalogEntry:
@@ -524,14 +528,10 @@ def largest_inner_interval(n: int) -> CatalogEntry:
 
     Nonstandard for n >= 3: best constant 2/n, best partial constants 2/k,
     exact through the one pair of ``gap_pairs`` (its docstring has the
-    proof).  Repetition-invariant but not nonincreasing under
-    identification.
+    proof).  Repetition-invariant, and nonincreasing under identification
+    only at n = 2.
     """
-    d = NDistance("inner-interval", n, "real-line", _largest_gap)
-    return CatalogEntry(
-        d, _inner_interval_witness(n), standard=(n == 2), repetition_invariant=True, nonincreasing=(n == 2),
-        type_pairs=gap_pairs, constants={k: 2.0 / k for k in range(2, n + 1)},
-    )
+    return _gap_entry("inner-interval", n, 1, _largest_gap)
 
 
 def inner_interval_power(n: int, p: int) -> CatalogEntry:
@@ -549,11 +549,7 @@ def inner_interval_power(n: int, p: int) -> CatalogEntry:
     def ev(t: tuple) -> float:
         return _largest_gap(t) ** p
 
-    d = NDistance(f"inner-interval-power[p={p}]", n, "real-line", ev)
-    return CatalogEntry(
-        d, _inner_interval_witness(n), standard=(n == 2 and p == 1), repetition_invariant=True, nonincreasing=False,
-        type_pairs=gap_pairs, constants={k: 2**p / k for k in range(2, n + 1)},
-    )
+    return _gap_entry(f"inner-interval-power[p={p}]", n, p, ev)
 
 
 # ---------------------------------------------------------------------------

@@ -123,15 +123,14 @@ def tolerance_value(text: str) -> float:
 
 
 def parse_int_list(text: str, low: int, high: int, what: str = "k") -> list[int]:
-    """'3' | '2,3' | '2..5' -> validated list of ints in [low, high]."""
-    if ".." in text:
-        start, _, stop = text.partition("..")
-        values = list(range(int(start), int(stop) + 1))
-    else:
-        values = [int(x) for x in text.split(",")]
+    """'3' | '2,3' | '2..5' -> validated list of ints in [low, high]; a range's ends are checked first."""
+    start, dots, stop = text.partition("..")
+    values = [int(start), int(stop)] if dots else [int(x) for x in text.split(",")]
     for v in values:
         if not low <= v <= high:
             raise ValueError(f"{what}={v} out of range [{low}, {high}]")
+    if dots:
+        values = list(range(values[0], values[1] + 1))
     if not values:
         raise ValueError(f"empty {what} list")
     return values

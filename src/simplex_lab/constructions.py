@@ -2,9 +2,10 @@
 
 Two anchor-based constructions produce n-distances whose best constant is an
 arbitrary prescribed value s, certified by an explicit witness stored on the
-result.  A third construction realizes the worst case of the strong simplex
-inequality for standard repetition-invariant distances; its values are exact
-rationals so attainment can be checked without tolerances.
+result as its ``witness_recipe`` (no catalog entry sets one).  A third
+construction realizes the worst case of the strong simplex inequality for
+standard repetition-invariant distances; its values are exact rationals so
+attainment can be checked without tolerances.
 """
 
 from __future__ import annotations

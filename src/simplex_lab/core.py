@@ -21,6 +21,10 @@ PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
+# how a result was reached: from a proven list or a full enumeration, or by sampling
+EXACT = "exact"
+SAMPLED = "sampled"
+
 SPACE_KINDS = ("finite", "real-line", "plane")
 
 # Every result the package checks is an inequality, tested up to a slack.
@@ -154,9 +158,9 @@ class NDistance:
     """A named symmetric nonnegative n-ary map: the map and nothing else.
 
     The axiom checks of this module take an ``NDistance``.  What is known
-    about a distance (its constants, witness recipe and property flags)
-    lives on ``catalog.CatalogEntry``, which every function above this
-    module takes instead.
+    about a distance (its constants, type list and property flags, and a
+    construction's witness recipe) lives on ``catalog.CatalogEntry``, which
+    every function above this module takes instead.
     """
 
     name: str
@@ -444,7 +448,7 @@ def check_identity(
             ce = {"tuple": t, "value": v}
             break
         checked += 1
-    return PropertyVerdict.of(prop, _with_method({"checked": checked}, tuples), ce)
+    return PropertyVerdict.of(prop, _with_method({"checked": checked}, tuples is not None), ce)
 
 
 def check_symmetry(
@@ -487,14 +491,12 @@ def check_symmetry(
         if ce is not None:
             break
         checked += 1
-    return PropertyVerdict.of(prop, _with_method({"checked": checked, "tolerance": tol}, tuples), ce)
+    return PropertyVerdict.of(prop, _with_method({"checked": checked, "tolerance": tol}, tuples is not None), ce)
 
 
-def _with_method(details: dict, tuples: Sequence[tuple] | None) -> dict:
+def _with_method(details: dict, exact: bool) -> dict:
     """``details`` with ``method: exact`` where a proven list decided the check."""
-    from .analysis import EXACT
-
-    return details if tuples is None else {**details, "method": EXACT}
+    return {**details, "method": EXACT} if exact else details
 
 
 def check_simplex(
@@ -522,7 +524,7 @@ def check_simplex(
     prop = f"simplex({d.name},K={constant:g})"
     candidates = iter_pairs(space, d.arity, budget, seed) if pairs is None else pairs
     best, first, worst, checked = scan(d.evaluator, candidates, d.arity, constant)
-    details = _with_method({"checked": checked, "max_ratio": best[0] if best else 0.0}, pairs)
+    details = _with_method({"checked": checked, "max_ratio": best[0] if best else 0.0}, pairs is not None)
     ce = worst_ce = None
     if first is not None:
         ce, worst_ce = (

@@ -28,9 +28,10 @@ from .core import (
     distinct_permutations,
     iter_pairs,
     iter_tuples,
+    _with_method,
     section,
 )
-from .analysis import EXACT, scan
+from .analysis import scan
 from .catalog import CatalogEntry, partition_pairs
 
 
@@ -147,9 +148,7 @@ def check_strong_k_simplex(
             first = first or (comp, c_first)
             if worst is None or c_worst[0] > worst[1][0]:
                 worst = (comp, c_worst)
-    details = {"checked": checked, "compositions": len(comps), "max_ratio": max_ratio}
-    if exact:
-        details["method"] = EXACT
+    details = _with_method({"checked": checked, "compositions": len(comps), "max_ratio": max_ratio}, exact)
     ce = worst_ce = None
     if first is not None:
         ce, worst_ce = (
@@ -306,9 +305,7 @@ def check_nonincreasing_identification(
                         first_ce = ce
         if first_ce is not None:
             break
-    details = {"checked": checked}
-    if tuples is not None:
-        details["method"] = EXACT
+    details = _with_method({"checked": checked}, tuples is not None)
     if first_ce is None:
         rep = check_repetition_invariance(entry, space, seed=seed)
         if rep.failed:

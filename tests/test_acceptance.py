@@ -111,9 +111,9 @@ def test_criterion_02_inner_interval():
         est = estimate_best_constant(entry, RealLine(), budget=BUDGET, seed=SEED)
         assert abs(est.lower_bound - 2 / n) <= 1e-9, (n, est.lower_bound)
         assert est.witness.ratio == est.lower_bound
-        # the canonical witness x_1 < x_2 = ... = x_n with z at the midpoint
+        # the listed pair x_1 < x_2 = ... = x_n with z at the midpoint
         # attains the constant exactly, not just within tolerance
-        t, z = entry.witness_recipe(RealLine())
+        t, z = entry.type_list(RealLine())[0]
         pts = sorted(t)
         assert pts[0] < pts[1] and len(set(pts[1:])) == 1
         assert z == (pts[0] + pts[1]) / 2
@@ -136,8 +136,9 @@ def test_criterion_03_enclosing_area_partials():
     for k in (2, 3, 4):
         part = estimate_partial_constant(entry, Plane(), k=k, budget=BUDGET, seed=SEED)
         assert abs(part.lower_bound - 1 / (k - 1.5)) <= 1e-6, (k, part.lower_bound)
-    # two diametral points plus midpoint copies, z at the midpoint
-    t, z = entry.witness_recipe(Plane())
+    # the listed pair: two diametral points plus midpoint copies, z at the midpoint
+    t, z = entry.type_list(Plane())[0]
+    assert sorted(t) == [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0)] and z == (1.0, 0.0)
     w = Witness(t, z, ratio(entry, t, z), (1, 2, 3, 4))
     for k in (2, 3, 4):
         v = check_attainment_transfer(entry, w, k=k, kstar=entry.constants[4])

@@ -66,7 +66,7 @@ def test_ratio_rejects_repeated_or_out_of_range_indices():
 
 
 def test_estimates_and_checks_refuse_a_bare_distance():
-    # the entry holds the witness recipe and the flags; its bare NDistance would
+    # the entry holds the type list and the flags; its bare NDistance would
     # silently drop them and give another answer
     area = catalog.make("enclosing-area", 4)
     assert estimate_best_constant(area, Plane(), budget=1, seed=42).lower_bound == 0.4
@@ -298,15 +298,26 @@ def test_sampled_on_continuous_space():
     assert est.trials > 0
 
 
+_LETTERS = FiniteSpace(tuple("abcdefghijklmnopqrstuvwxyz"))
+
+
 @pytest.mark.parametrize(
-    "entry, space",
-    [(_hookless("drastic", 4), RealLine()), (_hookless("enclosing-radius", 4), Plane())],
-    ids=["line", "plane"],
+    "entry, space, recipe",
+    [
+        (_hookless("drastic", 4), RealLine(), False),
+        (_hookless("enclosing-radius", 4), Plane(), False),
+        # C(29, 4) * 26 = 617,526 (multiset, z) pairs, past the enumeration bound
+        (two_anchor_distance("a", "b", 0.4, 4, _LETTERS), _LETTERS, True),
+    ],
+    ids=["line", "plane", "construction"],
 )
 @pytest.mark.parametrize("budget", [1, 5, 300])
-def test_sampled_estimate_folds_recipe_then_iter_pairs(entry, space, budget):
-    # the sampled candidates are the recipe, then iter_pairs for the rest of the budget
-    pairs = [entry.witness_recipe(space)] + list(iter_pairs(space, 4, budget - 1, 7))
+def test_sampled_estimate_folds_recipe_then_iter_pairs(entry, space, recipe, budget):
+    # the sampled candidates are the recipe, which only the constructions have,
+    # then iter_pairs for the rest of the budget
+    assert (entry.witness_recipe is not None) == recipe
+    head = [entry.witness_recipe(space)] if recipe else []
+    pairs = head + list(iter_pairs(space, 4, budget - len(head), 7))
     assert len(pairs) == budget
     est = estimate_best_constant(entry, space, budget=budget, seed=7)
     assert est.method == SAMPLED

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,14 +12,14 @@ from hypothesis import strategies as st
 
 from helpers import brute_circle, ordered_scan_by_k
 from simplex_lab import catalog
-from simplex_lab.analysis import EXACT, estimate_partial_constant, scan
+from simplex_lab.analysis import EXACT, estimate_best_constant, estimate_partial_constant, scan
 from simplex_lab.cli import default_space_for
 from simplex_lab.core import (
     CIRCLE_POINTS, PASS, FiniteSpace, NDistance, Plane, RealLine, check_axioms, check_identity, check_simplex,
     check_symmetry, distinct_permutations, evaluate, iter_pairs, section, step_pairs,
 )
 from simplex_lab.geometry import GROUND_KINDS
-from simplex_lab.properties import check_nonincreasing_identification
+from simplex_lab.properties import check_nonincreasing_identification, check_repetition_invariance
 
 
 def test_available_ids_and_aliases():
@@ -245,6 +246,26 @@ def test_variants_cover_the_catalog():
 
 
 @pytest.mark.parametrize("dist_id, params", _VARIANTS, ids=_VARIANT_IDS)
+def test_flags_are_the_checkers_verdicts(dist_id, params):
+    # every known flag at every arity the variant has in 2..5; standard where
+    # the type list gives K*_n exactly
+    arities = [n for n in range(2, 6) if dist_id != "enclosing-area" or n >= 3]
+    if dist_id == "inner-interval-power":
+        arities = [n for n in arities if n >= 2 ** params["p"]]
+    for n in arities:
+        entry = catalog.make(dist_id, n, **params)
+        space = default_space_for(entry.distance.space_kind)
+        rep = check_repetition_invariance(entry, space)
+        noninc = check_nonincreasing_identification(entry, space, budget=200)
+        for flag, verdict in ((entry.repetition_invariant, rep), (entry.nonincreasing, noninc)):
+            if flag is not None:
+                assert verdict.passed == flag, (entry.name, verdict.property, verdict.counterexample)
+        est = estimate_best_constant(entry, space, budget=1)
+        if entry.standard is not None and est.method == EXACT:
+            assert (est.lower_bound == 1 / (n - 1)) == entry.standard, (entry.name, est.lower_bound)
+
+
+@pytest.mark.parametrize("dist_id, params", _VARIANTS, ids=_VARIANT_IDS)
 def test_identity_and_symmetry_on_the_default_space(dist_id, params):
     entry = catalog.make(dist_id, 4, **params)
     space = default_space_for(entry.distance.space_kind)
@@ -362,6 +383,21 @@ def test_partition_list_is_built_once_per_labels_and_n():
     assert catalog.partition_pairs(RealLine(-3.0, 5.0), 4) is catalog.partition_pairs(RealLine(), 4)
     assert catalog.partition_pairs(Plane(0.0, 2.0), 4) is catalog.partition_pairs(Plane(), 4)
     assert abc is not catalog.partition_pairs(FiniteSpace(("a", "b", "c")), 5)
+
+
+def test_integer_partitions_stop_at_the_label_count():
+    # the same order as every partition of n, largest first part first, filtered
+    # to at most `parts` parts
+    for n in range(1, 11):
+        every = sorted((c for m in range(1, n + 1) for c in itertools.combinations_with_replacement(range(n, 0, -1), m)
+                        if sum(c) == n), reverse=True)
+        for parts in range(1, 8):
+            assert list(catalog._integer_partitions(n, n, parts)) == [c for c in every if len(c) <= parts], (n, parts)
+    # the walk never enters the 4e12 partitions of 200 with more than 3 parts
+    start = time.perf_counter()
+    pairs = catalog.partition_pairs(FiniteSpace(("a", "b", "c")), 200)
+    assert time.perf_counter() - start < 5
+    assert {len(set(t)) for t, _ in pairs} == {2, 3}
 
 
 @pytest.mark.parametrize("vid", sorted(_PARTITION_IDS))

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplex_lab import cli
-from simplex_lab.cli import parse_distance_spec, parse_value
+from simplex_lab.cli import parse_distance_spec, parse_int_list, parse_space, parse_value
 
 CLI = [sys.executable, "-m", "simplex_lab"]
 
@@ -175,13 +175,28 @@ _SPEC_TEXT = st.text() | st.from_regex(r"[a-z-]*(:([a-z]*=-?[0-9]*/?-?[0-9]*,?)*
 @given(text=_SPEC_TEXT)
 @example(text="1/0")
 @example(text="two-anchor:s=1/0")
+@example(text="2..99999999999999999999")
+@example(text="finite:99999999999999999999")
 def test_parsers_return_or_raise_value_error(text):
     # any text either parses or is a config error (exit 2), never another exception
-    for parse in (parse_value, parse_distance_spec):
+    for parse in (parse_value, parse_distance_spec, parse_space, lambda s: parse_int_list(s, 2, 12)):
         try:
             parse(text)
         except ValueError:
             pass
+
+
+def test_int_list_checks_a_range_before_expanding_it():
+    # the range is never built: a stop past the bound is a config error at once
+    with pytest.raises(ValueError, match=r"k=99999999999999999999 out of range \[2, 4\]"):
+        parse_int_list("2..99999999999999999999", 2, 4)
+    assert parse_int_list("2..4", 2, 4) == [2, 3, 4]
+    with pytest.raises(ValueError, match="empty k list"):
+        parse_int_list("4..3", 2, 4)
+    for argv in (("constants", "--distance", "drastic", "--k", "2..99999999999999999999"),
+                 ("multidistance", "--family", "drastic", "--arities", "2..99999999999999999999")):
+        r = run_cli(*argv)
+        assert r.returncode == 2 and "out of range" in r.stderr, (argv, r.stderr)
 
 
 def test_unknown_distance_exit_two():
@@ -384,6 +399,16 @@ def test_verify_strong_checks_auto_constant():
     props = [v["property"] for v in report["verdicts"]]
     assert any("strong-simplex(k=2" in p for p in props)
     assert any("strong-simplex(k=4" in p for p in props)
+
+
+def test_verify_strong_checks_sum_based_at_n_3():
+    # sum-based is repetition-invariant exactly for n <= 3, so at n = 3 the
+    # standard formula gives the constant: 1.25 at k = 2
+    r = run_cli("verify", "--distance", "sum-based", "--n", "3", "--space", "real", "--checks", "strong")
+    assert r.returncode == 0, r.stderr
+    verdicts = json.loads(r.stdout)["verdicts"]
+    assert [v["property"] for v in verdicts] == ["strong-simplex(k=2, M=1.25)", "strong-simplex(k=3, M=0.5)"]
+    assert {v["details"]["constant_origin"] for v in verdicts} == {"standard-formula"}
 
 
 def test_verify_strong_checks_explicit_constant():
