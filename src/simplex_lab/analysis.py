@@ -23,11 +23,13 @@ order, so the ratio depends only on the multiset of t and on z, and the
 sorted tuple is the lexicographically smallest of its orbit.  The lower
 bound, witness and indices are those of the scan over every ordered tuple;
 the axiom and property checks, which verify the symmetry, still enumerate
-every tuple, except that axiom (iii) in ``cli`` verify folds the entry's
-type list where one exists (``core.check_simplex``), and so does the strong
-check for ``partition_pairs`` entries (``properties.check_strong_k_simplex``);
-identity, symmetry and, for ``partition_pairs`` entries, the nonincreasing
-check walk the permutations of ``CatalogEntry.axiom_tuples``.
+every tuple, except that ``core.check_simplex`` folds the entry's type
+list where one exists, and so does the strong check for
+``partition_pairs`` entries (``properties.check_strong_k_simplex``);
+``core.check_identity``, ``core.check_symmetry`` and, for
+``partition_pairs`` entries, the nonincreasing check walk the
+permutations of ``CatalogEntry.axiom_tuples``.  Each check reads these
+lists from the entry it is given.
 ``core.step_pairs`` gives the 2(n-1) step pairs for the
 entries linear on every order cell of (x_1..x_n, z) on the line
 (diameter[abs], sum-based[abs], arithmetic-mean, fermat[abs],
@@ -196,7 +198,7 @@ def _better(a, b):
 
 def scan(
     ev: Callable[[tuple], float],
-    pairs: Iterable[tuple[tuple, Point]],
+    candidates: Iterable[tuple[tuple, Point]],
     k: int,
     constant: float = math.inf,
 ):
@@ -211,7 +213,7 @@ def scan(
     evaluate, tol = _eval_candidate, TOL
     best = first = worst = None
     checked = 0
-    for t, z in pairs:
+    for t, z in candidates:
         res = evaluate(ev, t, z, k)
         if res is None:
             continue

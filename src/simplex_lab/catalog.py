@@ -34,8 +34,8 @@ from .geometry import (
 class CatalogEntry:
     """A distance with everything the package knows about it, in one place.
 
-    Every estimator, property check and builder above ``core`` takes an
-    entry; only the axiom checks of ``core`` take ``distance`` itself.
+    Every estimator, property check and builder takes an entry, the axiom
+    checks of ``core`` too; only ``core.evaluate`` takes ``distance`` itself.
 
     ``constants`` maps k to the best partial constant K*_{n,k} over k-term
     section sums, where it is known in closed form; at k = n it is the best
@@ -92,8 +92,8 @@ class CatalogEntry:
 
         None without a hook, off the entry's own space kind (every space
         is an "any" entry's own), and where the hook's reduction does not
-        reach n.  Estimates fold the list as exact, ``cli`` verify decides
-        axiom (iii) on it, and ``axiom_tuples`` builds on it.
+        reach n.  Estimates fold the list as exact, ``core.check_simplex``
+        decides axiom (iii) on it, and ``axiom_tuples`` builds on it.
         """
         hook = self.type_pairs
         if hook is None or self.distance.space_kind not in ("any", space.kind):
@@ -130,9 +130,8 @@ class CatalogEntry:
           generators, the 0/h tuples that are h on the top j positions,
           j in 1..n-1; the permutations of the listed (0, ..., 0, h, ..., h)
           are all 2^n - 2 nonconstant 0/h tuples, the generators of every
-          cell.  By
-          linearity d(c, ..., c) = (c/h) d(h, ..., h), so d vanishes on
-          every constant if and only if on (h, ..., h), and then at a point
+          cell.  By linearity d(c, ..., c) = (c/h) d(h, ..., h), so d vanishes
+          on every constant if and only if on (h, ..., h), and then at a point
           c + sum_j c_j e_j of the cell d is sum_j c_j d(e_j).  So d >= 0
           with d = 0 only on constants if and only if d(e) > 0 at every
           generator e.  A permutation sigma maps each cell, and its
@@ -156,8 +155,8 @@ class CatalogEntry:
         return self.distance(*points)
 
 
-# the most distinct permutations ``axiom_tuples`` hands to the identity and
-# symmetry checks, about as many tuples as they sample at the CLI's default
+# the most distinct permutations of ``axiom_tuples`` that the identity and
+# symmetry checks walk, about as many tuples as they sample at the CLI's default
 # budget; their number grows faster than n!, and a partition entry on the
 # line has 95,502 at n = 8 and 871,029 at n = 9
 AXIOM_PERMUTATION_LIMIT = 100_000
@@ -471,8 +470,11 @@ def partition_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
 
     The labels are the sorted labels of a finite space, 0, 1, ..., n on
     the line and (0, 0), (1, 0), ..., (n, 0) on the plane.  The list is an
-    immutable tuple, built once per (labels, n).
+    immutable tuple, built once per (labels, n), or None where its distinct
+    tuples would hold more than ``PARTITION_POINT_LIMIT`` points, counted first.
     """
+    if _too_many_points(n, space.size if space.kind == "finite" else n + 1):
+        return None
     if space.kind == "finite":
         labels = tuple(sorted(space.labels))
     elif space.kind == "real-line":
@@ -480,6 +482,29 @@ def partition_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
     else:
         labels = tuple((float(i), 0.0) for i in range(n + 1))
     return _partition_pairs(labels, n)
+
+
+# the most points in the distinct tuples of ``partition_pairs``, about 80 MB of
+# references; the line passes it from n = 50 (p(50) = 204,226), three labels from n = 492
+PARTITION_POINT_LIMIT = 10**7
+
+
+def _too_many_points(n: int, parts: int) -> bool:
+    """Whether the partitions of n into 2..``parts`` parts, n points each, hold over ``PARTITION_POINT_LIMIT``.
+
+    They are the tuples of ``partition_pairs``, counted by conjugation as the
+    partitions into parts of at most ``parts``, one part size at a time in O(n).
+    """
+    cap = PARTITION_POINT_LIMIT // n
+    if n // 2 > cap:  # the partitions into two parts alone
+        return True
+    ways = [1] + [0] * n
+    for size in range(1, min(n, parts) + 1):
+        for j in range(size, n + 1):
+            ways[j] += ways[j - size]
+        if ways[n] - 1 > cap:
+            return True
+    return False
 
 
 def _integer_partitions(n: int, largest: int, parts: int) -> Iterator[tuple[int, ...]]:

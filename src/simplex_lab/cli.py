@@ -431,10 +431,7 @@ def run_verify(args) -> dict:
     verdicts = []
     for c in checks:
         if c == "axioms":
-            verdicts.extend(core.check_axioms(
-                entry.distance, space, budget=args.budget, seed=seed,
-                pairs=entry.type_list(space), tuples=entry.axiom_tuples(space),
-            ))
+            verdicts.extend(core.check_axioms(entry, space, budget=args.budget, seed=seed))
         elif c == "repetition":
             verdicts.append(
                 properties.check_repetition_invariance(

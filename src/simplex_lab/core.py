@@ -13,7 +13,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
+
+if TYPE_CHECKING:
+    from .catalog import CatalogEntry
 
 Point = Union[str, float, tuple]
 
@@ -157,10 +160,10 @@ def section(t: tuple, i: int, z: Point) -> tuple:
 class NDistance:
     """A named symmetric nonnegative n-ary map: the map and nothing else.
 
-    The axiom checks of this module take an ``NDistance``.  What is known
-    about a distance (its constants, type list and property flags, and a
+    Only ``evaluate`` and ``__call__`` take it.  What is known about a
+    distance (its constants, type list and property flags, and a
     construction's witness recipe) lives on ``catalog.CatalogEntry``, which
-    every function above this module takes instead.
+    every check, estimate and builder takes instead.
     """
 
     name: str
@@ -423,18 +426,16 @@ def distinct_permutations(t: tuple) -> Iterator[tuple]:
             yield (v,) + rest
 
 
-def check_identity(
-    d: NDistance, space: Space, budget: int = 4096, seed: int = 0, tuples: Sequence[tuple] | None = None
-) -> PropertyVerdict:
+def check_identity(entry: CatalogEntry, space: Space, budget: int = 4096, seed: int = 0) -> PropertyVerdict:
     """Axiom (i): d(t) = 0 exactly when all points of t coincide (and d >= 0).
 
-    Without ``tuples`` the check folds ``budget`` tuples of ``iter_tuples``.
-    ``tuples`` is an entry's ``axiom_tuples``, whose distinct permutations
-    are proven to decide the axiom (its docstring has the proof): the check
-    folds every one of them instead, ignores ``budget`` and reports
-    ``method: exact``.  A counterexample is a real configuration.
+    The check folds every distinct permutation of the entry's ``axiom_tuples``,
+    proven to decide the axiom, and reports ``method: exact``; where that is
+    None, it folds ``budget`` tuples of ``iter_tuples``.
     """
+    d = entry.distance
     prop = f"identity({d.name})"
+    tuples = entry.axiom_tuples(space)
     if tuples is None:
         candidates = iter_tuples(space, d.arity, budget, seed)
     else:
@@ -451,22 +452,21 @@ def check_identity(
     return PropertyVerdict.of(prop, _with_method({"checked": checked}, tuples is not None), ce)
 
 
-def check_symmetry(
-    d: NDistance, space: Space, budget: int = 512, seed: int = 0, tuples: Sequence[tuple] | None = None
-) -> PropertyVerdict:
+def check_symmetry(entry: CatalogEntry, space: Space, budget: int = 512, seed: int = 0) -> PropertyVerdict:
     """Axiom (ii): invariance under permutation of the arguments.
 
-    Without ``tuples`` the check compares d on each of ``budget`` tuples of
-    ``iter_tuples`` with d on its other permutations (all of them for
-    n <= 4, ten seeded shuffles beyond).  ``tuples`` is an entry's
-    ``axiom_tuples``: the check compares d on each listed tuple with d on
-    every other distinct permutation of it, which is proven to decide the
-    axiom, ignores ``budget`` and reports ``method: exact``.  ``checked``
-    counts the tuples whose permutations all agreed.
+    The check compares d on each of the entry's ``axiom_tuples`` with d on
+    its other distinct permutations, proven to decide the axiom, and
+    reports ``method: exact``; where that is None, on each of ``budget``
+    tuples of ``iter_tuples`` with its other permutations (all of them for
+    n <= 4, ten seeded shuffles beyond).  ``checked`` counts the tuples
+    whose permutations all agreed.
     """
+    d = entry.distance
     prop = f"symmetry({d.name})"
     tol = 0.0 if space.kind == "finite" else EQUAL_TOL
     n = d.arity
+    tuples = entry.axiom_tuples(space)
     rng = random.Random(derive_seed(seed, 2))
     checked = 0
     ce = None
@@ -500,28 +500,22 @@ def _with_method(details: dict, exact: bool) -> dict:
 
 
 def check_simplex(
-    d: NDistance,
-    space: Space,
-    budget: int = 4096,
-    seed: int = 0,
-    constant: float = 1.0,
-    pairs: Sequence[tuple[tuple, Point]] | None = None,
+    entry: CatalogEntry, space: Space, budget: int = 4096, seed: int = 0, constant: float = 1.0
 ) -> PropertyVerdict:
     """Axiom (iii) with a given constant: d(t) <= constant * sum of sections, up to ``TOL``.
 
-    Without ``pairs`` the check folds ``budget`` candidates of ``iter_pairs``.
-    ``pairs`` is a list of (tuple, z) whose max ratio is proven to be K*_n,
-    an entry's ``type_list``: the check folds that list instead, ignores
-    ``budget`` and reports ``method: exact``.  Every listed pair is a real
-    configuration, so a counterexample from the list is genuine, and a pass
-    holds for every candidate.  ``TOL`` is an absolute slack on
-    num - constant * den, so a verdict at a constant within about TOL of
-    K*_n depends on the scale of the candidates; the listed pairs are small
-    integers.
+    The check folds the entry's ``type_list``, whose max ratio is proven to
+    be K*_n, and reports ``method: exact``; where that is None, ``budget``
+    candidates of ``iter_pairs``.  Listed pairs are real configurations, so
+    a counterexample is genuine and a pass holds for every candidate.
+    ``TOL`` is an absolute slack on num - constant * den, so a verdict
+    within about TOL of K*_n depends on the scale of the candidates.
     """
     from .analysis import scan
 
+    d = entry.distance
     prop = f"simplex({d.name},K={constant:g})"
+    pairs = entry.type_list(space)
     candidates = iter_pairs(space, d.arity, budget, seed) if pairs is None else pairs
     best, first, worst, checked = scan(d.evaluator, candidates, d.arity, constant)
     details = _with_method({"checked": checked, "max_ratio": best[0] if best else 0.0}, pairs is not None)
@@ -534,24 +528,10 @@ def check_simplex(
     return PropertyVerdict.of(prop, details, ce, worst_ce)
 
 
-def check_axioms(
-    d: NDistance,
-    space: Space,
-    budget: int = 4096,
-    seed: int = 0,
-    pairs: Sequence[tuple[tuple, Point]] | None = None,
-    tuples: Sequence[tuple] | None = None,
-) -> list[PropertyVerdict]:
-    """All three n-distance axioms (simplex inequality taken with constant 1).
-
-    ``pairs``, a proven type list, decides the simplex inequality exactly
-    (see ``check_simplex``), and ``tuples``, an entry's ``axiom_tuples``,
-    decides identity and symmetry exactly (see ``check_identity`` and
-    ``check_symmetry``).  A check without its list takes its own
-    ``budget``-bounded stream.
-    """
+def check_axioms(entry: CatalogEntry, space: Space, budget: int = 4096, seed: int = 0) -> list[PropertyVerdict]:
+    """All three n-distance axioms (simplex inequality with constant 1), each check on the entry's own list."""
     return [
-        check_identity(d, space, budget=budget, seed=seed, tuples=tuples),
-        check_symmetry(d, space, budget=max(64, budget // 8), seed=seed, tuples=tuples),
-        check_simplex(d, space, budget=budget, seed=seed, pairs=pairs),
+        check_identity(entry, space, budget=budget, seed=seed),
+        check_symmetry(entry, space, budget=max(64, budget // 8), seed=seed),
+        check_simplex(entry, space, budget=budget, seed=seed),
     ]

@@ -14,6 +14,7 @@ walks the permutations of ``CatalogEntry.axiom_tuples``, and is exact too.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from typing import Callable, Sequence
 
@@ -122,24 +123,21 @@ def check_strong_k_simplex(
     a pi away from a listed pair, of the composition pi c, and the check
     folds every composition, so together the folds cover every (values, z).
     A counterexample is one of the listed pairs, a real configuration.
-    Other entries fold ``budget // len(compositions)`` candidates of
-    ``core.iter_pairs`` per composition.
+    Other entries, and these where that list is None, fold ``budget //
+    len(compositions)`` candidates of ``core.iter_pairs`` per composition.
     """
     n = entry.arity
     if not 2 <= k <= n:
         raise ValueError(f"k must be in 2..{n}, got {k}")
     prop = f"strong-simplex(k={k}, M={constant:g})"
     comps = compositions(n, k)
-    exact = entry.type_pairs is partition_pairs
+    typed = partition_pairs(space, k) if entry.type_pairs is partition_pairs else None
     per_comp = max(1, budget // len(comps))
     checked = 0
     max_ratio = 0.0
     first = worst = None  # (composition, violation)
     for ci, comp in enumerate(comps):
-        if exact:
-            pairs = partition_pairs(space, k)
-        else:
-            pairs = iter_pairs(space, k, per_comp, derive_seed(seed, 200 + ci))
+        pairs = typed if typed is not None else iter_pairs(space, k, per_comp, derive_seed(seed, 200 + ci))
         best, c_first, c_worst, c_checked = scan(reduced_evaluator(entry, comp), pairs, k, constant)
         checked += c_checked
         if best is not None:
@@ -148,7 +146,7 @@ def check_strong_k_simplex(
             first = first or (comp, c_first)
             if worst is None or c_worst[0] > worst[1][0]:
                 worst = (comp, c_worst)
-    details = _with_method({"checked": checked, "compositions": len(comps), "max_ratio": max_ratio}, exact)
+    details = _with_method({"checked": checked, "compositions": len(comps), "max_ratio": max_ratio}, typed is not None)
     ce = worst_ce = None
     if first is not None:
         ce, worst_ce = (
@@ -214,15 +212,13 @@ def check_lemma_mixed_bound(
 
 
 def _canonical_value_sets(space: Space, n: int, budget: int, seed: int) -> list[tuple]:
-    """Distinct-value multiplicity-free tuples to expand over compositions."""
-    out: list[tuple] = []
-    if space.kind == "finite":
-        for m in range(2, n + 1):
-            if m > space.size:
-                break
-            out.extend(itertools.combinations(space.labels, m))
-        return out
-    # prefixes of 2..n points, so that sets of every size get expanded
+    """Distinct-value multiplicity-free tuples to expand over compositions.
+
+    Every set of 2..n labels while C(size + n - 1, n) <= 100,000, else the sets
+    of ``budget`` prefixes of 2..n points, so that sets of every size get expanded.
+    """
+    if space.kind == "finite" and math.comb(space.size + n - 1, n) <= 100_000:
+        return [v for m in range(2, n + 1) for v in itertools.combinations(space.labels, m)]
     tuples = iter_tuples(space, n, budget, derive_seed(seed, 400))
     prefixes = (set(t[: 2 + i % (n - 1)]) for i, t in enumerate(tuples))
     return [tuple(sorted(v)) for v in prefixes if len(v) >= 2]
@@ -388,21 +384,20 @@ def check_multi_to_ndistance(
     """Converse direction: a nonincreasing multidistance member dominating
     its own restriction g(x, z) <= d_n(x, z, ..., z) satisfies the simplex
     inequality with constant 1.  Hypotheses are verified first; failures of
-    a hypothesis yield NOT_APPLICABLE rather than FAIL.  The simplex check
-    folds the entry's ``type_list`` where it has one and ``budget > 0``,
-    and reports ``method: exact``; otherwise it samples ``budget``
-    candidates, so a budget of 0 checks nothing and the verdict is
-    NOT_APPLICABLE.
+    a hypothesis yield NOT_APPLICABLE rather than FAIL.  A budget of 0
+    checks nothing after the hypotheses, and the verdict is NOT_APPLICABLE.
+    Otherwise ``core.check_simplex`` folds the entry's ``type_list`` where
+    it has one, and reports ``method: exact``, or samples ``budget``
+    candidates.
     """
     from .core import check_simplex
 
-    d = entry.distance
-    n = d.arity
+    n = entry.arity
     prop = "multidistance-to-ndistance"
     noninc = check_nonincreasing_identification(entry, space, budget // 4, seed, tol=TOL)
     if noninc.failed:
         return PropertyVerdict.of(prop, {"reason": "not nonincreasing", "counterexample": noninc.counterexample})
-    ev = d.evaluator
+    ev = entry.distance.evaluator
     for x, z in iter_tuples(space, 2, max(1, budget // 4), derive_seed(seed, 800)):
         if x == z:
             continue
@@ -417,6 +412,7 @@ def check_multi_to_ndistance(
                     "dn": ev((x,) + (z,) * (n - 1)),
                 },
             )
-    pairs = entry.type_list(space) if budget > 0 else None
-    simplex = check_simplex(d, space, budget=budget, seed=seed, pairs=pairs)
+    if budget < 1:
+        return PropertyVerdict.of(prop, {"checked": 0})
+    simplex = check_simplex(entry, space, budget=budget, seed=seed)
     return PropertyVerdict.of(prop, simplex.details, simplex.counterexample)

@@ -33,6 +33,10 @@ from simplex_lab.core import (
     FiniteSpace,
     Plane,
     RealLine,
+    check_axioms,
+    check_identity,
+    check_simplex,
+    check_symmetry,
     distinct_count,
     evaluate,
     iter_pairs,
@@ -76,6 +80,13 @@ def test_estimates_and_checks_refuse_a_bare_distance():
     assert check_lemma_mixed_bound(diam, 2, 1, RealLine(), budget=200).passed
     with pytest.raises(AttributeError):
         check_lemma_mixed_bound(diam.distance, 2, 1, RealLine(), budget=200)
+    # the axiom checks read type_list and axiom_tuples from the entry too
+    for check in (check_identity, check_symmetry, check_simplex):
+        assert check(diam, RealLine(), budget=64).passed
+    assert all(v.passed for v in check_axioms(diam, RealLine(), budget=64))
+    for check in (check_identity, check_symmetry, check_simplex, check_axioms):
+        with pytest.raises(AttributeError):
+            check(diam.distance, RealLine(), budget=64)
 
 
 def test_ratio_infinite_on_zero_denominator():

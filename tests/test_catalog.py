@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from simplex_lab.core import (
     check_symmetry, distinct_permutations, evaluate, iter_pairs, section, step_pairs,
 )
 from simplex_lab.geometry import GROUND_KINDS
-from simplex_lab.properties import check_nonincreasing_identification, check_repetition_invariance
+from simplex_lab.properties import (
+    check_nonincreasing_identification, check_repetition_invariance, check_strong_k_simplex,
+)
 
 
 def test_available_ids_and_aliases():
@@ -224,8 +227,10 @@ def test_catalog_axioms_quick_sweep():
             n = 3
         entry = catalog.make(name, n, **params)
         space = spaces[entry.distance.space_kind]
-        for v in check_axioms(entry.distance, space, budget=256, seed=1):
-            assert v.passed, (name, v.property, v.counterexample)
+        # from the entry's own lists, and sampled without its hook
+        for e in (entry, dataclasses.replace(entry, type_pairs=None)):
+            for v in check_axioms(e, space, budget=256, seed=1):
+                assert v.passed, (name, v.property, v.counterexample)
 
 
 # every catalog id, with each of its d2, q and p variants
@@ -271,11 +276,12 @@ def test_identity_and_symmetry_on_the_default_space(dist_id, params):
     space = default_space_for(entry.distance.space_kind)
     # every fermat[euclidean] value is a Weiszfeld solve
     budget = 256 if entry.name == "fermat[euclidean]" else 4096
-    for v in (
-        check_identity(entry.distance, space, budget=budget, seed=42),
-        check_symmetry(entry.distance, space, budget=budget // 8, seed=42),
-    ):
-        assert v.status == PASS and v.details["checked"] > 0, (v.property, v.counterexample, v.details)
+    for e in (entry, dataclasses.replace(entry, type_pairs=None)):
+        for v in (
+            check_identity(e, space, budget=budget, seed=42),
+            check_symmetry(e, space, budget=budget // 8, seed=42),
+        ):
+            assert v.status == PASS and v.details["checked"] > 0, (v.property, v.counterexample, v.details)
 
 
 # K*_n of the README's catalog table; None where the table says "bracketed",
@@ -400,6 +406,26 @@ def test_integer_partitions_stop_at_the_label_count():
     assert {len(set(t)) for t, _ in pairs} == {2, 3}
 
 
+def test_partition_pairs_stop_at_the_point_limit():
+    # counted before any tuple is built: 50,000 two-label tuples of 10^5 points, p(60) - 1 tuples of 60 on the line
+    for space, n in ((FiniteSpace(("a", "b")), 10**5), (RealLine(), 60)):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            assert catalog.partition_pairs(space, n) is None
+            assert time.perf_counter() - start < 1
+            assert tracemalloc.get_traced_memory()[1] < 50e6
+        finally:
+            tracemalloc.stop()
+    entry = catalog.make("drastic", 60)
+    assert entry.type_list(RealLine()) is None and entry.axiom_tuples(RealLine()) is None
+    strong = check_strong_k_simplex(entry, 60, 1 / 59, RealLine(), budget=64)
+    assert strong.passed and "method" not in strong.details
+    # below the limit: 3,433 tuples of 200 points on three labels, p(40) - 1 = 37,337 on the line
+    assert len(catalog.partition_pairs(FiniteSpace(("a", "b", "c")), 200)) == 10_199
+    assert len({t for t, _ in catalog.partition_pairs(RealLine(), 40)}) == 37_337
+
+
 @pytest.mark.parametrize("vid", sorted(_PARTITION_IDS))
 def test_partition_fold_equals_the_ordered_scan(vid):
     # for every k, n = 2..5 and 2..n+2 labels the fold gives the bound, witness
@@ -438,14 +464,25 @@ def test_simplex_verdict_on_the_type_list_is_exact(dist_id, params, n):
     space = default_space_for(entry.distance.space_kind)
     pairs = entry.type_list(space)
     kstar = entry.constants[n]
-    exact = check_simplex(entry.distance, space, pairs=pairs)
+    exact = check_simplex(entry, space)
     # sampling may overshoot K* by an ulp or two, so only the statuses are compared
-    assert exact.status == check_simplex(entry.distance, space, budget=2000, seed=42).status
+    hookless = dataclasses.replace(entry, type_pairs=None)
+    assert exact.status == check_simplex(hookless, space, budget=2000, seed=42).status
     # no list holds a constant t, so the scan folds every listed pair
     assert exact.details == {"checked": len(pairs), "max_ratio": kstar, "method": EXACT}
-    half = check_simplex(entry.distance, space, constant=kstar / 2, pairs=pairs)
+    half = check_simplex(entry, space, constant=kstar / 2)
     assert half.failed
     for ce in (half.counterexample, half.worst):
+        assert (ce["tuple"], ce["z"]) in pairs
+
+
+def test_simplex_verdict_reads_the_whole_list_from_the_entry():
+    # K*_4 = 2/5 of line-count is attained on its list, so a constant below it fails on a listed pair
+    entry = catalog.make("line-count", 4)
+    v = check_simplex(entry, Plane(), constant=0.35)
+    assert v.failed and v.details["method"] == EXACT and v.details["max_ratio"] == 0.4
+    pairs = entry.type_list(Plane())
+    for ce in (v.counterexample, v.worst):
         assert (ce["tuple"], ce["z"]) in pairs
 
 
@@ -459,10 +496,12 @@ def test_type_list_only_on_the_entrys_own_space_kind():
     assert dataclasses.replace(drastic, type_pairs=None).type_list(RealLine()) is None
     assert catalog.make("fermat", 4, d2="discrete").type_list(RealLine()) is None
     assert catalog.make("line-count", 6).type_list(Plane()) is None  # beyond the linear-space table
-    # check_axioms hands the list to the simplex check only
+    # the entry's list decides the simplex verdict, and with no axiom tuples identity and symmetry sample
     entry = catalog.make("inner-interval", 4)
-    *_, simplex = check_axioms(entry.distance, RealLine(), budget=64, pairs=entry.type_list(RealLine()))
+    identity, symmetry, simplex = check_axioms(entry, RealLine(), budget=64)
     assert simplex.details == {"checked": 1, "max_ratio": 0.5, "method": EXACT}
+    assert "method" not in identity.details and "method" not in symmetry.details
+    assert all("method" not in v.details for v in check_axioms(dataclasses.replace(entry, type_pairs=None), RealLine()))
 
 
 
@@ -507,12 +546,12 @@ def test_axiom_tuples_only_for_partition_and_line_step_pair_entries():
     assert catalog.make("drastic", 8).axiom_tuples(RealLine()) is not None
     assert catalog.make("drastic", 9).axiom_tuples(RealLine()) is None
     assert catalog.make("drastic", 9).axiom_tuples(FiniteSpace(("a", "b", "c"))) is not None
-    # check_axioms hands the tuples to identity and symmetry only
+    # the entry decides all three axioms exactly, and none without its hook
     entry = catalog.make("cardinality", 4)
-    tuples = entry.axiom_tuples(RealLine())
-    identity, symmetry, simplex = check_axioms(entry.distance, RealLine(), budget=64, tuples=tuples)
-    assert identity.details["method"] == symmetry.details["method"] == EXACT
-    assert "method" not in simplex.details
+    identity, symmetry, simplex = check_axioms(entry, RealLine(), budget=64)
+    assert identity.details["method"] == symmetry.details["method"] == simplex.details["method"] == EXACT
+    hookless = dataclasses.replace(entry, type_pairs=None)
+    assert all("method" not in v.details for v in check_axioms(hookless, RealLine(), budget=64))
 
 
 @pytest.mark.parametrize("variant", sorted(_PARTITION_IDS | _LINE_CELL_LINEAR_IDS))
@@ -522,9 +561,10 @@ def test_identity_and_symmetry_on_the_axiom_tuples_agree_with_sampling(variant):
         for space in _axiom_spaces(entry):
             tuples = entry.axiom_tuples(space)
             perms = sum(1 for t in tuples for _ in distinct_permutations(t))
+            hookless = dataclasses.replace(entry, type_pairs=None)
             for check, budget, checked in ((check_identity, 512, perms), (check_symmetry, 64, len(tuples))):
-                exact = check(entry.distance, space, tuples=tuples)
-                sampled = check(entry.distance, space, budget=budget, seed=42)
+                exact = check(entry, space)
+                sampled = check(hookless, space, budget=budget, seed=42)
                 assert exact.status == sampled.status == PASS, (n, space, exact, sampled)
                 assert exact.details["method"] == EXACT and exact.details["checked"] == checked > 0
 
@@ -548,7 +588,7 @@ def _mutant(n, hook, ev):
 
 
 def _assert_asymmetry_recomputes(entry, space):
-    v = check_symmetry(entry.distance, space, tuples=entry.axiom_tuples(space))
+    v = check_symmetry(entry, space)
     assert v.failed and v.details["method"] == EXACT
     ce = v.counterexample
     assert sorted(ce["tuple"]) == sorted(ce["permuted"])
@@ -569,7 +609,8 @@ def test_axiom_tuples_catch_asymmetric_entries():
                 _assert_asymmetry_recomputes(_mutant(n, catalog.partition_pairs, label_invariant), space)
         entry = _mutant(n, step_pairs, cell_linear)
         _assert_asymmetry_recomputes(entry, RealLine())
-        assert check_identity(entry.distance, RealLine(), tuples=entry.axiom_tuples(RealLine())).passed
+        identity = check_identity(entry, RealLine())
+        assert identity.passed and identity.details["method"] == EXACT
 
 
 def test_axiom_tuples_catch_a_zero_on_any_one_nonconstant_tuple():
@@ -580,7 +621,7 @@ def test_axiom_tuples_catch_a_zero_on_any_one_nonconstant_tuple():
             tuples = _mutant(n, hook, None).axiom_tuples(space)
             for bad in (u for t in tuples[:-1] for u in distinct_permutations(t)):
                 entry = _mutant(n, hook, lambda t, bad=bad: 0.0 if t == bad or len(set(t)) == 1 else 1.0)
-                v = check_identity(entry.distance, space, tuples=entry.axiom_tuples(space))
+                v = check_identity(entry, space)
                 assert v.failed and v.counterexample == {"tuple": bad, "value": 0.0}
                 assert evaluate(entry.distance, bad) == 0.0
 

@@ -118,10 +118,10 @@ def test_single_anchor_standard_flag():
 def test_single_anchor_axioms():
     base = catalog.make("drastic", 4)
     d = single_anchor_distance(base, "e", 0.5, ABE)
-    for v in check_axioms(d.distance, ABE):
+    for v in check_axioms(d, ABE):
         assert v.passed, v.property
-    assert check_simplex(d.distance, ABE, constant=0.5).passed
-    assert check_simplex(d.distance, ABE, constant=0.5 - 1e-6).failed
+    assert check_simplex(d, ABE, constant=0.5).passed
+    assert check_simplex(d, ABE, constant=0.5 - 1e-6).failed
 
 
 # --- two anchors ---------------------------------------------------------
@@ -174,7 +174,7 @@ def test_two_anchor_structural_flags():
     assert d.nonincreasing is True
     assert check_repetition_invariance(d, ABCD).passed
     assert check_nonincreasing_identification(d, ABCD).passed
-    for v in check_axioms(d.distance, ABCD):
+    for v in check_axioms(d, ABCD):
         assert v.passed, v.property
 
 

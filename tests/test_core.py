@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import os
 import random
@@ -9,8 +11,9 @@ import pytest
 
 import helpers
 from helpers import sample_pair as reference_sample_pair
-from simplex_lab import catalog
+from simplex_lab import analysis, catalog, core, properties
 from simplex_lab.analysis import ratio
+from simplex_lab.catalog import CatalogEntry
 from simplex_lab.core import (
     FAIL,
     NOT_APPLICABLE,
@@ -163,20 +166,22 @@ def test_evaluator_zero_on_constant_tuples():
 
 
 def test_check_identity_and_symmetry_pass():
+    # from the entry's axiom tuples, and sampled without its hook
     entry = catalog.make("cardinality", 3)
-    assert check_identity(entry.distance, ABC).passed
-    assert check_symmetry(entry.distance, ABC).passed
+    for e in (entry, dataclasses.replace(entry, type_pairs=None)):
+        assert check_identity(e, ABC).passed
+        assert check_symmetry(e, ABC).passed
 
 
 def test_check_identity_catches_violation():
-    bad = NDistance("bad-id", 2, "finite", lambda t: 1.0)
+    bad = CatalogEntry(NDistance("bad-id", 2, "finite", lambda t: 1.0))
     v = check_identity(bad, ABC)
     assert v.failed
     assert v.counterexample is not None
 
 
 def test_check_symmetry_catches_violation():
-    bad = NDistance("bad-sym", 2, "real-line", lambda t: max(t[0] - t[1], 0.0))
+    bad = CatalogEntry(NDistance("bad-sym", 2, "real-line", lambda t: max(t[0] - t[1], 0.0)))
     v = check_symmetry(bad, RealLine(), budget=64, seed=1)
     assert v.failed
 
@@ -186,34 +191,45 @@ def test_check_symmetry_evaluates_each_permutation_once():
     calls = []
     entry = catalog.make("cardinality", 3)
     d = NDistance("counted", 3, "any", lambda t: calls.append(t) or entry.distance.evaluator(t))
-    v = check_symmetry(d, ABC, budget=27)
+    v = check_symmetry(CatalogEntry(d), ABC, budget=27)
     assert v.passed and v.details["checked"] == 27
     assert len(calls) == 27 * 6
 
 
 def test_check_simplex_pass_and_fail():
+    # on the entry's type list, and sampled without its hook
     entry = catalog.make("cardinality", 3)
-    ok = check_simplex(entry.distance, ABC, constant=0.5)
-    assert ok.passed
-    tight = check_simplex(entry.distance, ABC, constant=0.4)
-    assert tight.failed
-    assert tight.counterexample is not None
-    ce = tight.counterexample
-    # the stored violation must be reproducible from the counterexample itself
-    d = entry.distance
-    num = evaluate(d, tuple(ce["tuple"]))
-    den = sum(evaluate(d, section(tuple(ce["tuple"]), i, ce["z"])) for i in (1, 2, 3))
-    assert num == pytest.approx(ce["value"])
-    assert den == pytest.approx(ce["section_sum"])
-    assert num - 0.4 * den == pytest.approx(ce["violation"])
+    for e in (entry, dataclasses.replace(entry, type_pairs=None)):
+        ok = check_simplex(e, ABC, constant=0.5)
+        assert ok.passed
+        tight = check_simplex(e, ABC, constant=0.4)
+        assert tight.failed
+        assert tight.counterexample is not None
+        ce = tight.counterexample
+        # the stored violation must be reproducible from the counterexample itself
+        d = e.distance
+        num = evaluate(d, tuple(ce["tuple"]))
+        den = sum(evaluate(d, section(tuple(ce["tuple"]), i, ce["z"])) for i in (1, 2, 3))
+        assert num == pytest.approx(ce["value"])
+        assert den == pytest.approx(ce["section_sum"])
+        assert num - 0.4 * den == pytest.approx(ce["violation"])
 
 
 def test_check_axioms_bundle():
-    verdicts = check_axioms(catalog.make("drastic", 3).distance, ABC)
+    verdicts = check_axioms(catalog.make("drastic", 3), ABC)
     assert all(v.passed for v in verdicts)
     names = [v.property for v in verdicts]
     assert any("identity" in p for p in names)
     assert any("symmetry" in p for p in names)
+
+
+def test_no_public_function_takes_a_candidate_list():
+    # a check reads its proven lists from the entry, so no caller can hand it a list that proves nothing
+    for module in (core, analysis, properties):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__ and not name.startswith("_"):
+                params = set(inspect.signature(fn).parameters)
+                assert not params & {"pairs", "tuples"}, f"{module.__name__}.{name}{inspect.signature(fn)}"
 
 
 def test_verdict_rule_fails_on_a_counterexample():
@@ -231,7 +247,7 @@ def test_verdict_rule_not_applicable_on_a_reason_or_nothing_checked():
     assert empty.status == NOT_APPLICABLE and not empty.passed and not empty.failed
     assert empty.details == {"checked": 0, "max_ratio": 0.0, "reason": "no candidate checked"}
     # a checker that is given no candidate says so instead of passing
-    d = catalog.make("cardinality", 3).distance
+    d = CatalogEntry(catalog.make("cardinality", 3).distance)
     for v in (check_identity(d, ABC, budget=0), check_simplex(d, ABC, budget=0)):
         assert v.status == NOT_APPLICABLE and v.details["reason"] == "no candidate checked"
 

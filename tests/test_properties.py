@@ -199,7 +199,9 @@ def test_repetition_invariance_pass_and_fail():
     assert ce["value_a"] != pytest.approx(ce["value_b"])
 
 
-@pytest.mark.parametrize("space", [RealLine(), Plane()], ids=["line", "plane"])
+@pytest.mark.parametrize(
+    "space", [RealLine(), Plane(), FiniteSpace(tuple("abcdefghijk"))], ids=["line", "plane", "finite-11"]
+)
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_repetition_invariance_sees_every_set_size(space, m):
     # depends on multiplicities only on m-value sets: the check must expand sets of size m
@@ -209,6 +211,15 @@ def test_repetition_invariance_sees_every_set_size(space, m):
     v = check_repetition_invariance(CatalogEntry(NDistance(f"multiplicity-on-{m}-sets", 5, space.kind, ev)), space)
     assert v.failed
     assert len(set(v.counterexample["tuple_a"])) == m
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_repetition_invariance_keeps_its_budget_on_a_large_finite_space(n):
+    # 26^n tuples and C(25 + n, n) multisets are too many to enumerate, so the
+    # check expands the value sets of `budget` prefixes, at most 2^(n-1) compositions each
+    space = FiniteSpace(tuple("abcdefghijklmnopqrstuvwxyz"))
+    v = check_repetition_invariance(catalog.make("cardinality", n), space, budget=32, seed=42)
+    assert v.passed and 0 < v.details["checked"] <= 32 * 2 ** (n - 1)
 
 
 def test_repetition_invariance_fermat():
