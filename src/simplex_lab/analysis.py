@@ -26,9 +26,10 @@ the axiom and property checks, which verify the symmetry, still enumerate
 every tuple, except that ``core.check_simplex`` folds the entry's type
 list where one exists, and so does the strong check for
 ``partition_pairs`` entries (``properties.check_strong_k_simplex``);
-``core.check_identity``, ``core.check_symmetry`` and, for
-``partition_pairs`` entries, the nonincreasing check walk the
-permutations of ``CatalogEntry.axiom_tuples``.  Each check reads these
+``core.check_identity``, ``core.check_symmetry`` (also with the 0/1-gap
+tuples of the ``gap_pairs`` entries) and, for ``partition_pairs``
+entries, the nonincreasing check walk the permutations of
+``CatalogEntry.axiom_tuples``.  Each check reads these
 lists from the entry it is given.
 ``core.step_pairs`` gives the 2(n-1) step pairs for the
 entries linear on every order cell of (x_1..x_n, z) on the line

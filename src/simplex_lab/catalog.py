@@ -106,7 +106,10 @@ class CatalogEntry:
         For the ``partition_pairs`` entries on every space, and the
         ``core.step_pairs`` entries on the real line, they are the distinct
         tuples t of ``type_list(space)`` and the constant tuple of the first
-        one's last point.  ``core.check_identity`` requires d = 0 on the
+        one's last point.  For the ``gap_pairs`` entries on the real line
+        they are the 2^(n-1) - 1 nonconstant sorted tuples from 0 whose
+        consecutive gaps are all 0 or 1, such as (0, 0, 1, 2), and the
+        constant (1, ..., 1).  ``core.check_identity`` requires d = 0 on the
         constant tuple and d > 0 on every permutation of the others, and
         ``core.check_symmetry`` requires d to be equal across the
         permutations of each.  None for every other hook or space, where
@@ -139,13 +142,38 @@ class CatalogEntry:
           d(sigma x) = sum_j c_j d(sigma e_j), and d is symmetric if and
           only if d(sigma e) = d(e) for every 0/h tuple e, that is, if d
           agrees across the permutations of each listed tuple.
+        * Gap entries.  Fix the order of the n values and a consecutive gap
+          j that is largest: on this refined cell d is phi(L), with L the
+          j-th gap c_j of the gap vector c, linear and 0 on constants, and
+          phi(s) = s^p strictly increasing from phi(0) = 0 (p = 1 for
+          inner-interval).  With v_1 < ... < v_m the distinct positive
+          entries of c and v_0 = 0, the layer cake
+          c = sum_s (v_s - v_{s-1}) 1[c >= v_s] writes c as a nonnegative
+          sum of nested 0/1 vectors that all hold j, since c_j = v_m.  So
+          the cell is the line of constants plus the nonnegative
+          combinations of its generators, the tuples of its order with 0/1
+          gaps and gap j equal to 1, and L(t) = sum_s a_s L(e_s).  The
+          permutations of the listed tuples are the nonconstant tuples over
+          0..n-1 whose sorted gaps are 0 or 1, the generators of every
+          cell: Fubini(n) - 1 of them, the ordered set partitions of the n
+          positions into two or more blocks, counted before any tuple is
+          built.  As for the step pairs, d vanishes on every constant if
+          and only if on (1, ..., 1), and d > 0 off the constants if and
+          only if d(e) > 0 at every generator e.  A permutation sigma maps
+          each refined cell, and its generators, onto another, so d o sigma
+          is phi of a linear map on each cell too, and
+          d(sigma t) = phi(sum_s a_s L'(sigma e_s)).  phi is injective, so
+          if d agrees across the permutations of each listed tuple, then
+          L'(sigma e) = L(e) at every generator and d(sigma t) = d(t).
         """
         hook = self.type_pairs
-        if hook is not partition_pairs and not (hook is step_pairs and space.kind == "real-line"):
+        if hook is not partition_pairs and not (hook in (step_pairs, gap_pairs) and space.kind == "real-line"):
             return None
         pairs = self.type_list(space)
         if pairs is None:
             return None
+        if hook is gap_pairs:
+            return _gap_tuples(self.arity)
         tuples = tuple(dict.fromkeys(t for t, _ in pairs))
         if sum(map(_permutation_count, tuples)) > AXIOM_PERMUTATION_LIMIT:
             return None
@@ -158,8 +186,27 @@ class CatalogEntry:
 # the most distinct permutations of ``axiom_tuples`` that the identity and
 # symmetry checks walk, about as many tuples as they sample at the CLI's default
 # budget; their number grows faster than n!, and a partition entry on the
-# line has 95,502 at n = 8 and 871,029 at n = 9
+# line has 95,502 at n = 8 and 871,029 at n = 9, a gap entry 47,292 at n = 7
+# and 545,834 at n = 8
 AXIOM_PERMUTATION_LIMIT = 100_000
+
+
+@functools.cache
+def _gap_tuples(n: int) -> tuple[tuple, ...] | None:
+    """The sorted 0/1-gap tuples of ``CatalogEntry.axiom_tuples`` and (1, ..., 1), or None past the limit.
+
+    Their permutations number Fubini(n) - 1: 74, 540, 4,682 and 47,292 at
+    n = 4..7 and 545,834 at n = 8, so from n = 8 on the checks sample.
+    Fubini(m) = sum_k C(m, k) Fubini(m - k) grows with m, so the count
+    stops at the first m past the limit, before any tuple is built.
+    """
+    fubini = [1]
+    for m in range(1, n + 1):
+        fubini.append(sum(math.comb(m, k) * fubini[m - k] for k in range(1, m + 1)))
+        if fubini[m] - 1 > AXIOM_PERMUTATION_LIMIT:
+            return None
+    gaps = (c for c in itertools.product((0.0, 1.0), repeat=n - 1) if any(c))
+    return tuple(tuple(itertools.accumulate(c, initial=0.0)) for c in gaps) + ((1.0,) * n,)
 
 
 def _permutation_count(t: tuple) -> int:
@@ -470,8 +517,8 @@ def partition_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
 
     The labels are the sorted labels of a finite space, 0, 1, ..., n on
     the line and (0, 0), (1, 0), ..., (n, 0) on the plane.  The list is an
-    immutable tuple, built once per (labels, n), or None where its distinct
-    tuples would hold more than ``PARTITION_POINT_LIMIT`` points, counted first.
+    immutable tuple, built once per (labels, n), or None where its pairs
+    would hold more than ``PARTITION_POINT_LIMIT`` points, counted first.
     """
     if _too_many_points(n, space.size if space.kind == "finite" else n + 1):
         return None
@@ -484,27 +531,36 @@ def partition_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
     return _partition_pairs(labels, n)
 
 
-# the most points in the distinct tuples of ``partition_pairs``, about 80 MB of
-# references; the line passes it from n = 50 (p(50) = 204,226), three labels from n = 492
+# the most points in the pairs of ``partition_pairs``, about 80 MB of references;
+# the line passes it from n = 41 (259,889 pairs), three labels from n = 341
 PARTITION_POINT_LIMIT = 10**7
 
 
-def _too_many_points(n: int, parts: int) -> bool:
-    """Whether the partitions of n into 2..``parts`` parts, n points each, hold over ``PARTITION_POINT_LIMIT``.
+def _too_many_points(n: int, labels: int) -> bool:
+    """Whether the pairs of ``partition_pairs`` on ``labels`` labels hold over ``PARTITION_POINT_LIMIT`` points.
 
-    They are the tuples of ``partition_pairs``, counted by conjugation as the
-    partitions into parts of at most ``parts``, one part size at a time in O(n).
+    A partition of n into b >= 2 parts gives one pair per distinct part
+    size, and one more where b < ``labels``.  Conjugation maps the
+    partitions into at most L parts onto those into parts of at most L, and
+    keeps the number of distinct part sizes; those that hold the part k are
+    the partitions of n - k with one more k.  So with P_L(m) the partitions
+    of m into parts of at most L there are
+    P_L(n-1) + ... + P_L(n-L) + P_{L-1}(n) pairs, less the 2 that the
+    constant tuple would give.  P_L comes from P_{L-1} in O(n), and the
+    walk stops at the first L whose P_L(n) - 1 tuples alone pass the limit.
     """
     cap = PARTITION_POINT_LIMIT // n
     if n // 2 > cap:  # the partitions into two parts alone
         return True
+    top = min(n + 1, labels)
     ways = [1] + [0] * n
-    for size in range(1, min(n, parts) + 1):
+    for size in range(1, top + 1):
+        fewer = ways[n]
         for j in range(size, n + 1):
             ways[j] += ways[j - size]
         if ways[n] - 1 > cap:
             return True
-    return False
+    return sum(ways[max(n - top, 0):n]) + fewer - 2 > cap
 
 
 def _integer_partitions(n: int, largest: int, parts: int) -> Iterator[tuple[int, ...]]:

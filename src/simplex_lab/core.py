@@ -460,7 +460,12 @@ def check_symmetry(entry: CatalogEntry, space: Space, budget: int = 512, seed: i
     reports ``method: exact``; where that is None, on each of ``budget``
     tuples of ``iter_tuples`` with its other permutations (all of them for
     n <= 4, ten seeded shuffles beyond).  ``checked`` counts the tuples
-    whose permutations all agreed.
+    whose permutations all agreed.  For the gap entries (inner-interval and
+    inner-interval-power) the tuples have every sorted gap 0 or 1: d is a
+    strictly increasing function of one gap on each cell of one order and
+    one largest gap, their permutations generate every such cell, and a
+    permutation maps cells onto cells, so agreement on them is symmetry
+    everywhere (``CatalogEntry.axiom_tuples`` has the proof).
     """
     d = entry.distance
     prop = f"symmetry({d.name})"

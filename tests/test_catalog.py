@@ -407,8 +407,9 @@ def test_integer_partitions_stop_at_the_label_count():
 
 
 def test_partition_pairs_stop_at_the_point_limit():
-    # counted before any tuple is built: 50,000 two-label tuples of 10^5 points, p(60) - 1 tuples of 60 on the line
-    for space, n in ((FiniteSpace(("a", "b")), 10**5), (RealLine(), 60)):
+    # counted before any tuple is built: 50,000 two-label tuples of 10^5 points, p(60) - 1 tuples of 60 on the
+    # line, and the 540,633 pairs of 45 points on the line, whose p(45) - 1 distinct tuples hold only 4.3M
+    for space, n in ((FiniteSpace(("a", "b")), 10**5), (RealLine(), 60), (RealLine(), 45)):
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -424,6 +425,22 @@ def test_partition_pairs_stop_at_the_point_limit():
     # below the limit: 3,433 tuples of 200 points on three labels, p(40) - 1 = 37,337 on the line
     assert len(catalog.partition_pairs(FiniteSpace(("a", "b", "c")), 200)) == 10_199
     assert len({t for t, _ in catalog.partition_pairs(RealLine(), 40)}) == 37_337
+
+
+def test_partition_point_limit_counts_the_points_of_the_pairs(monkeypatch):
+    # with the limit at the built list's points the list is built, one point fewer and it is refused
+    for n in range(2, 12):
+        for size in range(2, n + 3):
+            space = FiniteSpace(tuple(range(size)))
+            points = n * len(catalog._partition_pairs(tuple(range(size)), n))
+            monkeypatch.setattr(catalog, "PARTITION_POINT_LIMIT", points)
+            assert catalog.partition_pairs(space, n) is not None, (n, size)
+            monkeypatch.setattr(catalog, "PARTITION_POINT_LIMIT", points - 1)
+            assert catalog.partition_pairs(space, n) is None, (n, size)
+    monkeypatch.undo()
+    # 215,306 pairs of 40 points on the line (n + 1 labels), 259,889 of 41; 29,410 pairs of 341 points on three labels
+    assert not catalog._too_many_points(40, 41) and catalog._too_many_points(41, 42)
+    assert not catalog._too_many_points(340, 3) and catalog._too_many_points(341, 3)
 
 
 @pytest.mark.parametrize("vid", sorted(_PARTITION_IDS))
@@ -496,10 +513,11 @@ def test_type_list_only_on_the_entrys_own_space_kind():
     assert dataclasses.replace(drastic, type_pairs=None).type_list(RealLine()) is None
     assert catalog.make("fermat", 4, d2="discrete").type_list(RealLine()) is None
     assert catalog.make("line-count", 6).type_list(Plane()) is None  # beyond the linear-space table
-    # the entry's list decides the simplex verdict, and with no axiom tuples identity and symmetry sample
-    entry = catalog.make("inner-interval", 4)
+    # the entry's list decides the simplex verdict, and with no axiom tuples (past the permutation limit)
+    # identity and symmetry sample
+    entry = catalog.make("inner-interval", 8)
     identity, symmetry, simplex = check_axioms(entry, RealLine(), budget=64)
-    assert simplex.details == {"checked": 1, "max_ratio": 0.5, "method": EXACT}
+    assert simplex.details == {"checked": 1, "max_ratio": 0.25, "method": EXACT}
     assert "method" not in identity.details and "method" not in symmetry.details
     assert all("method" not in v.details for v in check_axioms(dataclasses.replace(entry, type_pairs=None), RealLine()))
 
@@ -533,12 +551,93 @@ def test_axiom_tuples_realise_every_set_partition_and_every_step_generator():
         assert tuples[-1] == (h,) * n
 
 
+_FUBINI = (1, 1, 3, 13, 75, 541, 4683, 47293)  # ordered set partitions of n positions, OEIS A000670
+
+
+def test_gap_axiom_tuples_realise_every_0_1_gap_tuple_once():
+    # the coverage half of the gap proof: every nonconstant tuple over 0..n-1 whose sorted gaps are 0 or 1
+    for n in range(2, 8):
+        expected = {tuple(map(float, u)) for u in itertools.product(range(n), repeat=n)
+                    if 0 < max(u) and set(u) == set(range(max(u) + 1))}
+        entries = [catalog.make("inner-interval", n)]
+        if n >= 4:
+            entries.append(catalog.make("inner-interval-power", n, p=2))
+        for entry in entries:
+            tuples = entry.axiom_tuples(RealLine())
+            assert tuples[-1] == (1.0,) * n
+            assert len(tuples) == 2 ** (n - 1) and all(t == tuple(sorted(t)) for t in tuples)
+            perms = [u for t in tuples[:-1] for u in distinct_permutations(t)]
+            assert len(perms) == len(set(perms)) == len(expected) == _FUBINI[n] - 1, n
+            assert set(perms) == expected
+
+
+def _layer_cake(t):
+    """The (a_s, e_s) with t = min(t) + sum a_s e_s, and the index j of a largest gap of t.
+
+    The e_s are the nested 0/1-gap tuples of t's order, one per distinct positive gap.
+    """
+    order = sorted(range(len(t)), key=t.__getitem__)
+    gaps = [t[order[i + 1]] - t[order[i]] for i in range(len(t) - 1)]
+    levels = sorted(set(gaps) - {0})
+    out = []
+    for low, v in zip([0] + levels, levels):
+        e = [0] * len(t)
+        for i, g in enumerate(gaps):
+            e[order[i + 1]] = e[order[i]] + (g >= v)
+        out.append((v - low, tuple(e)))
+    return out, gaps.index(max(gaps))
+
+
+@pytest.mark.parametrize("p", (1, 2))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_gap_entries_are_one_gap_on_each_refined_cell(p, data):
+    # the premise of the gap proof: d^(1/p) is linear on each cell of one order and one largest gap,
+    # so it is the layer-cake sum of its values at the cell's 0/1-gap generators, in exact arithmetic
+    n = data.draw(st.integers(max(2, 2**p), 7))
+    t = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+    entry = catalog.make("inner-interval", n) if p == 1 else catalog.make("inner-interval-power", n, p=p)
+
+    def root(u):
+        v = Fraction(entry.distance.evaluator(tuple(map(float, u))))
+        r = Fraction(round(v ** (1 / p)))
+        assert r**p == v
+        return r
+
+    cake, j = _layer_cake(t)
+    assert tuple(min(t) + sum(a * e[i] for a, e in cake) for i in range(n)) == t
+    for a, e in cake:
+        # a permutation of a listed tuple (see the coverage test above) whose gap j is 1
+        assert a > 0 and max(e) > 0 and set(e) == set(range(max(e) + 1))
+        assert sorted(e)[j + 1] - sorted(e)[j] == 1
+    assert root(t) == sum(a * root(e) for a, e in cake)
+
+
+def test_gap_axiom_tuples_stop_at_the_permutation_limit():
+    # Fubini(8) - 1 = 545,834 permutations, counted before any tuple is built: the checks sample
+    assert catalog.make("inner-interval", 7).axiom_tuples(RealLine()) is not None
+    assert catalog.make("inner-interval", 8).axiom_tuples(RealLine()) is None
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert catalog.make("inner-interval", 64).axiom_tuples(RealLine()) is None
+        assert time.perf_counter() - start < 1
+        assert tracemalloc.get_traced_memory()[1] < 50e6
+    finally:
+        tracemalloc.stop()
+    identity, symmetry, _ = check_axioms(catalog.make("inner-interval-power", 8, p=2), RealLine(), budget=64)
+    assert identity.passed and symmetry.passed
+    assert "method" not in identity.details and "method" not in symmetry.details
+
+
 def test_axiom_tuples_only_for_partition_and_line_step_pair_entries():
     assert catalog.make("drastic", 4).axiom_tuples(Plane()) is not None
     assert catalog.make("arithmetic-mean", 4).axiom_tuples(Plane()) is None  # no type list off the line
     assert catalog.make("diameter", 4, d2="euclidean").axiom_tuples(Plane()) is None  # a planar step-pair entry
     assert catalog.make("fermat", 4, d2="discrete").axiom_tuples(RealLine()) is None
-    for dist_id, space in (("inner-interval", RealLine()), ("enclosing-radius", Plane()), ("line-count", Plane())):
+    assert catalog.make("inner-interval", 4).axiom_tuples(RealLine()) is not None  # the 0/1-gap tuples
+    assert catalog.make("inner-interval", 4).axiom_tuples(Plane()) is None
+    for dist_id, space in (("enclosing-radius", Plane()), ("line-count", Plane())):
         entry = catalog.make(dist_id, 4)
         assert entry.type_list(space) is not None and entry.axiom_tuples(space) is None
     assert dataclasses.replace(catalog.make("drastic", 4), type_pairs=None).axiom_tuples(RealLine()) is None
@@ -554,9 +653,12 @@ def test_axiom_tuples_only_for_partition_and_line_step_pair_entries():
     assert all("method" not in v.details for v in check_axioms(hookless, RealLine(), budget=64))
 
 
-@pytest.mark.parametrize("variant", sorted(_PARTITION_IDS | _LINE_CELL_LINEAR_IDS))
+_GAP_IDS = {"inner-interval", "inner-interval-power[p=1]", "inner-interval-power[p=2]"}
+
+
+@pytest.mark.parametrize("variant", sorted(_PARTITION_IDS | _LINE_CELL_LINEAR_IDS | _GAP_IDS))
 def test_identity_and_symmetry_on_the_axiom_tuples_agree_with_sampling(variant):
-    for n in range(2, 7):
+    for n in range(2 ** _VARIANT_BY_ID[variant][1].get("p", 1), 7):
         entry = _make(variant, n)
         for space in _axiom_spaces(entry):
             tuples = entry.axiom_tuples(space)
@@ -603,20 +705,25 @@ def test_axiom_tuples_catch_asymmetric_entries():
     def cell_linear(t):
         return max(t) - min(t) + (t[0] - min(t))
 
+    def one_gap(t):  # linear on each cell of one order and one largest gap
+        xs = sorted(t)
+        return max(b - a for a, b in zip(xs, xs[1:])) + (t[0] - xs[0])
+
     for n in range(2, 7):
         if n >= 3:  # at n = 2, t[0] == t[1] only on constants
             for space in (FiniteSpace(("a", "b")), FiniteSpace(("a", "b", "c")), RealLine()):
                 _assert_asymmetry_recomputes(_mutant(n, catalog.partition_pairs, label_invariant), space)
-        entry = _mutant(n, step_pairs, cell_linear)
-        _assert_asymmetry_recomputes(entry, RealLine())
-        identity = check_identity(entry, RealLine())
-        assert identity.passed and identity.details["method"] == EXACT
+        for entry in (_mutant(n, step_pairs, cell_linear), _mutant(n, catalog.gap_pairs, one_gap)):
+            _assert_asymmetry_recomputes(entry, RealLine())
+            identity = check_identity(entry, RealLine())
+            assert identity.passed and identity.details["method"] == EXACT
 
 
 def test_axiom_tuples_catch_a_zero_on_any_one_nonconstant_tuple():
     # for each hook, every nonconstant permuted tuple in turn is the one tuple where d vanishes
     for n in range(2, 6):
-        for hook, space in ((step_pairs, RealLine()), (catalog.partition_pairs, RealLine()),
+        for hook, space in ((step_pairs, RealLine()), (catalog.gap_pairs, RealLine()),
+                            (catalog.partition_pairs, RealLine()),
                             (catalog.partition_pairs, FiniteSpace(("a", "b", "c")))):
             tuples = _mutant(n, hook, None).axiom_tuples(space)
             for bad in (u for t in tuples[:-1] for u in distinct_permutations(t)):

@@ -128,15 +128,26 @@ def test_verify_decides_the_simplex_axiom_on_the_type_list():
 
 
 def test_verify_decides_identity_and_symmetry_on_the_axiom_tuples():
-    # the partition and line step-pair entries are exact; inner-interval still samples
+    # the partition, line step-pair and gap entries are exact
     for dist_id, space, exact in (("cardinality", "finite:3", True), ("arithmetic-mean", "real", True),
-                                  ("inner-interval", "real", False)):
+                                  ("inner-interval", "real", True)):
         r = run_cli("verify", "--distance", dist_id, "--n", "4", "--space", space, "--budget", "2000")
         assert r.returncode == 0, r.stderr
         identity, symmetry, _ = json.loads(r.stdout)["verdicts"]
         for v, prop in ((identity, "identity("), (symmetry, "symmetry(")):
             assert v["property"].startswith(prop) and v["status"] == "pass"
             assert (v["details"].get("method") == "exact") is exact, (dist_id, v)
+
+
+def test_verify_samples_the_gap_entries_past_the_permutation_limit():
+    # n = 64 has Fubini(64) - 1 permuted 0/1-gap tuples, so identity and symmetry sample the budget
+    r = run_cli("verify", "--distance", "inner-interval", "--n", "64", "--budget", "100")
+    assert r.returncode == 0, r.stderr
+    identity, symmetry, simplex = json.loads(r.stdout)["verdicts"]
+    for v in (identity, symmetry):
+        assert v["status"] == "pass" and "method" not in v["details"]
+    assert identity["details"]["checked"] == 100 and simplex["details"]["method"] == "exact"
+
 
 def test_line_count_passes_at_its_exact_lower_bracket_end():
     # 3/5 is attained, and the bracket's lower end is 3/5 correctly rounded
