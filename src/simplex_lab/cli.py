@@ -531,8 +531,11 @@ def _build_family(family: str, arities: list[int]) -> tuple[list[catalog.Catalog
     if family not in _FAMILY_IDS:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(_FAMILY_IDS)}")
     if family == "arithmetic-mean-doubled":
-        # binary member replaced by twice the distance, per the passing variant
-        doubled = catalog.CatalogEntry(core.NDistance("doubled-mean", 2, "real-line", lambda t: abs(t[0] - t[1])))
+        # binary member replaced by twice the distance, per the passing variant;
+        # |x - z| is linear on both order cells of (x, z) and 0 on constants, so the step pairs carry it
+        doubled = catalog.CatalogEntry(
+            core.NDistance("doubled-mean", 2, "real-line", lambda t: abs(t[0] - t[1])), type_pairs=core.step_pairs
+        )
         members = [doubled] + [catalog.make("arithmetic-mean", m) for m in arities if m >= 3]
         return members, RealLine()
     members = [catalog.make(family, m) for m in arities]

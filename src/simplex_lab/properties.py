@@ -9,6 +9,8 @@ except for the entries that see only which arguments are equal: for them
 the strong check folds ``catalog.partition_pairs`` for every composition,
 and its verdict is exact.  For the same entries the nonincreasing check
 walks the permutations of ``CatalogEntry.axiom_tuples``, and is exact too.
+The multidistance check folds the member's type list where the family
+shares the step-pair hook on the line or the partition hook, and is exact.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .core import (
     iter_tuples,
     _with_method,
     section,
+    step_pairs,
 )
 from .analysis import scan
 from .catalog import CatalogEntry, partition_pairs
@@ -324,25 +327,69 @@ def check_multidistance(
 
     ``g`` is the arity-2 member.  Also records whether the sufficient
     condition d_n(x, z, ..., z) <= g(x, z) holds (with equality flagged).
+
+    Where g and d_n share the hook ``core.step_pairs`` on the real line, or
+    ``catalog.partition_pairs`` on any space, and neither type list on
+    ``space`` is None, the arity is decided on d_n's list and reports
+    ``method: exact``, as does the family when every arity does: the
+    triangle bound on the listed pairs (``checked`` counts them, 2(n-1) for
+    the step pairs), and the sufficient condition on (a, b) and (b, a), the
+    two ends of the first listed tuple.  Other arities sample ``budget //
+    len(family)`` candidates of ``core.iter_pairs``, and a quarter as many
+    (x, z) of ``core.iter_tuples`` for the sufficient condition.  Listed
+    pairs are real configurations, so a counterexample is genuine.  As in
+    ``core.check_simplex``, ``TOL`` is absolute, at the scale of the list.
+
+    * Step pairs.  d_n and each g(x_i, z) are linear on every order cell of
+      (x_1..x_n, z) and vanish on constants, so D = d_n - sum_i g(x_i, z)
+      is too, and at a point c + sum_j c_j e_j of the cell, e_j its 0/1
+      step generators, D is sum_j c_j D(e_j).  So D <= 0 on the cell if and
+      only if D(e) <= 0 at every generator, and by continuity the same
+      holds on the points of the cell with x nonconstant, which are dense
+      in it.  Both sides are symmetric in x, so a generator with m ones
+      among the x_i has the D of the sorted pair with the same m and z,
+      and scaling by n keeps its sign: ((0,)*(n-m) + (n,)*m, z), z in
+      {0, n}.  The two with x constant (m = 0 with z = n, m = n with
+      z = 0) have d_n = 0 <= sum_i g, the hook's entries being nonnegative
+      and 0 on constants; the other 2(n-1) are the step pairs.  On the
+      cells x <= z and x >= z of (x, z, ..., z) both sides of the
+      sufficient condition are linear and vanish at x = z, so how they
+      compare is decided at (0, n) and (n, 0).
+    * Partition pairs.  d_n(f(t)) = d_n(t) and g(f(x), f(z)) = g(x, z) for
+      every injection f of the points, and both sides are symmetric in x,
+      so D depends only on the equality type of (x_1..x_n, z), and every
+      (x, z) with x nonconstant has a listed type (see
+      ``partition_pairs``).  The pairs x != z of the sufficient condition
+      are all of one type.
     """
-    members = sorted((m.distance for m in family), key=lambda d: d.arity)
+    members = sorted(family, key=lambda m: m.arity)
     if not members or members[0].arity != 2:
         raise ValueError("the family must contain an arity-2 member")
     for a, b in zip(members, members[1:]):
         if b.arity != a.arity + 1:
             raise ValueError("member arities must be contiguous from 2")
-    two = members[0].evaluator
+    two = members[0].distance.evaluator
     g = lambda x, z: two((x, z))
+    hook = members[0].type_pairs
+    foldable = hook is partition_pairs or (hook is step_pairs and space.kind == "real-line")
+    foldable = foldable and members[0].type_list(space) is not None
     prop = "multidistance"
     per_arity = {}
     total = 0
     first_ce = None
-    for d in members:
-        n = d.arity
-        ev = d.evaluator
+    for member in members:
+        n = member.arity
+        ev = member.distance.evaluator
+        pairs = member.type_list(space) if foldable and member.type_pairs is hook else None
+        if pairs is None:
+            candidates = iter_pairs(space, n, max(1, budget // len(members)), derive_seed(seed, 600 + n))
+            ends = iter_tuples(space, 2, max(1, budget // (4 * len(members))), derive_seed(seed, 700 + n))
+        else:
+            candidates, t = pairs, pairs[0][0]
+            ends = ((t[0], t[-1]), (t[-1], t[0]))
         checked = 0
         ce = None
-        for t, z in iter_pairs(space, n, max(1, budget // len(members)), derive_seed(seed, 600 + n)):
+        for t, z in candidates:
             if distinct_count(t) < 2:
                 continue
             lhs = ev(t)
@@ -353,7 +400,7 @@ def check_multidistance(
                 break
         suff_holds = True
         suff_equal = True
-        for x, z in iter_tuples(space, 2, max(1, budget // (4 * len(members))), derive_seed(seed, 700 + n)):
+        for x, z in ends:
             if x == z:
                 continue
             dn = ev((x,) + (z,) * (n - 1))
@@ -362,16 +409,20 @@ def check_multidistance(
                 suff_holds = False
             if abs(dn - gz) > TOL:
                 suff_equal = False
-        per_arity[n] = {
-            "checked": checked,
-            "triangle": "fail" if ce else "pass",
-            "sufficient": suff_holds,
-            "sufficient_equality": suff_holds and suff_equal,
-        }
+        per_arity[n] = _with_method(
+            {
+                "checked": checked,
+                "triangle": "fail" if ce else "pass",
+                "sufficient": suff_holds,
+                "sufficient_equality": suff_holds and suff_equal,
+            },
+            pairs is not None,
+        )
         total += checked
         if ce and first_ce is None:
             first_ce = ce
-    return PropertyVerdict.of(prop, {"checked": total, "per_arity": per_arity}, first_ce)
+    exact = all("method" in info for info in per_arity.values())
+    return PropertyVerdict.of(prop, _with_method({"checked": total, "per_arity": per_arity}, exact), first_ce)
 
 
 def check_multi_to_ndistance(

@@ -343,6 +343,35 @@ def naive_scan(ev, pairs, k, constant=math.inf, tol=1e-9):
     return best, first, worst, checked
 
 
+def brute_multidistance(family, space):
+    """``check_multidistance``'s per-arity verdicts from every (x, z) of an integer grid.
+
+    The grid is {0, 1, 2, 3} on the line and every label of a finite space.
+    The triangle bound runs over every x in grid^n with two or more distinct
+    points and every z in the grid, the sufficient condition over every
+    pair x != z, each with the check's slack ``core.TOL``.
+    """
+    points = space.labels if space.kind == "finite" else (0.0, 1.0, 2.0, 3.0)
+    members = sorted(family, key=lambda m: m.arity)
+    g = members[0].distance.evaluator
+    out = {}
+    for member in members:
+        n, ev = member.arity, member.distance.evaluator
+        triangle = "pass"
+        for t in itertools.product(points, repeat=n):
+            if len(set(t)) < 2:
+                continue
+            lhs = ev(t)
+            if any(lhs > sum(g((x, z)) for x in t) + core.TOL for z in points):
+                triangle = "fail"
+                break
+        gaps = [ev((x,) + (z,) * (n - 1)) - g((x, z)) for x, z in itertools.permutations(points, 2)]
+        holds = all(gap <= core.TOL for gap in gaps)
+        equal = all(abs(gap) <= core.TOL for gap in gaps)
+        out[n] = {"triangle": triangle, "sufficient": holds, "sufficient_equality": holds and equal}
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the candidate streams as counting generators, the reference for the shared
 # head-then-samples body of core.iter_tuples and core.iter_pairs

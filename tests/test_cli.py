@@ -332,6 +332,22 @@ def test_multidistance_family_fail():
     assert ce["lhs"] > ce["rhs"]
 
 
+def test_multidistance_decides_the_mean_families_on_the_step_pairs():
+    # the doubled member |x - z| shares the mean's step-pair hook: 2(n-1) pairs per arity
+    r = run_cli("multidistance", "--family", "arithmetic-mean-doubled", "--arities", "2..6")
+    assert r.returncode == 0, r.stderr
+    (v,) = [v for v in json.loads(r.stdout)["verdicts"] if v["property"] == "multidistance"]
+    assert v["status"] == "pass" and v["details"]["method"] == "exact"
+    assert v["details"]["checked"] == 2 + 4 + 6 + 8 + 10
+    assert [info["checked"] for info in v["details"]["per_arity"].values()] == [2, 4, 6, 8, 10]
+    # with g = |x - z|/2 the bound fails first at arity 3, on a listed pair
+    r = run_cli("multidistance", "--family", "arithmetic-mean", "--arities", "2..6")
+    assert r.returncode == 1, r.stderr
+    (v,) = [v for v in json.loads(r.stdout)["verdicts"] if v["property"] == "multidistance"]
+    assert v["details"]["method"] == "exact"
+    assert v["counterexample"] == {"arity": 3, "tuple": [0.0, 3.0, 3.0], "z": 3.0, "lhs": 2.0, "rhs": 1.5}
+
+
 def test_multidistance_verdict_that_checked_nothing_does_not_pass():
     # --budget 4 leaves the simplex check of the converse direction no
     # candidate, while the triangle scan's floor still finds line-count's

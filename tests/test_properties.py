@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_scan
+from helpers import brute_multidistance, naive_scan
 from simplex_lab import catalog
 from simplex_lab.analysis import EXACT
-from simplex_lab.catalog import CatalogEntry
+from simplex_lab.catalog import CatalogEntry, partition_pairs
 from simplex_lab.cli import default_space_for, resolve_strong_constant
 from simplex_lab.core import (
     FAIL,
@@ -23,6 +23,7 @@ from simplex_lab.core import (
     RealLine,
     iter_pairs,
     section,
+    step_pairs,
 )
 from simplex_lab.geometry import GROUND_KINDS
 from simplex_lab.properties import (
@@ -306,6 +307,68 @@ def test_multidistance_validation():
         check_multidistance(
             [catalog.make("enclosing-radius", 2), catalog.make("enclosing-radius", 4)], Plane()
         )
+
+
+def _scaled_pair(c, hook):
+    """c |x - z| on the line with the step pairs, or c [x != z] on any space with the partition pairs."""
+    if hook is step_pairs:
+        return CatalogEntry(NDistance("scaled-abs", 2, "real-line", lambda t: c * abs(t[0] - t[1])), type_pairs=hook)
+    return CatalogEntry(NDistance("scaled-drastic", 2, "any", lambda t: c * (t[0] != t[1])), type_pairs=hook)
+
+
+# (member id, space, hook, threshold(n)): the smallest c at which the family
+# g = _scaled_pair(c, hook), d_3..d_n passes, reached at a 0/1 generator
+_FOLD_FAMILIES = [
+    ("arithmetic-mean", UNIT, step_pairs, lambda n: (n - 1) / n),  # t = (0, 1, ..., 1), z = 1
+    ("diameter", UNIT, step_pairs, lambda n: 1.0),  # t = (0, 1, ..., 1), z = 1
+    ("cardinality", ABCD, partition_pairs, lambda n: 1.0),  # t = (a, b, ..., b), z = b
+    ("drastic", ABCD, partition_pairs, lambda n: 1.0),
+]
+
+
+@pytest.mark.parametrize("member_id, space, hook, threshold", _FOLD_FAMILIES)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_multidistance_fold_agrees_with_the_grid_oracle(member_id, space, hook, threshold, n):
+    # the fold decides each arity on d_n's type list; the oracle runs the whole integer grid
+    statuses = []
+    for c in (threshold(n) - 0.01, threshold(n), threshold(n) + 0.01):
+        family = [_scaled_pair(c, hook)] + [catalog.make(member_id, m) for m in range(3, n + 1)]
+        v = check_multidistance(family, space, budget=64, seed=0)
+        assert v.details["method"] == EXACT
+        oracle = brute_multidistance(family, space)
+        for m, info in v.details["per_arity"].items():
+            assert {key: info[key] for key in oracle[m]} == oracle[m], (c, m)
+            if info["triangle"] == "pass":
+                assert info["checked"] == len(family[m - 2].type_list(space))
+        assert v.failed == any(info["triangle"] == "fail" for info in oracle.values())
+        ce = v.counterexample
+        if ce is not None:
+            g = family[0].distance.evaluator
+            assert ce["lhs"] == family[ce["arity"] - 2].distance.evaluator(ce["tuple"]) > ce["rhs"] + TOL
+            assert ce["rhs"] == sum(g((x, ce["z"])) for x in ce["tuple"])
+        statuses.append(v.status)
+    assert statuses == ([PASS] * 3 if n == 2 else [FAIL, PASS, PASS])
+
+
+def test_multidistance_samples_the_families_outside_the_fold():
+    # no shared step-pair hook on the line or partition hook: every arity samples
+    bare = CatalogEntry(NDistance("doubled-mean", 2, "real-line", lambda t: abs(t[0] - t[1])))
+    families = [
+        ([catalog.make("enclosing-radius", n) for n in (2, 3, 4)], Plane()),
+        ([catalog.make("inner-interval", n) for n in (2, 3, 4)], UNIT),
+        ([catalog.make("line-count", n) for n in (2, 3, 4)], Plane()),
+        ([catalog.make("diameter", n, d2="euclidean") for n in (2, 3, 4)], Plane()),
+        ([bare] + [catalog.make("arithmetic-mean", n) for n in (3, 4)], UNIT),
+    ]
+    for family, space in families:
+        v = check_multidistance(family, space, budget=300, seed=0)
+        assert "method" not in v.details
+        assert all("method" not in info for info in v.details["per_arity"].values())
+    # a member with another hook samples, and the family reports no method
+    mixed = [_scaled_pair(1.0, step_pairs)] + [catalog.make("inner-interval", n) for n in (3, 4)]
+    v = check_multidistance(mixed, UNIT, budget=300, seed=0)
+    assert v.passed and "method" not in v.details
+    assert [info.get("method") for info in v.details["per_arity"].values()] == [EXACT, None, None]
 
 
 def test_multi_to_ndistance_folds_the_type_list():
