@@ -24,13 +24,13 @@ sorted tuple is the lexicographically smallest of its orbit.  The lower
 bound, witness and indices are those of the scan over every ordered tuple;
 the axiom and property checks, which verify the symmetry, still enumerate
 every tuple, except that ``core.check_simplex`` folds the entry's type
-list where one exists, and so does the strong check for
-``partition_pairs`` entries (``properties.check_strong_k_simplex``);
-``core.check_identity``, ``core.check_symmetry`` (also with the 0/1-gap
-tuples of the ``gap_pairs`` entries) and, for ``partition_pairs``
-entries, the nonincreasing check walk the permutations of
-``CatalogEntry.axiom_tuples``.  Each check reads these
-lists from the entry it is given.
+list where one exists, and so does the strong check with the entry's
+``strong_list`` (the partition and value-set entries,
+``properties.check_strong_k_simplex``); ``core.check_identity`` and
+``core.check_symmetry`` (also with the 0/1-gap tuples of the ``gap_pairs``
+entries) walk the permutations of ``CatalogEntry.axiom_tuples``, and the
+nonincreasing check those of ``identification_tuples``.  Each check reads
+these lists from the entry it is given.
 ``core.step_pairs`` gives the 2(n-1) step pairs for the
 entries linear on every order cell of (x_1..x_n, z) on the line
 (diameter[abs], sum-based[abs], arithmetic-mean, fermat[abs],

@@ -3,6 +3,13 @@
 Every evaluator sorts its argument tuple first: all of these maps are
 symmetric by definition, so the sort changes no value but makes permutation
 invariance bit-exact.  Evaluators return exactly 0.0 on constant tuples.
+The value-set entries, whose value depends only on the set of their
+arguments (diameter, chebyshev-diameter, line-count, enclosing-radius,
+enclosing-area, inner-interval and inner-interval-power), are built through
+``core.value_set_distance``, which hands their map the sorted distinct
+points; ``CatalogEntry.strong_list`` reads that from the distance's class.
+drastic and cardinality keep their own evaluators: their strong list is
+``partition_pairs`` already.
 
 No catalog entry sets ``witness_recipe``: wherever a constant is known, the
 entry's ``type_pairs`` list carries it and its pairs are the witnesses.
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .core import FiniteSpace, NDistance, Point, Space, step_pairs
+from .core import FiniteSpace, NDistance, Point, Space, ValueSetDistance, step_pairs, value_set_distance
 from .geometry import (
     LINEAR_SPACE_TYPES,
     count_lines,
@@ -64,7 +71,11 @@ class CatalogEntry:
     (t, z) that attains their constant, which an estimate folds first on a
     label space too large to enumerate), ``space`` (the label space the
     distance is built on), ``exact_evaluator`` (rational values, when
-    known) and ``params`` (the construction's own numbers).
+    known) and ``params`` (the construction's own numbers); the gap entries
+    keep their exponent p in ``params`` too.  ``axiom_tuples``,
+    ``identification_tuples``, ``triangle_list`` and ``strong_list`` say
+    which list decides which check, each with its proof, so that no check
+    names a hook.
     """
 
     distance: NDistance
@@ -179,6 +190,97 @@ class CatalogEntry:
             return None
         return tuples + ((tuples[0][-1],) * self.arity,)
 
+    def identification_tuples(self, space: Space) -> tuple[tuple, ...] | None:
+        """The tuples whose distinct permutations decide the nonincreasing check, or None.
+
+        ``axiom_tuples(space)`` for the ``partition_pairs`` entries, None for
+        every other entry.  Such a d sees only which arguments are equal, and
+        identifying t_i with t_j gives a tuple whose set partition depends
+        only on that of t and on (i, j), so d(u) - d(t) does too; the
+        permutations realise every set partition that the space can hold
+        (see ``axiom_tuples``).
+        """
+        return self.axiom_tuples(space) if self.type_pairs is partition_pairs else None
+
+    def triangle_list(self, space: Space, two: CatalogEntry) -> Sequence[tuple[tuple, Point]] | None:
+        """The list that decides d_n(x) <= sum_i g(x_i, z) against the arity-2 member ``two``, or None.
+
+        This entry's ``type_list(space)`` where it and g share the hook
+        ``core.step_pairs`` on the real line, or ``partition_pairs`` on any
+        space, and neither type list on ``space`` is None.  The sufficient
+        condition d_n(x, z, ..., z) <= g(x, z) is then decided on (a, b) and
+        (b, a), the two ends of the first listed tuple.  Listed pairs are
+        real configurations, so a counterexample is genuine.
+
+        * Step pairs.  d_n and each g(x_i, z) are linear on every order cell
+          of (x_1..x_n, z) and vanish on constants, so D = d_n - sum_i g(x_i, z)
+          is too, and at a point c + sum_j c_j e_j of the cell, e_j its 0/1
+          step generators, D is sum_j c_j D(e_j).  So D <= 0 on the cell if
+          and only if D(e) <= 0 at every generator, and by continuity the
+          same holds on the points of the cell with x nonconstant, which are
+          dense in it.  Both sides are symmetric in x, so a generator with m
+          ones among the x_i has the D of the sorted pair with the same m and
+          z, and scaling by n keeps its sign: ((0,)*(n-m) + (n,)*m, z), z in
+          {0, n}.  The two with x constant (m = 0 with z = n, m = n with
+          z = 0) have d_n = 0 <= sum_i g, the hook's entries being
+          nonnegative and 0 on constants; the other 2(n-1) are the step
+          pairs.  On the cells x <= z and x >= z of (x, z, ..., z) both sides
+          of the sufficient condition are linear and vanish at x = z, so how
+          they compare is decided at (0, n) and (n, 0).
+        * Partition pairs.  d_n(f(t)) = d_n(t) and g(f(x), f(z)) = g(x, z)
+          for every injection f of the points, and both sides are symmetric
+          in x, so D depends only on the equality type of (x_1..x_n, z), and
+          every (x, z) with x nonconstant has a listed type (see
+          ``partition_pairs``).  The pairs x != z of the sufficient condition
+          are all of one type.
+        """
+        hook = self.type_pairs
+        line_steps = hook is step_pairs and space.kind == "real-line"
+        if hook is not two.type_pairs or not (hook is partition_pairs or line_steps) or two.type_list(space) is None:
+            return None
+        return self.type_list(space)
+
+    def strong_list(self, space: Space, k: int) -> Sequence[tuple[tuple, Point]] | None:
+        """The list that decides the strong k-check for every composition of n into k blocks, or None.
+
+        ``properties.check_strong_k_simplex`` folds it for each composition
+        c = (n_1..n_k) through the reduced map d_c(v) = d(n_1*v_1, ..., n_k*v_k),
+        against the k block sections d_c(section_j(v, z)), which put z in
+        place of the j-th block.
+
+        * Partition entries: ``partition_pairs(space, k)``.  d_c(f(v)) = d_c(v)
+          for every injection f still holds, so d_c's ratio depends only on
+          which of (v_1..v_k, z) are equal, although d_c is not symmetric: a
+          permutation pi of the positions moves the composition along,
+          d_c(v) = d_{pi c}(pi v), and the sections with it.  Any (v, z) is
+          such a pi away from a listed pair, of the composition pi c, and the
+          check folds every composition, so together the folds cover every
+          (values, z).
+        * Value-set entries, whose distance ``core.value_set_distance`` built
+          from f: the hook's arity-k list ``type_pairs(space, k)`` on the
+          entry's own space kind.  Expanding v keeps its set of values, so
+          d_c(v) = f(set(v)) = d_k(v), d_k the arity-k member, the same f on
+          k arguments; and the j-th block section is d_k(section_j(v, z)).
+          So each composition's inequality is the arity-k simplex inequality
+          of d_k, the same for every c, and M*_{n,k}(d) = K*_k(d_k).  The
+          hook's docstring proves that its arity-k list carries K*_k of d_k,
+          so the max of the fold is M*_{n,k}.  ``gap_pairs`` is proven only
+          for k >= 2^p, p = ``params["p"]``, so below that the list is None.
+
+        Either way the listed pairs are real configurations, so a
+        counterexample is genuine.  None for every other entry, off a
+        value-set entry's space kind, and where the hook gives None
+        (``partition_pairs`` past its point limit, ``linear_space_pairs``
+        from k = 6); the check then samples.
+        """
+        hook = self.type_pairs
+        if hook is partition_pairs:
+            return partition_pairs(space, k)
+        on_set = isinstance(self.distance, ValueSetDistance) and self.distance.space_kind in ("any", space.kind)
+        if not on_set or hook is None or (hook is gap_pairs and k < 2 ** self.params["p"]):
+            return None
+        return hook(space, k)
+
     def __call__(self, *points: Point) -> float:
         return self.distance(*points)
 
@@ -228,20 +330,14 @@ def _standard_entry(d: NDistance, type_pairs: Callable, invariant: bool = True) 
     )
 
 
-def _diameter_evaluator(g: Callable[[Point, Point], float]) -> Callable[[tuple], float]:
-    # largest pairwise ground distance; exactly 0.0 on constant tuples
-    def ev(t: tuple) -> float:
-        s = sorted(set(t))
-        if len(s) == 1:
-            return 0.0
-        return max(itertools.starmap(g, itertools.combinations(s, 2)))
-
-    return ev
+def _diameter_distance(name: str, n: int, kind: str, g: Callable[[Point, Point], float]) -> NDistance:
+    # largest pairwise ground distance among the distinct points
+    return value_set_distance(name, n, kind, lambda s: max(itertools.starmap(g, itertools.combinations(s, 2))))
 
 
-def _largest_gap(t: tuple) -> float:
-    xs = sorted(t)
-    return max(map(operator.sub, xs[1:], xs))
+def _largest_gap(s: list) -> float:
+    # s is sorted and has two or more points
+    return max(map(operator.sub, s[1:], s))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +364,7 @@ def cardinality(n: int) -> CatalogEntry:
 
 def diameter(n: int, d2: str = "abs") -> CatalogEntry:
     """Largest pairwise ground distance among the arguments."""
-    ev = _diameter_evaluator(ground_distance(d2))
-    d = NDistance(f"diameter[{d2}]", n, space_kind_for_ground(d2), ev)
+    d = _diameter_distance(f"diameter[{d2}]", n, space_kind_for_ground(d2), ground_distance(d2))
     # euclidean: the sup over unit functionals; chebyshev: the max over x and y
     return _standard_entry(d, type_pairs=partition_pairs if d2 == "discrete" else step_pairs)
 
@@ -355,11 +450,7 @@ def line_count(n: int) -> CatalogEntry:
     lower end, 3/5, 2/5 and 5/17 at n = 3, 4 and 5, and K*_{n,k} =
     (k+1)/(k(k-1)) for k < n (3/2, 2/3 and 5/12).
     """
-
-    def ev(t: tuple) -> float:
-        return float(count_lines(t))
-
-    d = NDistance("line-count", n, "plane", ev)
+    d = value_set_distance("line-count", n, "plane", lambda s: float(count_lines(s)))
     # n / (n^2 - 2n + 2) is 1/(n-2+2/n) in one correctly rounded division
     bounds = (n / (n * n - 2 * n + 2), 1.0 / (n - 2)) if n >= 3 else None
     constants = {}
@@ -377,11 +468,8 @@ def enclosing_radius(n: int) -> CatalogEntry:
     Standard, K*_{n,k} = 1/(k-1), exact through the one pair of
     ``circle_pairs`` (its docstring has the proof).
     """
-
-    def ev(t: tuple) -> float:
-        return smallest_enclosing_circle(t).radius
-
-    return _standard_entry(NDistance("enclosing-radius", n, "plane", ev), type_pairs=circle_pairs)
+    d = value_set_distance("enclosing-radius", n, "plane", lambda s: smallest_enclosing_circle(s).radius)
+    return _standard_entry(d, type_pairs=circle_pairs)
 
 
 def enclosing_area(n: int) -> CatalogEntry:
@@ -394,12 +482,12 @@ def enclosing_area(n: int) -> CatalogEntry:
     if n < 3:
         raise ValueError("enclosing-area needs arity n >= 3")
 
-    def ev(t: tuple) -> float:
-        r = smallest_enclosing_circle(t).radius
+    def area(s: list) -> float:
+        r = smallest_enclosing_circle(s).radius
         return math.pi * r * r
 
     kk = {k: 1.0 / (k - 1.5) for k in range(2, n + 1)}
-    d = NDistance("enclosing-area", n, "plane", ev)
+    d = value_set_distance("enclosing-area", n, "plane", area)
     return CatalogEntry(
         d, standard=False, repetition_invariant=True, nonincreasing=True, type_pairs=circle_pairs, constants=kk,
     )
@@ -409,9 +497,9 @@ def chebyshev_diameter(n: int, q: int = 2) -> CatalogEntry:
     """Diameter under the Chebyshev ground distance on R^q, q in {1, 2}."""
     if q not in (1, 2):
         raise ValueError("q must be 1 or 2")
-    ev = _diameter_evaluator(ground_distance("chebyshev"))
     kind = "real-line" if q == 1 else "plane"
-    return _standard_entry(NDistance(f"chebyshev-diameter[q={q}]", n, kind, ev), type_pairs=step_pairs)
+    d = _diameter_distance(f"chebyshev-diameter[q={q}]", n, kind, ground_distance("chebyshev"))
+    return _standard_entry(d, type_pairs=step_pairs)
 
 
 def gap_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
@@ -531,9 +619,9 @@ def partition_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
     return _partition_pairs(labels, n)
 
 
-# the most points in the pairs of ``partition_pairs``, about 80 MB of references;
-# the line passes it from n = 41 (259,889 pairs), three labels from n = 341
-PARTITION_POINT_LIMIT = 10**7
+# the most points in the pairs of ``partition_pairs``, about 32 MB of references;
+# the line passes it from n = 37 (120,768 pairs), three labels from n = 251
+PARTITION_POINT_LIMIT = 4 * 10**6
 
 
 def _too_many_points(n: int, labels: int) -> bool:
@@ -589,7 +677,7 @@ def _partition_pairs(labels: tuple, n: int) -> tuple[tuple[tuple, Point], ...]:
     return tuple(out)
 
 
-def _gap_entry(name: str, n: int, p: float, ev: Callable[[tuple], float]) -> CatalogEntry:
+def _gap_entry(name: str, n: int, p: float, f: Callable[[list], float]) -> CatalogEntry:
     """The p-th power of the largest gap, n >= 2^p: K*_{n,k} = 2^p/k through ``gap_pairs``.
 
     Repetition-invariant, since the largest gap depends only on the set of
@@ -599,8 +687,8 @@ def _gap_entry(name: str, n: int, p: float, ev: Callable[[tuple], float]) -> Cat
     (0, 1, 2, ..., 2), largest gap 1, with its 0 doubles the largest gap.
     """
     return CatalogEntry(
-        NDistance(name, n, "real-line", ev), standard=(n == 2), repetition_invariant=True, nonincreasing=(n == 2),
-        type_pairs=gap_pairs, constants={k: 2**p / k for k in range(2, n + 1)},
+        value_set_distance(name, n, "real-line", f), standard=(n == 2), repetition_invariant=True,
+        nonincreasing=(n == 2), type_pairs=gap_pairs, constants={k: 2**p / k for k in range(2, n + 1)}, params={"p": p},
     )
 
 
@@ -626,11 +714,7 @@ def inner_interval_power(n: int, p: int) -> CatalogEntry:
     # n < 2^n.bit_length(), so a larger p needs no power, which could overflow
     if p >= n.bit_length() or n < 2**p:
         raise ValueError(f"not an n-distance for n < 2^p (n={n}, p={p})")
-
-    def ev(t: tuple) -> float:
-        return _largest_gap(t) ** p
-
-    return _gap_entry(f"inner-interval-power[p={p}]", n, p, ev)
+    return _gap_entry(f"inner-interval-power[p={p}]", n, p, lambda s: _largest_gap(s) ** p)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,24 @@ def evaluate(d: NDistance, t: tuple) -> float:
     return d.evaluator(t)
 
 
+class ValueSetDistance(NDistance):
+    """An ``NDistance`` that ``value_set_distance`` built: d(t) depends only on set(t).
+
+    ``dataclasses.replace`` keeps the class, so a copy may wrap the
+    evaluator only in something that keeps its values, such as a timer.
+    """
+
+
+def value_set_distance(name: str, arity: int, space_kind: str, f: Callable[[list], float]) -> ValueSetDistance:
+    """d(t) = f(s) on the sorted distinct points s of t, and exactly 0.0 where t has one point."""
+
+    def ev(t: tuple) -> float:
+        s = sorted(set(t))
+        return 0.0 if len(s) == 1 else f(s)
+
+    return ValueSetDistance(name, arity, space_kind, ev)
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 

@@ -5,12 +5,14 @@ arguments into k nonempty blocks, collapse each block to its value, and
 bound the collapsed distance by M times the sum of its k sections.  The
 checkers here enumerate all compositions (ordered block sizes) and draw
 the k collapsed values from the shared candidate stream, ``core.iter_pairs``,
-except for the entries that see only which arguments are equal: for them
-the strong check folds ``catalog.partition_pairs`` for every composition,
-and its verdict is exact.  For the same entries the nonincreasing check
-walks the permutations of ``CatalogEntry.axiom_tuples``, and is exact too.
-The multidistance check folds the member's type list where the family
-shares the step-pair hook on the line or the partition hook, and is exact.
+except where the entry has a proven list for the check.  Each check asks
+the entry for it, and its verdict is then exact: the strong check folds
+``CatalogEntry.strong_list`` for every composition (the entries that see
+only which arguments are equal, and the value-set entries, whose value
+depends only on the set of their arguments), the nonincreasing check walks
+the permutations of ``CatalogEntry.identification_tuples``, and the
+multidistance check folds each member's ``CatalogEntry.triangle_list``.
+No check here names a hook.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from .core import (
     iter_tuples,
     _with_method,
     section,
-    step_pairs,
 )
 from .analysis import scan
-from .catalog import CatalogEntry, partition_pairs
+from .catalog import CatalogEntry
 
 
 def compositions(n: int, k: int) -> list[tuple[int, ...]]:
@@ -116,17 +117,11 @@ def check_strong_k_simplex(
     """Verify d(n1*x1,...,nk*xk) <= M (sum of k sections) over all groupings.
 
     Each composition c = (n1..nk) gives the k-variable reduced evaluator
-    d_c.  Where the entry's hook is ``catalog.partition_pairs`` the check
-    folds ``partition_pairs(space, k)`` for every c, ignores ``budget`` and
-    reports ``method: exact``.  This is exact although d_c is not
-    symmetric: d_c(f(v)) = d_c(v) for every injection f still holds, so
-    d_c's ratio depends only on which of (v_1..v_k, z) are equal, but a
-    permutation pi of the positions moves the composition along,
-    d_c(v) = d_{pi c}(pi v), and the sections with it.  Any (v, z) is such
-    a pi away from a listed pair, of the composition pi c, and the check
-    folds every composition, so together the folds cover every (values, z).
-    A counterexample is one of the listed pairs, a real configuration.
-    Other entries, and these where that list is None, fold ``budget //
+    d_c.  Where the entry's ``strong_list(space, k)`` is a list (the
+    partition entries and the value-set entries; that method's docstring
+    has the proofs), the check folds it for every c, ignores ``budget`` and
+    reports ``method: exact``, and a counterexample is one of the listed
+    pairs, a real configuration.  Elsewhere it folds ``budget //
     len(compositions)`` candidates of ``core.iter_pairs`` per composition.
     """
     n = entry.arity
@@ -134,7 +129,7 @@ def check_strong_k_simplex(
         raise ValueError(f"k must be in 2..{n}, got {k}")
     prop = f"strong-simplex(k={k}, M={constant:g})"
     comps = compositions(n, k)
-    typed = partition_pairs(space, k) if entry.type_pairs is partition_pairs else None
+    typed = entry.strong_list(space, k)
     per_comp = max(1, budget // len(comps))
     checked = 0
     max_ratio = 0.0
@@ -268,21 +263,18 @@ def check_nonincreasing_identification(
     This implies repetition invariance, so a pass here is cross-checked
     against the repetition check and demoted to FAIL on contradiction.
 
-    The tuples are ``budget`` of ``iter_tuples``, except for the
-    ``partition_pairs`` entries where ``axiom_tuples`` is a list: there
-    the check walks every distinct permutation of each listed tuple,
-    ignores ``budget`` and reports ``method: exact``.  Such a d sees only
-    which arguments are equal, and identifying t_i with t_j gives a tuple
-    whose set partition depends only on that of t and on (i, j), so
-    d(u) - d(t) does too; the permutations realise every set partition
-    that the space can hold (see ``CatalogEntry.axiom_tuples``).
+    The tuples are ``budget`` of ``iter_tuples``, except where the entry's
+    ``identification_tuples(space)`` is a list (the ``partition_pairs``
+    entries; that method's docstring has the proof): there the check walks
+    every distinct permutation of each listed tuple, ignores ``budget`` and
+    reports ``method: exact``.
     """
     n = entry.arity
     prop = "nonincreasing-identification"
     ev = entry.distance.evaluator
     checked = 0
     first_ce = None
-    tuples = entry.axiom_tuples(space) if entry.type_pairs is partition_pairs else None
+    tuples = entry.identification_tuples(space)
     if tuples is None:
         candidates = iter_tuples(space, n, max(1, budget), derive_seed(seed, 500))
     else:
@@ -328,9 +320,9 @@ def check_multidistance(
     ``g`` is the arity-2 member.  Also records whether the sufficient
     condition d_n(x, z, ..., z) <= g(x, z) holds (with equality flagged).
 
-    Where g and d_n share the hook ``core.step_pairs`` on the real line, or
-    ``catalog.partition_pairs`` on any space, and neither type list on
-    ``space`` is None, the arity is decided on d_n's list and reports
+    Where d_n's ``triangle_list(space, g)`` is a list (g and d_n share the
+    step-pair hook on the real line or the partition hook; that method's
+    docstring has the proofs), the arity is decided on it and reports
     ``method: exact``, as does the family when every arity does: the
     triangle bound on the listed pairs (``checked`` counts them, 2(n-1) for
     the step pairs), and the sufficient condition on (a, b) and (b, a), the
@@ -339,28 +331,6 @@ def check_multidistance(
     (x, z) of ``core.iter_tuples`` for the sufficient condition.  Listed
     pairs are real configurations, so a counterexample is genuine.  As in
     ``core.check_simplex``, ``TOL`` is absolute, at the scale of the list.
-
-    * Step pairs.  d_n and each g(x_i, z) are linear on every order cell of
-      (x_1..x_n, z) and vanish on constants, so D = d_n - sum_i g(x_i, z)
-      is too, and at a point c + sum_j c_j e_j of the cell, e_j its 0/1
-      step generators, D is sum_j c_j D(e_j).  So D <= 0 on the cell if and
-      only if D(e) <= 0 at every generator, and by continuity the same
-      holds on the points of the cell with x nonconstant, which are dense
-      in it.  Both sides are symmetric in x, so a generator with m ones
-      among the x_i has the D of the sorted pair with the same m and z,
-      and scaling by n keeps its sign: ((0,)*(n-m) + (n,)*m, z), z in
-      {0, n}.  The two with x constant (m = 0 with z = n, m = n with
-      z = 0) have d_n = 0 <= sum_i g, the hook's entries being nonnegative
-      and 0 on constants; the other 2(n-1) are the step pairs.  On the
-      cells x <= z and x >= z of (x, z, ..., z) both sides of the
-      sufficient condition are linear and vanish at x = z, so how they
-      compare is decided at (0, n) and (n, 0).
-    * Partition pairs.  d_n(f(t)) = d_n(t) and g(f(x), f(z)) = g(x, z) for
-      every injection f of the points, and both sides are symmetric in x,
-      so D depends only on the equality type of (x_1..x_n, z), and every
-      (x, z) with x nonconstant has a listed type (see
-      ``partition_pairs``).  The pairs x != z of the sufficient condition
-      are all of one type.
     """
     members = sorted(family, key=lambda m: m.arity)
     if not members or members[0].arity != 2:
@@ -370,9 +340,6 @@ def check_multidistance(
             raise ValueError("member arities must be contiguous from 2")
     two = members[0].distance.evaluator
     g = lambda x, z: two((x, z))
-    hook = members[0].type_pairs
-    foldable = hook is partition_pairs or (hook is step_pairs and space.kind == "real-line")
-    foldable = foldable and members[0].type_list(space) is not None
     prop = "multidistance"
     per_arity = {}
     total = 0
@@ -380,7 +347,7 @@ def check_multidistance(
     for member in members:
         n = member.arity
         ev = member.distance.evaluator
-        pairs = member.type_list(space) if foldable and member.type_pairs is hook else None
+        pairs = member.triangle_list(space, members[0])
         if pairs is None:
             candidates = iter_pairs(space, n, max(1, budget // len(members)), derive_seed(seed, 600 + n))
             ends = iter_tuples(space, 2, max(1, budget // (4 * len(members))), derive_seed(seed, 700 + n))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import operator
 import re
 import time
 import tracemalloc
@@ -16,12 +17,13 @@ from simplex_lab import catalog
 from simplex_lab.analysis import EXACT, estimate_best_constant, estimate_partial_constant, scan
 from simplex_lab.cli import default_space_for
 from simplex_lab.core import (
-    CIRCLE_POINTS, PASS, FiniteSpace, NDistance, Plane, RealLine, check_axioms, check_identity, check_simplex,
-    check_symmetry, distinct_permutations, evaluate, iter_pairs, section, step_pairs,
+    CIRCLE_POINTS, PASS, FiniteSpace, NDistance, Plane, RealLine, ValueSetDistance, check_axioms, check_identity,
+    check_simplex, check_symmetry, distinct_permutations, evaluate, iter_pairs, section, step_pairs,
 )
-from simplex_lab.geometry import GROUND_KINDS
+from simplex_lab.geometry import GROUND_KINDS, count_lines, ground_distance, smallest_enclosing_circle
 from simplex_lab.properties import (
-    check_nonincreasing_identification, check_repetition_invariance, check_strong_k_simplex,
+    check_nonincreasing_identification, check_repetition_invariance, check_strong_k_simplex, compositions,
+    reduced_evaluator,
 )
 
 
@@ -408,8 +410,8 @@ def test_integer_partitions_stop_at_the_label_count():
 
 def test_partition_pairs_stop_at_the_point_limit():
     # counted before any tuple is built: 50,000 two-label tuples of 10^5 points, p(60) - 1 tuples of 60 on the
-    # line, and the 540,633 pairs of 45 points on the line, whose p(45) - 1 distinct tuples hold only 4.3M
-    for space, n in ((FiniteSpace(("a", "b")), 10**5), (RealLine(), 60), (RealLine(), 45)):
+    # line, and the 120,768 pairs of 37 points on the line, whose p(37) - 1 distinct tuples hold only 0.8M
+    for space, n in ((FiniteSpace(("a", "b")), 10**5), (RealLine(), 60), (RealLine(), 37)):
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -422,9 +424,9 @@ def test_partition_pairs_stop_at_the_point_limit():
     assert entry.type_list(RealLine()) is None and entry.axiom_tuples(RealLine()) is None
     strong = check_strong_k_simplex(entry, 60, 1 / 59, RealLine(), budget=64)
     assert strong.passed and "method" not in strong.details
-    # below the limit: 3,433 tuples of 200 points on three labels, p(40) - 1 = 37,337 on the line
+    # below the limit: 3,433 tuples of 200 points on three labels, p(36) - 1 = 17,976 on the line
     assert len(catalog.partition_pairs(FiniteSpace(("a", "b", "c")), 200)) == 10_199
-    assert len({t for t, _ in catalog.partition_pairs(RealLine(), 40)}) == 37_337
+    assert len({t for t, _ in catalog.partition_pairs(RealLine(), 36)}) == 17_976
 
 
 def test_partition_point_limit_counts_the_points_of_the_pairs(monkeypatch):
@@ -438,9 +440,10 @@ def test_partition_point_limit_counts_the_points_of_the_pairs(monkeypatch):
             monkeypatch.setattr(catalog, "PARTITION_POINT_LIMIT", points - 1)
             assert catalog.partition_pairs(space, n) is None, (n, size)
     monkeypatch.undo()
-    # 215,306 pairs of 40 points on the line (n + 1 labels), 259,889 of 41; 29,410 pairs of 341 points on three labels
-    assert not catalog._too_many_points(40, 41) and catalog._too_many_points(41, 42)
-    assert not catalog._too_many_points(340, 3) and catalog._too_many_points(341, 3)
+    # 99,131 pairs of 36 points on the line (n + 1 labels), 120,768 of 37; 15,874 pairs of 250 points on three
+    # labels, 16,000 of 251
+    assert not catalog._too_many_points(36, 37) and catalog._too_many_points(37, 38)
+    assert not catalog._too_many_points(250, 3) and catalog._too_many_points(251, 3)
 
 
 @pytest.mark.parametrize("vid", sorted(_PARTITION_IDS))
@@ -955,3 +958,120 @@ def test_readme_names_every_cell_linear_entry():
     names = {vid: _make(vid, 4).name for vid in _VARIANT_IDS}
     named = {vid for vid, name in names.items() if re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", paragraph)}
     assert named == _CELL_LINEAR_IDS
+
+
+# the value-set variants, each with its evaluator as it was written before core.value_set_distance
+def _diameter_by_hand(g):
+    def ev(t):
+        s = sorted(set(t))
+        return 0.0 if len(s) == 1 else max(itertools.starmap(g, itertools.combinations(s, 2)))
+
+    return ev
+
+
+def _gap_by_hand(t):
+    xs = sorted(t)
+    return max(map(operator.sub, xs[1:], xs))
+
+
+def _area_by_hand(t):
+    r = smallest_enclosing_circle(t).radius
+    return math.pi * r * r
+
+
+_BY_HAND = {
+    **{f"diameter[d2={g}]": _diameter_by_hand(ground_distance(g)) for g in GROUND_KINDS},
+    **{f"chebyshev-diameter[q={q}]": _diameter_by_hand(ground_distance("chebyshev")) for q in (1, 2)},
+    "line-count": lambda t: float(count_lines(t)),
+    "enclosing-radius": lambda t: smallest_enclosing_circle(t).radius,
+    "enclosing-area": _area_by_hand,
+    "inner-interval": _gap_by_hand,
+    **{f"inner-interval-power[p={p}]": lambda t, p=p: _gap_by_hand(t) ** p for p in (1, 2)},
+}
+# small integers put several points on a line and repeat gaps
+_SET_COORD = st.one_of(st.integers(-3, 3).map(float), st.floats(-8.0, 8.0))
+_SET_POINTS = {"finite": st.sampled_from("abcde"), "real-line": _SET_COORD, "plane": st.tuples(_SET_COORD, _SET_COORD)}
+
+
+def test_value_set_entries_are_the_wrapped_variants():
+    wrapped = {vid for vid in _VARIANT_IDS if isinstance(_make(vid, 4).distance, ValueSetDistance)}
+    assert wrapped == set(_BY_HAND)
+
+
+@pytest.mark.parametrize("vid", sorted(_BY_HAND))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_value_set_entries_see_only_the_set_of_their_arguments(vid, data):
+    # the wrapped evaluator is the one written by hand, and equal value sets give equal values
+    n = data.draw(st.integers(4, 6), label="n")
+    entry = _make(vid, n)
+    pool = data.draw(st.lists(_SET_POINTS[entry.distance.space_kind], min_size=1, max_size=n), label="pool")
+    t = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n), label="t"))
+    values = list(dict.fromkeys(t))
+    extra = data.draw(st.lists(st.sampled_from(values), min_size=n - len(values), max_size=n - len(values)))
+    u = tuple(data.draw(st.permutations(values + extra), label="u"))
+    ev = entry.distance.evaluator
+    assert ev(t) == _BY_HAND[vid](t)
+    assert ev(u) == ev(t)
+
+
+def _arity_k_member(vid, k):
+    # enclosing-area is built from arity 3 on; at k = 2 it is the same map of the circle on two points
+    if vid == "enclosing-area" and k == 2:
+        entry = _make(vid, 3)
+        return dataclasses.replace(entry, distance=dataclasses.replace(entry.distance, arity=2))
+    return _make(vid, k)
+
+
+@pytest.mark.parametrize("vid", sorted(_BY_HAND))
+def test_strong_check_of_value_set_entries_folds_the_arity_k_list(vid):
+    # for every composition d_c is d_k on the same values, so one arity-k list decides the check
+    dist_id, params = _VARIANT_BY_ID[vid]
+    for n in range(2, 6):
+        if (dist_id == "enclosing-area" and n < 3) or n < 2 ** params.get("p", 1):
+            continue
+        entry = catalog.make(dist_id, n, **params)
+        space = default_space_for(entry.distance.space_kind)
+        plain = NDistance(entry.name, n, entry.distance.space_kind, lambda t, ev=entry.distance.evaluator: ev(t))
+        unwrapped = dataclasses.replace(entry, distance=plain)
+        if entry.type_pairs is catalog.partition_pairs:  # which holds without the wrapper
+            unwrapped = dataclasses.replace(unwrapped, type_pairs=None)
+        for k in range(2, n + 1):
+            comps = compositions(n, k)
+            v = check_strong_k_simplex(entry, k, 1.0, space, budget=1)
+            sampled = check_strong_k_simplex(unwrapped, k, 1.0, space, budget=48 * len(comps), seed=k)
+            assert "method" not in sampled.details, (n, k)
+            if k < 2 ** params.get("p", 1):  # gap_pairs is proven from k = 2^p on
+                assert entry.strong_list(space, k) is None and "method" not in v.details
+                continue
+            assert v.details["method"] == EXACT, (n, k)
+            assert v.details["checked"] == len(comps) * len(entry.strong_list(space, k))
+            est = estimate_best_constant(_arity_k_member(vid, k), space)
+            assert est.method == EXACT and v.details["max_ratio"] == est.lower_bound, (n, k)
+            assert sampled.details["max_ratio"] <= v.details["max_ratio"], (n, k)
+            # at half the constant the check fails on a listed pair, which recomputes
+            half = v.details["max_ratio"] / 2
+            ce = check_strong_k_simplex(entry, k, half, space).counterexample
+            assert (ce["values"], ce["z"]) in entry.strong_list(space, k)
+            ev = reduced_evaluator(entry, ce["composition"])
+            total = math.fsum(ev(section(ce["values"], i, ce["z"])) for i in range(1, k + 1))
+            assert ce["lhs"] == ev(ce["values"]) and ce["rhs"] == half * total and ce["lhs"] > ce["rhs"]
+
+
+def test_strong_check_of_line_count_samples_past_the_linear_space_types():
+    # linear_space_pairs stops at k = 5, so at n = 6 the check folds k <= 5 and samples k = 6
+    entry = catalog.make("line-count", 6)
+    assert [entry.strong_list(Plane(), k) is None for k in range(2, 7)] == [False] * 4 + [True]
+    assert check_strong_k_simplex(entry, 5, 1.0, Plane()).details["max_ratio"] == 5 / 17
+    assert "method" not in check_strong_k_simplex(entry, 6, 1.0, Plane(), budget=64).details
+    # off its space kind a value-set entry has no strong list
+    assert catalog.make("enclosing-radius", 4).strong_list(RealLine(), 3) is None
+
+
+def test_readme_names_every_value_set_entry():
+    # the README's sentence on the value-set entries names exactly the ids built by core.value_set_distance
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split())
+    (sentence,) = [s for s in readme.split(". ") if s.startswith("The value-set entries are ")]
+    named = {i for i in catalog.available_ids() if re.search(rf"(?<![\w-]){re.escape(i)}(?![\w-])", sentence)}
+    wrapped = {vid for vid in _VARIANT_IDS if isinstance(_make(vid, 4).distance, ValueSetDistance)}
+    assert named == {_VARIANT_BY_ID[vid][0] for vid in wrapped}

@@ -232,6 +232,11 @@ def test_no_public_function_takes_a_candidate_list():
                 assert not params & {"pairs", "tuples"}, f"{module.__name__}.{name}{inspect.signature(fn)}"
 
 
+def test_properties_names_no_hook():
+    # the entry says which list decides each check, so properties never tests a hook itself
+    assert not {"partition_pairs", "step_pairs"} & set(vars(properties))
+
+
 def test_verdict_rule_fails_on_a_counterexample():
     # a counterexample decides, whatever else the details say
     ce, worst = {"tuple": ("a", "b")}, {"tuple": ("b", "a")}
