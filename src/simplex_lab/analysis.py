@@ -5,8 +5,8 @@ on each nondegenerate (tuple, z) candidate and on the candidate's sections,
 folds the ratio into a running best, and records the first and the largest
 violation of a given constant.  The best-constant estimates, the simplex
 and strong-simplex checks, the partial-existence check and the calibration
-of the prescribed-constant constructions differ only in the candidates
-they feed it.
+of single-anchor (a fold of its anchored type list) differ only in the
+candidates they feed it.
 
 Estimates are certified lower bounds: every reported value is realized by a
 stored witness whose ratio can be recomputed from the witness alone.  The
@@ -16,7 +16,8 @@ for an "any" entry) wherever the hook returns a list: the max of its ratio
 over that finite list of types is K*_{n,k}, so the scan folds the list and
 skips enumeration, sampling and refinement.  Otherwise, on a finite space
 whose C(size + n - 1, n) * size (multiset, z) pairs fit in
-max(budget, ``_ENUM_FLOOR``) the scan is exhaustive and hence exact.  It
+max(budget, ``_ENUM_FLOOR``) the scan is exhaustive and hence exact
+(``_estimate`` says which entries get there).  It
 folds one sorted tuple per multiset against every z: an n-distance is
 symmetric (axiom (ii)) and section sums are ``math.fsum``, independent of
 order, so the ratio depends only on the multiset of t and on z, and the
@@ -47,17 +48,16 @@ pair, t = ((0, 0), (1, 0), ..., (1, 0), (2, 0)) with z = (1, 0).
 ``catalog.partition_pairs`` gives the entries that see only which
 arguments are equal (drastic, cardinality, and diameter, sum-based and
 fermat on the discrete ground) one pair per equality type of (t, z): 10,
-16 and 25 pairs at n = 4, 5 and 6 on five labels.  Each hook's
-docstring carries its proof.  The values of the step
+16 and 25 pairs at n = 4, 5 and 6 on five labels; and the
+``constructions``, which see also which arguments are their anchors, one
+pair per anchored type: 176 pairs for two-anchor at n = 5 on 26 labels.
+Each hook's docstring carries its proof.  The values of the step
 pairs may lie outside the sampling box, which bounds sampling only.
-Everywhere else, larger finite spaces included, the scan folds the entry's
-own witness recipe where it has one (only the ``constructions`` set one,
-for finite spaces too large to enumerate), then the candidates of
-``core.iter_pairs`` (the structured extremal families, then seeded
-samples), and on a continuous
-space locally refines the best candidate by cyclic coordinate descent
-(in the catalog, only fermat[euclidean] and line-count beyond n = 5 get
-there).
+Everywhere else, larger finite spaces included, the scan folds the
+candidates of ``core.iter_pairs`` (the structured extremal families, then
+seeded samples), and on a continuous space locally refines the best
+candidate by cyclic coordinate descent (in the catalog, only
+fermat[euclidean] and line-count beyond n = 5 get there).
 The fold is a max-reduction with a total lexicographic tie-break, so
 results do not depend on evaluation order.
 """
@@ -250,6 +250,14 @@ def estimate_partial_constant(
 
 
 def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int) -> ConstantEstimate:
+    """Fold the entry's type list, else the exhaustive enumeration, else ``core.iter_pairs``.
+
+    The enumeration serves the entries without a hook, and the partition
+    entries past their list's point limit on two or three labels: drastic
+    on two labels from n = 2,001, whose 2(n + 1) (multiset, z) pairs fit
+    the default budget up to n = 49,999, and on three labels at
+    n = 251..256 at the default budget.
+    """
     if budget < 1:
         raise ValueError("budget must be positive")
     d = entry.distance
@@ -263,9 +271,7 @@ def _estimate(entry: CatalogEntry, space: Space, k: int, budget: int, seed: int)
         # the smallest of its orbit, carries every ratio and wins every tie
         pairs = itertools.product(itertools.combinations_with_replacement(sorted(space.labels), n), space.labels)
     else:
-        recipe = entry.witness_recipe
-        head = [recipe(space)] if recipe is not None else []
-        pairs = itertools.chain(head, iter_pairs(space, n, budget - len(head), seed))
+        pairs = iter_pairs(space, n, budget, seed)
     best, _, _, trials = scan(d.evaluator, pairs, k)
     if best is None:
         raise ValueError("no nondegenerate candidate found within budget")

@@ -11,8 +11,10 @@ points; ``CatalogEntry.strong_list`` reads that from the distance's class.
 drastic and cardinality keep their own evaluators: their strong list is
 ``partition_pairs`` already.
 
-No catalog entry sets ``witness_recipe``: wherever a constant is known, the
-entry's ``type_pairs`` list carries it and its pairs are the witnesses.
+Wherever a constant is known, the entry's ``type_pairs`` list carries it and
+its pairs are the witnesses.  The ``constructions`` are ``partition_pairs``
+entries too: they see only which arguments are equal and which of them are
+their ``anchors``.
 """
 
 from __future__ import annotations
@@ -63,27 +65,27 @@ class CatalogEntry:
     inner-interval and inner-interval-power, ``circle_pairs``
     enclosing-radius and enclosing-area, and ``partition_pairs`` the
     entries that see only which arguments are equal (drastic, cardinality
-    and the discrete diameter, sum-based and fermat).  Each list is an
-    immutable tuple, built once per space kind (labels, for
+    and the discrete diameter, sum-based and fermat), and the
+    ``constructions``, which see also which are their ``anchors``
+    (``partition_pairs(space, n, anchors)``).  Each list is an immutable
+    tuple, built once per space kind (labels and anchors, for
     ``partition_pairs``) and n and shared by every witness.
 
-    The builders in ``constructions`` also set ``witness_recipe`` (the
-    (t, z) that attains their constant, which an estimate folds first on a
-    label space too large to enumerate), ``space`` (the label space the
-    distance is built on), ``exact_evaluator`` (rational values, when
-    known) and ``params`` (the construction's own numbers); the gap entries
-    keep their exponent p in ``params`` too.  ``axiom_tuples``,
-    ``identification_tuples``, ``triangle_list`` and ``strong_list`` say
-    which list decides which check, each with its proof, so that no check
-    names a hook.
+    The builders in ``constructions`` also set ``anchors`` (the labels that
+    the injections of ``partition_pairs`` must fix), ``space`` (the label
+    space the distance is built on), ``exact_evaluator`` (rational values,
+    when known) and ``params`` (the construction's own numbers).
+    ``axiom_tuples``, ``identification_tuples``, ``triangle_list`` and
+    ``strong_list`` say which list decides which check, each with its
+    proof, so that no check names a hook.
     """
 
     distance: NDistance
-    witness_recipe: Callable[[Space], tuple[tuple, Point]] | None = None
     standard: bool | None = None
     repetition_invariant: bool | None = None
     nonincreasing: bool | None = None
     type_pairs: Callable[[Space, int], Sequence[tuple[tuple, Point]] | None] | None = None
+    anchors: tuple[Point, ...] = ()
     constants: Mapping[int, float] = field(default_factory=dict)
     constant_bounds: tuple[float | None, float | None] | None = None
     space: FiniteSpace | None = None
@@ -109,15 +111,17 @@ class CatalogEntry:
         hook = self.type_pairs
         if hook is None or self.distance.space_kind not in ("any", space.kind):
             return None
-        return hook(space, self.arity)
+        return hook(space, self.arity, self.anchors) if self.anchors else hook(space, self.arity)
 
     def axiom_tuples(self, space: Space) -> tuple[tuple, ...] | None:
         """The tuples whose distinct permutations decide identity and symmetry, or None.
 
         For the ``partition_pairs`` entries on every space, and the
         ``core.step_pairs`` entries on the real line, they are the distinct
-        tuples t of ``type_list(space)`` and the constant tuple of the first
-        one's last point.  For the ``gap_pairs`` entries on the real line
+        tuples t of ``type_list(space)``, the constant tuple of each anchor
+        that they hold, and the constant tuple of the first listed point that
+        is no anchor (the first tuple's last point, for an entry without
+        anchors).  For the ``gap_pairs`` entries on the real line
         they are the 2^(n-1) - 1 nonconstant sorted tuples from 0 whose
         consecutive gaps are all 0 or 1, such as (0, 0, 1, 2), and the
         constant (1, ..., 1).  ``core.check_identity`` requires d = 0 on the
@@ -128,15 +132,18 @@ class CatalogEntry:
         ``AXIOM_PERMUTATION_LIMIT``; those checks then sample.
 
         * Partition entries.  d(f(t)) = d(t) for every injection f of the
-          points, so d(u) depends only on the set partition of the n
-          positions into equal points.  The listed t hold one tuple per
-          shape of partition that the space can hold, so every u on the
-          space is f(pi t) for a listed t, a permutation pi and an
+          points that fixes each of the entry's anchors, so d(u) depends
+          only on the set partition of the n positions into equal points
+          and on which blocks are which anchor.  The listed t hold one tuple
+          per such shape that the space can hold, so every nonconstant u on
+          the space is f(pi t) for a listed t, a permutation pi and such an
           injection f, and d(u) = d(pi t).  Every constant tuple is an f of
-          the listed one.  So d >= 0, and d = 0 exactly on the constants,
-          holds everywhere if it holds on the permutations; and since
-          sigma u = f(sigma pi t), d(sigma u) = d(u) holds if d agrees
-          across the permutations of each t.
+          a listed one: each f fixes (a, ..., a) for an anchor a, so each
+          anchor has its own, and every other constant is an f of the
+          listed one of a point that is no anchor.  So d >= 0, and d = 0
+          exactly on the constants, holds everywhere if it holds on the
+          permutations; and since sigma u = f(sigma pi t), d(sigma u) = d(u)
+          holds if d agrees across the permutations of each t.
         * Line step-pair entries.  d ignores z, so with z below every
           coordinate it is linear on each order cell of t, the cone where
           one ordering of the n coordinates holds.  That cell is the line
@@ -188,17 +195,19 @@ class CatalogEntry:
         tuples = tuple(dict.fromkeys(t for t, _ in pairs))
         if sum(map(_permutation_count, tuples)) > AXIOM_PERMUTATION_LIMIT:
             return None
-        return tuples + ((tuples[0][-1],) * self.arity,)
+        points = dict.fromkeys(x for t in tuples for x in reversed(t))
+        ends = [x for x in points if x in self.anchors] + [x for x in points if x not in self.anchors][:1]
+        return tuples + tuple((x,) * self.arity for x in ends)
 
     def identification_tuples(self, space: Space) -> tuple[tuple, ...] | None:
         """The tuples whose distinct permutations decide the nonincreasing check, or None.
 
         ``axiom_tuples(space)`` for the ``partition_pairs`` entries, None for
-        every other entry.  Such a d sees only which arguments are equal, and
-        identifying t_i with t_j gives a tuple whose set partition depends
-        only on that of t and on (i, j), so d(u) - d(t) does too; the
-        permutations realise every set partition that the space can hold
-        (see ``axiom_tuples``).
+        every other entry.  Such a d sees only which arguments are equal and
+        which are its anchors, and identifying t_i with t_j gives a tuple
+        whose set partition, with its anchors, depends only on that of t and
+        on (i, j), so d(u) - d(t) does too; the permutations realise every
+        such partition that the space can hold (see ``axiom_tuples``).
         """
         return self.axiom_tuples(space) if self.type_pairs is partition_pairs else None
 
@@ -207,10 +216,11 @@ class CatalogEntry:
 
         This entry's ``type_list(space)`` where it and g share the hook
         ``core.step_pairs`` on the real line, or ``partition_pairs`` on any
-        space, and neither type list on ``space`` is None.  The sufficient
-        condition d_n(x, z, ..., z) <= g(x, z) is then decided on (a, b) and
-        (b, a), the two ends of the first listed tuple.  Listed pairs are
-        real configurations, so a counterexample is genuine.
+        space, neither has anchors, and neither type list on ``space`` is
+        None.  The sufficient condition d_n(x, z, ..., z) <= g(x, z) is then
+        decided on (a, b) and (b, a), the two ends of the first listed
+        tuple.  Listed pairs are real configurations, so a counterexample is
+        genuine.
 
         * Step pairs.  d_n and each g(x_i, z) are linear on every order cell
           of (x_1..x_n, z) and vanish on constants, so D = d_n - sum_i g(x_i, z)
@@ -236,9 +246,9 @@ class CatalogEntry:
         """
         hook = self.type_pairs
         line_steps = hook is step_pairs and space.kind == "real-line"
-        if hook is not two.type_pairs or not (hook is partition_pairs or line_steps) or two.type_list(space) is None:
+        if hook is not two.type_pairs or self.anchors or two.anchors or not (hook is partition_pairs or line_steps):
             return None
-        return self.type_list(space)
+        return self.type_list(space) if two.type_list(space) is not None else None
 
     def strong_list(self, space: Space, k: int) -> Sequence[tuple[tuple, Point]] | None:
         """The list that decides the strong k-check for every composition of n into k blocks, or None.
@@ -248,9 +258,10 @@ class CatalogEntry:
         against the k block sections d_c(section_j(v, z)), which put z in
         place of the j-th block.
 
-        * Partition entries: ``partition_pairs(space, k)``.  d_c(f(v)) = d_c(v)
-          for every injection f still holds, so d_c's ratio depends only on
-          which of (v_1..v_k, z) are equal, although d_c is not symmetric: a
+        * Partition entries: ``partition_pairs(space, k, anchors)``.
+          d_c(f(v)) = d_c(v) for every injection f that fixes the anchors
+          still holds, so d_c's ratio depends only on which of (v_1..v_k, z)
+          are equal and which are anchors, although d_c is not symmetric: a
           permutation pi of the positions moves the composition along,
           d_c(v) = d_{pi c}(pi v), and the sections with it.  Any (v, z) is
           such a pi away from a listed pair, of the composition pi c, and the
@@ -264,8 +275,8 @@ class CatalogEntry:
           So each composition's inequality is the arity-k simplex inequality
           of d_k, the same for every c, and M*_{n,k}(d) = K*_k(d_k).  The
           hook's docstring proves that its arity-k list carries K*_k of d_k,
-          so the max of the fold is M*_{n,k}.  ``gap_pairs`` is proven only
-          for k >= 2^p, p = ``params["p"]``, so below that the list is None.
+          for every k >= 2 (``gap_pairs`` below 2^p too), so the max of the
+          fold is M*_{n,k}.
 
         Either way the listed pairs are real configurations, so a
         counterexample is genuine.  None for every other entry, off a
@@ -275,11 +286,9 @@ class CatalogEntry:
         """
         hook = self.type_pairs
         if hook is partition_pairs:
-            return partition_pairs(space, k)
+            return partition_pairs(space, k, self.anchors)
         on_set = isinstance(self.distance, ValueSetDistance) and self.distance.space_kind in ("any", space.kind)
-        if not on_set or hook is None or (hook is gap_pairs and k < 2 ** self.params["p"]):
-            return None
-        return hook(space, k)
+        return hook(space, k) if on_set and hook is not None else None
 
     def __call__(self, *points: Point) -> float:
         return self.distance(*points)
@@ -505,10 +514,12 @@ def chebyshev_diameter(n: int, q: int = 2) -> CatalogEntry:
 def gap_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
     """The one pair t = (0, 2, ..., 2), z = 1, which carries K*_{n,k} = 2^p/k.
 
-    d is the p-th power of the largest gap of t, p >= 1 real and n >= 2^p
-    (inner-interval is p = 1).  At n = 2, so p = 1, d is |x_1 - x_2| and
-    the ratio is at most 1 = 2/2 by the triangle inequality.  For n >= 3
-    let (a, b) be a largest gap of t, of length g:
+    d is the p-th power of the largest gap of t, p >= 1 real, for every
+    n >= 2 (inner-interval is p = 1; below n = 2^p d is no n-distance, but
+    the list still carries its constants).  At n = 2, d is |x_1 - x_2|^p
+    and the ratio is at most 2^(p-1) = 2^p/2 by the triangle inequality and
+    convexity: |z - x|^p + |y - z|^p >= 2^(1-p)|x - y|^p.  For n >= 3 let
+    (a, b) be a largest gap of t, of length g:
 
     * z inside (a, b), with z - a = lambda*g.  A section that keeps a and
       b splits the gap at z, so its largest gap is at least
@@ -575,48 +586,54 @@ def _circle_pair(n: int) -> tuple[tuple[tuple, Point], ...]:
     return ((((0.0, 0.0),) + ((1.0, 0.0),) * (n - 2) + ((2.0, 0.0),), (1.0, 0.0)),)
 
 
-def partition_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
-    """One (t, z) per equality type of n arguments and a point z.
+def partition_pairs(space: Space, n: int, anchors: tuple = ()) -> tuple[tuple[tuple, Point], ...] | None:
+    """One (t, z) per equality type of n arguments and a point z, the ``anchors`` marked.
 
     The type of (t, z) is the partition of the n+1 arguments into blocks of
-    equal points, up to permutations of t.  For each integer partition
-    n = m_1 + ... + m_b, m_1 >= ... >= m_b, the list holds the sorted t
-    that gives the j-th label m_j times, with z the label of the first
-    block of each distinct size, or the next unused label.  Types with more
-    blocks than the space has labels do not occur and are left out, and so
-    is the constant t (b = 1), which no ratio counts.  That is 10, 16 and
-    25 pairs at n = 4, 5 and 6 on five labels.
+    equal points, with the block of each anchor marked, up to permutations
+    of t.  For each number c_a = 0..n of copies of each anchor a and each
+    integer partition of the rest, n - sum c_a = m_1 + ... + m_b,
+    m_1 >= ... >= m_b, the list holds the sorted t that holds each anchor
+    c_a times and gives the j-th other label m_j times, with z each anchor,
+    the label of the first of the b blocks of each distinct size, or the
+    next unused label that is no anchor.  Types with more blocks than the
+    space has labels do not occur and are left out, and so is a constant t,
+    which no ratio counts.  Without anchors that is 10, 16 and 25 pairs at
+    n = 4, 5 and 6 on five labels.
 
     They carry K*_{n,k} of every symmetric d with d(f(t)) = d(t) for every
-    injection f of the points, applied to each argument: such a d sees only
-    which arguments are equal.  A section commutes with f,
-    sec_i(f(t), f(z)) = f(sec_i(t, z)), so every section is f-invariant
-    too, and permuting t only permutes its sections, which leaves the k
-    smallest as a multiset.  So the ratio to the k smallest sections
-    depends only on the type.  Every (t, z) has a listed type: permute t so
-    that equal points are adjacent and the blocks come in non-increasing
-    size, swap blocks of equal size so that z lies in the first block of
-    its size (or in none), and relabel by the injection onto the labels in
-    order.  Each listed pair is a real configuration, so the max of the
-    fold is K*_{n,k}.  It is also the lexicographically smallest sorted
+    injection f of the points that fixes each anchor, applied to each
+    argument: such a d sees only which arguments are equal and which are
+    anchors.  A section commutes with f, sec_i(f(t), f(z)) = f(sec_i(t, z)),
+    so every section is f-invariant too, and permuting t only permutes its
+    sections, which leaves the k smallest as a multiset.  So the ratio to
+    the k smallest sections depends only on the type.  Every (t, z) has a
+    listed type: permute t so that equal points are adjacent and the
+    blocks of the other points come in non-increasing size, swap those of
+    equal size so that z lies in the first block of its size (or in none),
+    and relabel them by the injection onto the other labels in order.  Each
+    listed pair is a real configuration, so the max of the fold is
+    K*_{n,k}.  It is also the lexicographically smallest sorted
     representative of its type, which an exhaustive enumeration's
-    tie-break picks, so on a finite space the fold gives the enumeration's
-    bound, witness and indices.
+    tie-break picks (moving a block onto a smaller unused label, or the
+    larger of two blocks onto the smaller label, makes the sorted t
+    smaller), so on a finite space the fold gives the enumeration's bound,
+    witness and indices.
 
-    The labels are the sorted labels of a finite space, 0, 1, ..., n on
-    the line and (0, 0), (1, 0), ..., (n, 0) on the plane.  The list is an
-    immutable tuple, built once per (labels, n), or None where its pairs
-    would hold more than ``PARTITION_POINT_LIMIT`` points, counted first.
+    The anchors are labels of a finite space; those not on ``space`` are
+    dropped, since d sees none of them there.  The other labels are the
+    sorted labels of a finite space, 0, 1, ..., n on the line and (0, 0),
+    (1, 0), ..., (n, 0) on the plane.  The list is an immutable tuple,
+    built once per (labels, n, anchors), or None where its pairs would hold
+    more than ``PARTITION_POINT_LIMIT`` points, counted first.
     """
-    if _too_many_points(n, space.size if space.kind == "finite" else n + 1):
+    anchors = tuple(sorted(set(anchors).intersection(space.labels))) if space.kind == "finite" else ()
+    labels = sorted(set(space.labels).difference(anchors)) if space.kind == "finite" else range(n + 1)
+    if _too_many_points(n, len(labels), len(anchors)):
         return None
-    if space.kind == "finite":
-        labels = tuple(sorted(space.labels))
-    elif space.kind == "real-line":
-        labels = tuple(float(i) for i in range(n + 1))
-    else:
-        labels = tuple((float(i), 0.0) for i in range(n + 1))
-    return _partition_pairs(labels, n)
+    if space.kind != "finite":
+        labels = [float(i) if space.kind == "real-line" else (float(i), 0.0) for i in labels]
+    return _partition_pairs(tuple(labels), n, anchors)
 
 
 # the most points in the pairs of ``partition_pairs``, about 32 MB of references;
@@ -624,31 +641,37 @@ def partition_pairs(space: Space, n: int) -> tuple[tuple[tuple, Point], ...]:
 PARTITION_POINT_LIMIT = 4 * 10**6
 
 
-def _too_many_points(n: int, labels: int) -> bool:
-    """Whether the pairs of ``partition_pairs`` on ``labels`` labels hold over ``PARTITION_POINT_LIMIT`` points.
+def _too_many_points(n: int, labels: int, anchors: int = 0) -> bool:
+    """Whether the pairs of ``partition_pairs`` hold over ``PARTITION_POINT_LIMIT`` points.
 
-    A partition of n into b >= 2 parts gives one pair per distinct part
-    size, and one more where b < ``labels``.  Conjugation maps the
-    partitions into at most L parts onto those into parts of at most L, and
-    keeps the number of distinct part sizes; those that hold the part k are
-    the partitions of n - k with one more k.  So with P_L(m) the partitions
-    of m into parts of at most L there are
-    P_L(n-1) + ... + P_L(n-L) + P_{L-1}(n) pairs, less the 2 that the
-    constant tuple would give.  P_L comes from P_{L-1} in O(n), and the
-    walk stops at the first L whose P_L(n) - 1 tuples alone pass the limit.
+    ``labels`` counts the labels that are no anchor, ``anchors`` the
+    anchors, A.  With s of the n points on the anchors, in C(s + A - 1, s)
+    ways, a partition of r = n - s into b parts gives A pairs with z an
+    anchor, one per distinct part size, and one more where b < ``labels``.
+    Conjugation maps the partitions into at most L parts onto those into
+    parts of at most L, and keeps the number of distinct part sizes; those
+    that hold the part k are the partitions of r - k with one more k.  So
+    with P_L(m) the partitions of m into parts of at most L, r gives
+    A P_L(r) + P_L(r-1) + ... + P_L(r-L) + P_{L-1}(r) pairs.  Less those
+    of the constant tuples: A + 2 for r = n, b = 1 (A + 1 on one label),
+    and A + 1 for each anchor alone (A on no label).  P_L comes from
+    P_{L-1} in O(n), and the walk stops at the first L whose P_L(n) - 1
+    tuples alone pass the limit.
     """
     cap = PARTITION_POINT_LIMIT // n
     if n // 2 > cap:  # the partitions into two parts alone
         return True
     top = min(n + 1, labels)
-    ways = [1] + [0] * n
+    ways, fewer = [1] + [0] * n, [0] * (n + 1)
     for size in range(1, top + 1):
-        fewer = ways[n]
+        fewer = ways[:]
         for j in range(size, n + 1):
             ways[j] += ways[j - size]
         if ways[n] - 1 > cap:
             return True
-    return sum(ways[max(n - top, 0):n]) + fewer - 2 > cap
+    spread = [math.comb(n - r + anchors - 1, n - r) if anchors else r == n for r in range(n + 1)]
+    pairs = sum(w * (anchors * ways[r] + sum(ways[max(r - top, 0):r]) + fewer[r]) for r, w in enumerate(spread))
+    return pairs - (top > 0) * (anchors + 1 + (top > 1)) - anchors * (anchors + (top > 0)) > cap
 
 
 def _integer_partitions(n: int, largest: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -658,22 +681,24 @@ def _integer_partitions(n: int, largest: int, parts: int) -> Iterator[tuple[int,
     """
     if n == 0:
         yield ()
-        return
-    for first in range(min(n, largest), -(-n // parts) - 1, -1):
-        for rest in _integer_partitions(n - first, first, parts - 1):
-            yield (first,) + rest
+    elif parts:
+        for first in range(min(n, largest), -(-n // parts) - 1, -1):
+            for rest in _integer_partitions(n - first, first, parts - 1):
+                yield (first,) + rest
 
 
 @functools.cache
-def _partition_pairs(labels: tuple, n: int) -> tuple[tuple[tuple, Point], ...]:
+def _partition_pairs(labels: tuple, n: int, anchors: tuple = ()) -> tuple[tuple[tuple, Point], ...]:
     out = []
-    for sizes in _integer_partitions(n, n, len(labels)):
-        b = len(sizes)
-        if b < 2:
-            continue
-        t = tuple(labels[j] for j, m in enumerate(sizes) for _ in range(m))
-        zs = [labels[j] for j, m in enumerate(sizes) if j == 0 or sizes[j - 1] != m] + list(labels[b:b + 1])
-        out.extend((t, z) for z in zs)
+    for s in range(n + 1):  # s points on the anchors, held as a sorted multiset of them
+        for held in itertools.combinations_with_replacement(anchors, s):
+            for sizes in _integer_partitions(n - s, n - s, len(labels)):
+                b = len(sizes)
+                if b + len(set(held)) < 2:
+                    continue
+                t = tuple(sorted(held + tuple(labels[j] for j, m in enumerate(sizes) for _ in range(m))))
+                zs = [labels[j] for j, m in enumerate(sizes) if j == 0 or sizes[j - 1] != m] + list(labels[b:b + 1])
+                out.extend((t, z) for z in anchors + tuple(zs))
     return tuple(out)
 
 
@@ -688,7 +713,7 @@ def _gap_entry(name: str, n: int, p: float, f: Callable[[list], float]) -> Catal
     """
     return CatalogEntry(
         value_set_distance(name, n, "real-line", f), standard=(n == 2), repetition_invariant=True,
-        nonincreasing=(n == 2), type_pairs=gap_pairs, constants={k: 2**p / k for k in range(2, n + 1)}, params={"p": p},
+        nonincreasing=(n == 2), type_pairs=gap_pairs, constants={k: 2**p / k for k in range(2, n + 1)},
     )
 
 

@@ -1,20 +1,25 @@
 """Distances built to order: prescribed best constants and strong extremals.
 
 Two anchor-based constructions produce n-distances whose best constant is an
-arbitrary prescribed value s, certified by an explicit witness stored on the
-result as its ``witness_recipe`` (no catalog entry sets one).  A third
-construction realizes the worst case of the strong simplex inequality for
-standard repetition-invariant distances; its values are exact rationals so
-attainment can be checked without tolerances.
+arbitrary prescribed value s.  A third construction realizes the worst case
+of the strong simplex inequality for standard repetition-invariant
+distances; its values are exact rationals so attainment can be checked
+without tolerances.
+
+Each sees only which of its arguments are equal and which are its anchors:
+it is invariant under every injection of the labels that fixes them (e for
+single-anchor and strong-extremal, a and b for two-anchor).  So each is a
+``catalog.partition_pairs`` entry with those ``anchors``, and its estimates
+and checks fold the anchored type list like those of the partition entries:
+exact on every label space, its pairs the witnesses.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .analysis import scan
-from .catalog import CatalogEntry
+from .catalog import CatalogEntry, partition_pairs
 from .core import FiniteSpace, NDistance, distinct_count
 
 _S_TOL = 1e-12
@@ -23,11 +28,14 @@ _S_TOL = 1e-12
 def single_anchor_distance(base: CatalogEntry, e: str, s: float, space: FiniteSpace) -> CatalogEntry:
     """Shrink the values of tuples containing the anchor ``e``.
 
-    ``base`` must be a standard catalog entry; s must lie in [1/(n-1), 1].
-    The scale is calibrated against the exact supremum of the base ratio
-    over anchor-free tuples with z = e, so the new best constant is s and
-    is attained at the maximizing tuple (stored as the witness recipe).
-    ``params["scale"]`` is the factor applied to tuples containing ``e``.
+    ``base`` must be a standard ``partition_pairs`` entry; s must lie in
+    [1/(n-1), 1].  The scale is calibrated against the exact supremum of
+    the base ratio over anchor-free tuples with z = e, so the new best
+    constant is s and is attained at the maximizing tuple.  The base sees
+    only which arguments are equal, so that supremum is the fold of the
+    pairs of the anchored list with z = e and e not in t, one per type of
+    anchor-free tuple.  ``params["scale"]`` is the factor applied to tuples
+    containing ``e``.
     """
     base_dist = base.distance
     n = base_dist.arity
@@ -39,17 +47,16 @@ def single_anchor_distance(base: CatalogEntry, e: str, s: float, space: FiniteSp
         raise ValueError(f"anchor {e!r} is not a label of the space")
     if base.standard is not True:
         raise ValueError("the base distance must be standard")
+    if base.type_pairs is not partition_pairs:
+        raise ValueError("the base distance must see only which arguments are equal (a partition_pairs entry)")
     if not 1.0 / (n - 1) - _S_TOL <= s <= 1.0 + _S_TOL:
         raise ValueError(f"s must lie in [1/(n-1), 1] = [{1.0 / (n - 1)}, 1], got {s}")
 
     ev = base_dist.evaluator
-    others = tuple(x for x in space.labels if x != e)
-    # one sorted tuple per multiset, as in the exhaustive estimate
-    best = scan(ev, ((t, e) for t in itertools.combinations_with_replacement(sorted(others), n)), n)[0]
-    if best is None:
-        raise ValueError("no nondegenerate anchor-free tuple exists")
-    sup, witness_t = best[0], best[1]
-    scale = sup / s
+    pairs = partition_pairs(space, n, (e,))
+    if pairs is None:
+        raise ValueError(f"the anchored type list of {len(space.labels)} labels at n = {n} is past its point limit")
+    scale = scan(ev, ((t, z) for t, z in pairs if z == e and e not in t), n)[0][0] / s
 
     def scaled(t: tuple) -> float:
         v = ev(t)
@@ -60,10 +67,11 @@ def single_anchor_distance(base: CatalogEntry, e: str, s: float, space: FiniteSp
     dist = NDistance(f"single-anchor[{base_dist.name},s={s:g}]", n, "finite", scaled)
     return CatalogEntry(
         dist,
-        lambda _space: (witness_t, e),
         standard=abs(s - 1.0 / (n - 1)) < _S_TOL,
         repetition_invariant=base.repetition_invariant,
         nonincreasing=None,
+        type_pairs=partition_pairs,
+        anchors=(e,),
         constants=constants | {n: s},
         space=space,
         params={"scale": scale},
@@ -99,14 +107,14 @@ def two_anchor_distance(a: str, b: str, s: float, n: int, space: FiniteSpace) ->
             return scale
         return 1.0
 
-    c = next(x for x in space.labels if x not in (a, b))
     dist = NDistance(f"two-anchor[s={s:g}]", n, "finite", three_valued)
     return CatalogEntry(
         dist,
-        lambda _space: ((a, b) + (c,) * (n - 2), c),
         standard=abs(s - 1.0 / (n - 1)) < _S_TOL,
         repetition_invariant=True,
         nonincreasing=True,
+        type_pairs=partition_pairs,
+        anchors=(a, b),
         constants={k: 1.0 / (1.0 / s - n + k) for k in range(2, n)} | {n: s},
         space=space,
         params={"scale": scale},
@@ -145,13 +153,13 @@ def strong_extremal_distance(n: int, k: int) -> CatalogEntry:
         return float(exact(t))
 
     dist = NDistance(f"strong-extremal[k={k}]", n, "finite", evaluator)
-    y1, y2 = labels[0], labels[1]
     return CatalogEntry(
         dist,
-        lambda _space: ((y1,) + (y2,) * (n - 1), y2),
         standard=True,
         repetition_invariant=True,
         nonincreasing=False,
+        type_pairs=partition_pairs,
+        anchors=("e",),
         constants={j: 1.0 / (j - 1) for j in range(2, n + 1)},
         space=space,
         exact_evaluator=exact,

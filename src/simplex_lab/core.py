@@ -162,8 +162,8 @@ class NDistance:
 
     Only ``evaluate`` and ``__call__`` take it.  What is known about a
     distance (its constants, type list and property flags, and a
-    construction's witness recipe) lives on ``catalog.CatalogEntry``, which
-    every check, estimate and builder takes instead.
+    construction's anchors) lives on ``catalog.CatalogEntry``, which every
+    check, estimate and builder takes instead.
     """
 
     name: str

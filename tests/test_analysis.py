@@ -312,27 +312,36 @@ def test_sampled_on_continuous_space():
 _LETTERS = FiniteSpace(tuple("abcdefghijklmnopqrstuvwxyz"))
 
 
+_TWO_ANCHOR = two_anchor_distance("a", "b", 0.4, 4, _LETTERS)
+
+
 @pytest.mark.parametrize(
-    "entry, space, recipe",
+    "entry, space",
     [
-        (_hookless("drastic", 4), RealLine(), False),
-        (_hookless("enclosing-radius", 4), Plane(), False),
+        (_hookless("drastic", 4), RealLine()),
+        (_hookless("enclosing-radius", 4), Plane()),
         # C(29, 4) * 26 = 617,526 (multiset, z) pairs, past the enumeration bound
-        (two_anchor_distance("a", "b", 0.4, 4, _LETTERS), _LETTERS, True),
+        (dataclasses.replace(_TWO_ANCHOR, type_pairs=None), _LETTERS),
     ],
     ids=["line", "plane", "construction"],
 )
 @pytest.mark.parametrize("budget", [1, 5, 300])
-def test_sampled_estimate_folds_recipe_then_iter_pairs(entry, space, recipe, budget):
-    # the sampled candidates are the recipe, which only the constructions have,
-    # then iter_pairs for the rest of the budget
-    assert (entry.witness_recipe is not None) == recipe
-    head = [entry.witness_recipe(space)] if recipe else []
-    pairs = head + list(iter_pairs(space, 4, budget - len(head), 7))
+def test_sampled_estimate_folds_recipe_then_iter_pairs(entry, space, budget):
+    # no entry carries a recipe of its own: the sampled candidates are those of iter_pairs alone
+    pairs = list(iter_pairs(space, 4, budget, 7))
     assert len(pairs) == budget
     est = estimate_best_constant(entry, space, budget=budget, seed=7)
     assert est.method == SAMPLED
     assert est.trials == sum(distinct_count(t) >= 2 for t, _ in pairs)
+
+
+def test_construction_on_a_large_label_space_folds_its_anchored_list():
+    # with its hook the construction folds its anchored type list at any budget, and the estimate's witness
+    # attains the prescribed constant
+    for budget in (1, 5, 300):
+        est = estimate_best_constant(_TWO_ANCHOR, _LETTERS, budget=budget, seed=7)
+        assert (est.method, est.trials) == (EXACT, len(_TWO_ANCHOR.type_list(_LETTERS)))
+        assert est.lower_bound == ratio(_TWO_ANCHOR, est.witness.points, est.witness.z) == 0.4
 
 
 # scan candidates are (ratio, t, z, idx), idx being a function of (t, z);

@@ -361,20 +361,28 @@ def test_partition_entries_see_only_which_arguments_are_equal(data):
     assert ev(tuple(f[i] for i in pattern)) == ev(tuple(g[i] for i in pattern))
 
 
-def _equality_type(t, z):
-    """The multiset of (multiplicity in t, is z) over the points of (t, z)."""
-    return sorted((t.count(v), v == z) for v in set(t) | {z})
+def _equality_type(t, z, anchors=()):
+    """The multiset of (multiplicity in t, is z, the anchor or "") over the points of (t, z)."""
+    return tuple(sorted((t.count(v), v == z, v if v in anchors else "") for v in set(t) | {z}))
 
 
 def test_partition_pairs_list_one_pair_per_equality_type():
+    # one pair per type, anchored or not, and it is the type's smallest sorted (t, z), which the tie-break of an
+    # exhaustive enumeration picks
     for n in range(2, 7):
         for size in range(2, n + 3):
             space = FiniteSpace(tuple("abcdefgh"[:size]))
-            pairs = catalog.partition_pairs(space, n)
-            assert all(list(t) == sorted(t) for t, _ in pairs)
-            types = {tuple(_equality_type(t, z)) for t in itertools.combinations_with_replacement(space.labels, n)
-                     if len(set(t)) > 1 for z in space.labels}
-            assert sorted(tuple(_equality_type(t, z)) for t, z in pairs) == sorted(types), (n, size)
+            labels = space.labels
+            for anchors in {(), labels[:1], labels[-1:], labels[:2], labels[1::2][:2]}:
+                pairs = catalog.partition_pairs(space, n, anchors)
+                assert all(list(t) == sorted(t) for t, _ in pairs)
+                smallest = {}
+                for t in itertools.combinations_with_replacement(labels, n):
+                    for z in labels if len(set(t)) > 1 else ():
+                        smallest.setdefault(_equality_type(t, z, anchors), (t, z))
+                listed = {_equality_type(t, z, anchors): (t, z) for t, z in pairs}
+                assert len(listed) == len(pairs) and listed == smallest, (n, size, anchors)
+            assert catalog.partition_pairs(space, n, ("x", "y")) is catalog.partition_pairs(space, n)
         # every type fits on the line and the plane, which take the points 0..n
         line, plane = catalog.partition_pairs(RealLine(), n), catalog.partition_pairs(Plane(), n)
         assert len(line) == len(catalog.partition_pairs(FiniteSpace(tuple("abcdefgh"[:n + 1])), n))
@@ -444,6 +452,25 @@ def test_partition_point_limit_counts_the_points_of_the_pairs(monkeypatch):
     # labels, 16,000 of 251
     assert not catalog._too_many_points(36, 37) and catalog._too_many_points(37, 38)
     assert not catalog._too_many_points(250, 3) and catalog._too_many_points(251, 3)
+
+
+def test_partition_point_limit_counts_the_anchored_pairs(monkeypatch):
+    # the count before any tuple is built: at the built list's points it is built, one point fewer and it is
+    # refused, with one or two anchors and as few as no other label
+    for n in range(2, 10):
+        for size in range(2, n + 4):
+            space = FiniteSpace(tuple(chr(97 + i) for i in range(size)))
+            for anchors in {space.labels[:1], space.labels[-1:], space.labels[:2], space.labels[1:3]}:
+                monkeypatch.setattr(catalog, "PARTITION_POINT_LIMIT", 10**9)
+                points = n * len(catalog.partition_pairs(space, n, anchors))
+                monkeypatch.setattr(catalog, "PARTITION_POINT_LIMIT", points)
+                assert catalog.partition_pairs(space, n, anchors) is not None, (n, size, anchors)
+                monkeypatch.setattr(catalog, "PARTITION_POINT_LIMIT", points - 1)
+                assert catalog.partition_pairs(space, n, anchors) is None, (n, size, anchors)
+    monkeypatch.undo()
+    # at the default limit: two anchors and 24 other labels from n = 24, one anchor and two others from n = 174
+    assert not catalog._too_many_points(23, 24, 2) and catalog._too_many_points(24, 24, 2)
+    assert not catalog._too_many_points(173, 2, 1) and catalog._too_many_points(174, 2, 1)
 
 
 @pytest.mark.parametrize("vid", sorted(_PARTITION_IDS))
@@ -1016,10 +1043,12 @@ def test_value_set_entries_see_only_the_set_of_their_arguments(vid, data):
 
 
 def _arity_k_member(vid, k):
-    # enclosing-area is built from arity 3 on; at k = 2 it is the same map of the circle on two points
-    if vid == "enclosing-area" and k == 2:
-        entry = _make(vid, 3)
-        return dataclasses.replace(entry, distance=dataclasses.replace(entry.distance, arity=2))
+    # enclosing-area is built from arity 3 on, inner-interval-power[p] from 2^p; below that it is the same map of
+    # the set of k points, and gap_pairs still carries its constants
+    least = 3 if vid == "enclosing-area" else 2 ** _VARIANT_BY_ID[vid][1].get("p", 1)
+    if k < least:
+        entry = _make(vid, least)
+        return dataclasses.replace(entry, distance=dataclasses.replace(entry.distance, arity=k))
     return _make(vid, k)
 
 
@@ -1041,9 +1070,6 @@ def test_strong_check_of_value_set_entries_folds_the_arity_k_list(vid):
             v = check_strong_k_simplex(entry, k, 1.0, space, budget=1)
             sampled = check_strong_k_simplex(unwrapped, k, 1.0, space, budget=48 * len(comps), seed=k)
             assert "method" not in sampled.details, (n, k)
-            if k < 2 ** params.get("p", 1):  # gap_pairs is proven from k = 2^p on
-                assert entry.strong_list(space, k) is None and "method" not in v.details
-                continue
             assert v.details["method"] == EXACT, (n, k)
             assert v.details["checked"] == len(comps) * len(entry.strong_list(space, k))
             est = estimate_best_constant(_arity_k_member(vid, k), space)
@@ -1056,6 +1082,14 @@ def test_strong_check_of_value_set_entries_folds_the_arity_k_list(vid):
             ev = reduced_evaluator(entry, ce["composition"])
             total = math.fsum(ev(section(ce["values"], i, ce["z"])) for i in range(1, k + 1))
             assert ce["lhs"] == ev(ce["values"]) and ce["rhs"] == half * total and ce["lhs"] > ce["rhs"]
+
+
+def test_strong_check_of_gap_entries_is_exact_below_two_to_the_p():
+    # gap_pairs carries 2^p/k for every k >= 2, so k = 2 and 3 of inner-interval-power[p=2] fold too
+    entry = catalog.make("inner-interval-power", 4, p=2)
+    for k, want in ((2, 2.0), (3, 4 / 3)):
+        v = check_strong_k_simplex(entry, k, 1.0, RealLine())
+        assert (v.details["method"], v.details["max_ratio"]) == (EXACT, want), k
 
 
 def test_strong_check_of_line_count_samples_past_the_linear_space_types():

@@ -254,17 +254,42 @@ def test_constants_exact_mode_on_the_plane():
 
 
 def test_constants_budget_bounds_a_large_finite_space():
-    # C(17, 6) * 12 = 148,512 (multiset, z) pairs exceed max(1000, 4096), so an
-    # entry without a type list samples; two-anchor at s = 1/(n-1) has none
+    # C(17, 6) * 12 = 148,512 (multiset, z) pairs exceed max(1000, 4096), but two-anchor folds its anchored
+    # type list whatever the budget
     r = run_cli("constants", "--distance", "two-anchor:s=0.2", "--space", "finite:12", "--n", "6", "--budget", "1000")
     assert r.returncode == 0, r.stderr
     (row,) = json.loads(r.stdout)["rows"]
-    assert (row["method"], row["observed"]) == ("sampled", 0.2)
+    assert (row["method"], row["observed"]) == ("exact", 0.2)
+    # past the partition point limit (three labels from n = 251) drastic has no list, and its
+    # C(253, 251) * 3 = 95,634 (multiset, z) pairs exceed max(1000, 4096), so it samples a lower bound
+    r = run_cli("constants", "--distance", "drastic", "--space", "finite:3", "--n", "251", "--budget", "1000")
+    (row,) = json.loads(r.stdout)["rows"]
+    assert row["method"] == "sampled" and row["observed"] <= 1 / 250
     # cardinality folds its equality types, whatever the space's size
     r = run_cli("constants", "--distance", "cardinality", "--space", "finite:12", "--n", "6", "--budget", "1000")
     assert r.returncode == 0, r.stderr
     (row,) = json.loads(r.stdout)["rows"]
     assert (row["method"], row["observed"]) == ("exact", 0.2)
+
+
+@pytest.mark.parametrize("spec, n", [("two-anchor:s=0.3", 5), ("single-anchor:s=0.25", 8)])
+def test_constants_of_constructions_are_exact_on_26_labels(spec, n):
+    # the anchored type list: 176 pairs for two-anchor at n = 5, where the C(30, 5) * 26 (multiset, z) pairs
+    # sampled before; single-anchor at n = 8 no longer scans the C(32, 8) anchor-free multisets to calibrate
+    r = run_cli("constants", "--distance", spec, "--n", str(n), "--space", "finite:26")
+    assert r.returncode == 0, r.stderr
+    (row,) = json.loads(r.stdout)["rows"]
+    assert (row["method"], row["status"]) == ("exact", "pass")
+
+
+def test_verify_decides_the_axioms_of_a_construction_on_its_anchored_list():
+    r = run_cli("verify", "--distance", "two-anchor:s=0.3", "--n", "5", "--space", "finite:26",
+                "--checks", "axioms,nonincreasing")
+    assert r.returncode == 0, r.stderr
+    by_prop = {v["property"].split("(")[0]: v for v in json.loads(r.stdout)["verdicts"]}
+    for prop in ("identity", "symmetry", "simplex", "nonincreasing-identification"):
+        assert (by_prop[prop]["status"], by_prop[prop]["details"]["method"]) == ("pass", "exact"), prop
+    assert by_prop["simplex"]["details"]["checked"] == 176
 
 
 def test_constants_enclosing_area_n3():

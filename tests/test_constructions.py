@@ -1,10 +1,14 @@
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simplex_lab import catalog
+from helpers import product_scan
+from simplex_lab import catalog, cli
 from simplex_lab.analysis import EXACT, estimate_best_constant, estimate_partial_constant, ratio
 from simplex_lab.constructions import (
     single_anchor_distance,
@@ -13,8 +17,11 @@ from simplex_lab.constructions import (
 )
 from simplex_lab.core import (
     FiniteSpace,
+    NDistance,
     check_axioms,
+    check_identity,
     check_simplex,
+    distinct_permutations,
     evaluate,
     section,
 )
@@ -22,11 +29,13 @@ from simplex_lab.properties import (
     check_nonincreasing_identification,
     check_repetition_invariance,
     check_strong_k_simplex,
+    compositions,
     strong_constant_standard,
 )
 
 ABE = FiniteSpace(("a", "b", "e"))
 ABCD = FiniteSpace(("a", "b", "c", "d"))
+ABCDE = FiniteSpace(("a", "b", "c", "d", "e"))
 
 
 def test_constructions_return_catalog_entries():
@@ -41,13 +50,152 @@ def test_constructions_return_catalog_entries():
         (two_anchor_distance("a", "b", 0.4, 4, ABCD), ABCD, {"scale"}, (False, True, True)),
         (strong_extremal_distance(4, 2), FiniteSpace(("y1", "y2", "e")), {"a", "b"}, (True, True, False)),
     ]
-    for entry, space, params, flags in cases:
+    anchors = [("e",)] * 3 + [("a", "b")] * 2 + [("e",)]
+    for (entry, space, params, flags), anchored in zip(cases, anchors):
         assert type(entry) is catalog.CatalogEntry, entry.name
+        assert entry.type_pairs is catalog.partition_pairs and entry.anchors == anchored, entry.name
         assert entry.space == space, entry.name
         assert set(entry.params) == params, entry.name
         assert (entry.standard, entry.repetition_invariant, entry.nonincreasing) == flags, entry.name
         assert entry.constant_bounds is None
         assert (entry.exact_evaluator is not None) == entry.name.startswith("strong-extremal")
+
+
+def test_catalog_entry_fields_hold_no_witness_of_their_own():
+    # the constructions' constants come from their anchored type list, whose pairs are the witnesses
+    assert [f.name for f in dataclasses.fields(catalog.CatalogEntry)] == [
+        "distance", "standard", "repetition_invariant", "nonincreasing", "type_pairs", "anchors", "constants",
+        "constant_bounds", "space", "exact_evaluator", "params",
+    ]
+
+
+_SEVEN = FiniteSpace(tuple("abcdefg"))
+_PARTITION_BASES = [("drastic", {}), ("cardinality", {})]
+_PARTITION_BASES += [(dist_id, {"d2": "discrete"}) for dist_id in ("diameter", "sum-based", "fermat")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_constructions_see_only_which_arguments_are_equal_and_their_anchors(data):
+    # the premise of their anchored partition_pairs: d(f(t)) = d(t) for every relabelling f that fixes the
+    # anchors, t permuted too
+    n = data.draw(st.integers(3, 6))
+    a, b = data.draw(st.lists(st.sampled_from(_SEVEN.labels), min_size=2, max_size=2, unique=True))
+    dist_id, params = data.draw(st.sampled_from(_PARTITION_BASES))
+    entry = data.draw(st.sampled_from([
+        single_anchor_distance(catalog.make(dist_id, n, **params), a, (1 / (n - 1) + 1) / 2, _SEVEN),
+        two_anchor_distance(a, b, 1 / (n - 1.5), n, _SEVEN),
+        strong_extremal_distance(n, data.draw(st.integers(2, n - 1))),
+    ]))
+    labels = entry.space.labels
+    others = [x for x in labels if x not in entry.anchors]
+    f = dict(zip(others, data.draw(st.permutations(others)))) | {x: x for x in entry.anchors}
+    t = data.draw(st.tuples(*[st.sampled_from(labels)] * n))
+    ev = entry.distance.evaluator
+    assert ev(tuple(f[x] for x in data.draw(st.permutations(t)))) == ev(t)
+
+
+@pytest.mark.parametrize("spec, space", [("single-anchor:s=0.4", "finite:5"), ("two-anchor:s=0.3", "finite:5"),
+                                         ("strong-extremal:k=3", None)])
+def test_verify_workload_constructions_fold_to_the_product_scan(spec, space):
+    # the constants jobs of the verify workload: for every k the anchored fold gives the bound, witness and
+    # indices of a scan over every ordered (t, z) of the space
+    dist_id, params = cli.parse_distance_spec(spec)
+    entry, sp = cli.build_distance(dist_id, params, 5, cli.parse_space(space) if space else None)
+    pairs = entry.type_list(sp)
+    for k in range(2, 6):
+        est = estimate_partial_constant(entry, sp, k)
+        assert (est.method, est.trials) == (EXACT, len(pairs))
+        w = est.witness
+        assert (est.lower_bound, w.points, w.z, w.indices) == product_scan(entry, sp, k), k
+
+
+_LETTERS = FiniteSpace(tuple("abcdefghijklmnopqrstuvwxyz"))
+
+
+def _on_letters(n):
+    """Anchor constructions at arity n on 26 labels, each with its prescribed s."""
+    ends = [1 / (n - 1), 0.5, 1.0] if n > 2 else [1.0]
+    cases = [(single_anchor_distance(catalog.make(base, n), e, s, _LETTERS), s)
+             for base in ("drastic", "cardinality") for e in ("a", "m") for s in ends]
+    return cases + [(two_anchor_distance(a, b, s, n, _LETTERS), s)
+                    for a, b in (("a", "b"), ("c", "x")) for s in (1 / (n - 1), 1 / (n - 1.5))]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_constructions_are_exact_on_a_large_label_space(n):
+    # C(31, 6) * 26 = 19,187,160 (multiset, z) pairs at n = 6: the anchored list is all the estimate folds,
+    # its max is the prescribed s to within one ulp (the float scale rounds either way: single-anchor[cardinality]
+    # reads 0.20000000000000004 for 0.2 at n = 6), and the witness recomputes
+    two, one = (catalog.partition_pairs(_LETTERS, n, anchors) for anchors in (("a", "b"), ("a",)))
+    assert (len(two), len(one)) == {4: (93, 33), 5: (176, 59), 6: (311, 100)}[n]
+    for entry, s in _on_letters(n):
+        est = estimate_best_constant(entry, _LETTERS)
+        assert (est.method, est.trials) == (EXACT, len(entry.type_list(_LETTERS))), entry.name
+        assert math.nextafter(s, 0.0) <= est.lower_bound <= math.nextafter(s, 1.0), (entry.name, est.lower_bound)
+        assert ratio(entry, est.witness.points, est.witness.z) == est.lower_bound
+    # strong-extremal on its own space: 0.33333333333333337 at n = 4, one ulp above 1/3, as the enumeration reads
+    strong = strong_extremal_distance(n, n - 1)
+    est = estimate_best_constant(strong, strong.space)
+    assert est.method == EXACT and est.lower_bound == (0.33333333333333337 if n == 4 else 1 / (n - 1))
+
+
+def _anchored_partition(u, anchors):
+    # each position's anchor, or else its first equal position: equal exactly for tuples one anchor-fixing
+    # relabelling apart
+    return tuple(x if x in anchors else u.index(x) for x in u)
+
+
+def test_axiom_tuples_realise_every_anchored_set_partition():
+    # the coverage half of the proof in CatalogEntry.axiom_tuples, with the constant of each anchor listed
+    for n in range(2, 6):
+        for size in range(3, 7):
+            space = FiniteSpace(tuple("abcdef"[:size]))
+            for anchors in (("a",), ("c",), ("a", "b"), ("b", "f")):
+                entry = catalog.CatalogEntry(NDistance("m", n, "finite", None), type_pairs=catalog.partition_pairs,
+                                             anchors=anchors)
+                tuples = entry.axiom_tuples(space)
+                got = {_anchored_partition(u, anchors) for t in tuples for u in distinct_permutations(t)}
+                want = {_anchored_partition(u, anchors) for u in itertools.product(space.labels, repeat=n)}
+                assert got == want, (n, size, anchors)
+                constants = [t[0] for t in tuples if len(set(t)) == 1]
+                assert sorted(constants[:-1]) == [a for a in anchors if a in space.labels]
+                assert constants[-1] not in anchors
+
+
+def test_identity_fails_on_an_anchor_constant_alone():
+    # (a, ..., a) is no anchor-fixing image of another constant, so a map that is nonzero there alone fails
+    # identity on exactly that tuple
+    for anchors in (("e",), ("a", "e")):
+        for n in (2, 3, 4):
+            ev = lambda t, e=anchors[-1]: 1.0 if len(set(t)) > 1 or t[0] == e else 0.0  # noqa: E731
+            entry = catalog.CatalogEntry(NDistance("m", n, "finite", ev), type_pairs=catalog.partition_pairs,
+                                         anchors=anchors)
+            v = check_identity(entry, ABCDE)
+            assert v.failed and v.details["method"] == EXACT
+            assert v.counterexample == {"tuple": (anchors[-1],) * n, "value": 1.0}
+
+
+def test_construction_checks_fold_the_anchored_list():
+    # identity, symmetry, simplex, nonincreasing and strong checks are exact, and agree with sampling; the strong
+    # check's max ratio is that of every (values, z) of the space, for every composition
+    cases = [(single_anchor_distance(catalog.make("cardinality", 4), "e", 0.5, ABCDE), ABCDE),
+             (two_anchor_distance("a", "b", 0.4, 4, ABCDE), ABCDE), (strong_extremal_distance(4, 2), None)]
+    for entry, space in cases:
+        space = space or entry.space
+        hookless = dataclasses.replace(entry, type_pairs=None)
+        for exact, sampled in zip(check_axioms(entry, space), check_axioms(hookless, space, budget=512)):
+            assert exact.passed and sampled.passed and exact.details["method"] == EXACT, exact
+        exact = check_nonincreasing_identification(entry, space)
+        sampled = check_nonincreasing_identification(hookless, space, budget=2000)
+        assert exact.status == sampled.status and exact.details["method"] == EXACT, entry.name
+        for k in (2, 3, 4):
+            constant = strong_constant_standard(4, k) if entry.standard else 10.0
+            v = check_strong_k_simplex(entry, k, constant, space)
+            budget = len(compositions(4, k)) * space.size ** (k + 1)  # every (values, z) of each composition
+            every = check_strong_k_simplex(hookless, k, constant, space, budget=budget)
+            assert v.details["method"] == EXACT and v.status == every.status, (entry.name, k)
+            assert v.details["max_ratio"] == every.details["max_ratio"], (entry.name, k)
 
 
 # --- single anchor -------------------------------------------------------
@@ -67,6 +215,17 @@ def test_single_anchor_validation():
         single_anchor_distance(base, "e", 1.5, ABE)
 
 
+def test_single_anchor_needs_a_partition_base():
+    # the calibration folds the anchored type list, which carries the base's ratio only where the base sees
+    # nothing but which arguments are equal
+    ev = catalog.make("drastic", 4).distance.evaluator
+    base = catalog.CatalogEntry(NDistance("hand-built", 4, "finite", ev), standard=True)
+    with pytest.raises(ValueError, match="partition_pairs"):
+        single_anchor_distance(base, "e", 0.5, ABE)
+    hooked = single_anchor_distance(dataclasses.replace(base, type_pairs=catalog.partition_pairs), "e", 0.5, ABE)
+    assert hooked.params["scale"] == 0.5
+
+
 def test_single_anchor_drastic_scale():
     # anchor-free sup of the drastic ratio with z = e is 1/n, so the scale
     # is 1/(n s); tuples with the anchor keep the base value
@@ -83,7 +242,8 @@ def test_single_anchor_witness_is_lexicographically_first():
     # every nondegenerate anchor-free drastic tuple ties at ratio 1/5
     space = FiniteSpace(tuple("abcde"))
     d = single_anchor_distance(catalog.make("drastic", 5), "a", 0.4, space)
-    assert d.witness_recipe(space) == (("b", "b", "b", "b", "c"), "a")
+    w = estimate_best_constant(d, space).witness
+    assert (w.points, w.z) == (("b", "b", "b", "b", "c"), "a")
     assert d.params["scale"] == 0.5
 
 
@@ -94,9 +254,8 @@ def test_single_anchor_constant_is_prescribed():
         est = estimate_best_constant(d, ABE)
         assert est.method == EXACT
         assert est.lower_bound == pytest.approx(s, abs=1e-12), s
-        # prescribed witness attains it
-        t, z = d.witness_recipe(ABE)
-        assert ratio(d, t, z) == pytest.approx(s, abs=1e-12)
+        # the estimate's witness attains it
+        assert ratio(d, est.witness.points, est.witness.z) == pytest.approx(s, abs=1e-12)
 
 
 def test_single_anchor_partial_constants():
@@ -163,9 +322,8 @@ def test_two_anchor_constants():
         got = estimate_partial_constant(d, ABCD, k=k)
         assert got.method == EXACT
         assert got.lower_bound == pytest.approx(want, abs=1e-12), k
-    # the stored witness hits the prescribed constant exactly
-    t, z = d.witness_recipe(ABCD)
-    assert ratio(d, t, z) == pytest.approx(1 / 3, abs=1e-12)
+    # the estimate's witness hits the prescribed constant exactly
+    assert ratio(d, est.witness.points, est.witness.z) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_two_anchor_structural_flags():
