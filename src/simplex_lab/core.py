@@ -275,17 +275,20 @@ def derive_seed(seed: int, stream: int) -> int:
 
 
 def structured_tuples(space: Space, n: int) -> list[tuple]:
-    """Deterministic tuple families that realize the known extremal shapes."""
-    if space.kind == "finite":
-        return []  # exhaustive enumeration covers small alphabets
-    if space.kind == "real-line":
-        out: list[tuple] = []
-        for m in range(1, n):
-            out.append((0.0,) * m + (1.0,) * (n - m))
-        out.append(tuple(float(i) for i in range(n)))  # progression
-        if n >= 3:
-            out.append((0.0, 1.0) + (0.5,) * (n - 2))  # pair plus midpoint block
-        out.append((0.0,) * n)
+    """Deterministic tuple families that realize the known extremal shapes.
+
+    A finite space, too large to enumerate, gets the line's two-value
+    families (x, ..., x, y, ..., y) and the constant tuple on its first two
+    labels: with z = y, (x, y, ..., y) is the standard shape.
+    """
+    if space.kind != "plane":
+        x, y = space.labels[:2] if space.kind == "finite" else (0.0, 1.0)
+        out: list[tuple] = [(x,) * m + (y,) * (n - m) for m in range(1, n)]
+        if space.kind == "real-line":
+            out.append(tuple(float(i) for i in range(n)))  # progression
+            if n >= 3:
+                out.append((0.0, 1.0) + (0.5,) * (n - 2))  # pair plus midpoint block
+        out.append((x,) * n)
         return out
     # plane
     p0, p1 = (0.0, 0.0), (1.0, 0.0)

@@ -8,7 +8,9 @@ so it is drawn once per length and cached (Welzl 1991 needs a random order,
 not a fresh one per call).
 
 The euclidean Fermat value first tests the cheapest data point for
-optimality (Vardi & Zhang 2000) and runs Weiszfeld only when it fails.
+optimality (Vardi & Zhang 2000).  When that fails, up to four points have
+closed forms (Fermat-Torricelli for three, Plastria 2006 for four), and
+Weiszfeld runs only from five points on.
 Line counts are exact.  When the floating-point orientation test of
 Shewchuk (1997), inside the window where its error bound holds, certifies
 every triple non-collinear, the count is C(m, 2) for m distinct points.
@@ -288,11 +290,37 @@ def fermat_value(points, ground: str = "abs") -> float:
     * ``abs`` (reals): exact, any median minimizes the sum.
     * ``euclidean`` (plane): the cheapest data point v is returned at once
       when it passes the vertex optimality test |sum over p != v of
-      k_p (p - v)/|p - v|| <= k_v (k: multiplicities).  Otherwise Weiszfeld
-      iteration with vertex-stall handling: it stops when a step moves less
-      than ``_WEISZFELD_TOL`` (1e-10) or after ``_WEISZFELD_MAX_ITER`` (10^4)
-      iterations; the best value found is returned even if the iteration
-      did not converge.
+      k_p (p - v)/|p - v|| <= k_v (k: multiplicities).  A data point that
+      is optimal passes it, and so does the cheapest one.  When it fails,
+      inputs of up to four points have closed forms:
+
+      - Two points: both are optimal, so v is returned without the test.
+      - Three points: the test fails exactly when every angle is below
+        120 degrees (at a vertex of angle a the two unit vectors sum to
+        length 2 cos(a/2)).  The minimum is then the Fermat-Torricelli value
+        sqrt((a^2 + b^2 + c^2)/2 + 2 sqrt(3) area), a, b, c the sides.
+        At a repeated point, (x, x, y) passes at x, since 1 <= 2.
+      - Four points: for every x and every pairing {p, q}, {r, s},
+        cost(x) >= |pq| + |rs| by the triangle inequality, so the minimum
+        is at least the largest pairing sum.  When no data point is
+        optimal, the points are distinct and in strictly convex position
+        (Plastria, "Four-point Fermat location problems revisited", 2006).
+        The optimum is then the crossing of the diagonals, where the cost
+        is the sum of the diagonals: the largest pairing sum, returned as
+        such.  A repeated point needs no other branch.  With multiplicities
+        (2, 1, 1) the doubled point passes, as |u1 + u2| <= 2 for unit
+        vectors u1, u2.  With two distinct points, a point of multiplicity
+        k >= 2 passes: |(4 - k) u| = 4 - k <= k.
+
+      On every repeated input the closed form is the minimum too (for
+      (x, x, y, z) the pairing {x, y}, {x, z} gives cost(x)), and at
+      120 degrees or on a flattened quadrilateral it meets the vertex
+      cost, so a test that fails by rounding still returns the minimum.
+
+      From five points on, Weiszfeld iteration with vertex-stall handling:
+      it stops when a step moves less than ``_WEISZFELD_TOL`` (1e-10) or
+      after ``_WEISZFELD_MAX_ITER`` (10^4) iterations; the best value found
+      is returned even if the iteration did not converge.
     * ``chebyshev`` (plane): exact via the rotation u = x+y, v = x-y, which
       makes the objective separable into two median problems.
     * ``discrete`` (finite labels): exact, the minimizer is a modal label.
@@ -334,9 +362,18 @@ def _weiszfeld(pts: list) -> float:
             d = math.hypot(p[0] - v[0], p[1] - v[1])
             gx += k * (p[0] - v[0]) / d
             gy += k * (p[1] - v[1]) / d
-    if math.hypot(gx, gy) <= counts[v]:
-        return best
     m = len(pts)
+    if m <= 2 or math.hypot(gx, gy) <= counts[v]:
+        return best
+    if m == 3:
+        (ax, ay), (bx, by), (cx, cy) = pts
+        squares = (bx - ax) ** 2 + (by - ay) ** 2 + (cx - bx) ** 2 + (cy - by) ** 2 + (cx - ax) ** 2 + (cy - ay) ** 2
+        twice_area = abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+        return math.sqrt(squares / 2.0 + math.sqrt(3.0) * twice_area)
+    if m == 4:
+        a, b, c, d = pts
+        dist = math.dist
+        return max(dist(a, b) + dist(c, d), dist(a, c) + dist(b, d), dist(a, d) + dist(b, c))
     x = (sum(p[0] for p in pts) / m, sum(p[1] for p in pts) / m)
     best = min(best, cost(x))
     for _ in range(_WEISZFELD_MAX_ITER):

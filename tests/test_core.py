@@ -279,6 +279,14 @@ def test_iter_tuples_exhaustive_when_small():
     assert a == b
 
 
+def test_structured_head_of_a_finite_space_has_the_two_label_families():
+    # a finite space too large to enumerate samples after the line's (x, ..., x, y, ..., y) and constant tuples
+    assert structured_tuples(ABC, 4) == [("a", "b", "b", "b"), ("a", "a", "b", "b"), ("a", "a", "a", "b"), ("a",) * 4]
+    assert structured_pairs(ABC, 2) == [(("a", "b"), "a"), (("a", "b"), "b"), (("a", "a"), "a")]
+    line = structured_tuples(RealLine(), 4)
+    assert line[:3] + line[-1:] == [(0.0, 1.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 0.0, 1.0), (0.0,) * 4]
+
+
 def test_step_pairs_are_built_once_per_kind_and_n():
     # one immutable list, shared by every estimate and witness; the box does not enter it
     pairs = step_pairs(RealLine(), 4)

@@ -294,6 +294,70 @@ def test_fermat_euclidean_majority_point_is_exact(v, others, extra):
     assert fermat_value(pts, "euclidean") == sum(math.hypot(p[0] - v[0], p[1] - v[1]) for p in sorted(pts))
 
 
+_COORD = st.floats(-2, 2, allow_nan=False)
+
+
+def _pairing_sum(pts):
+    # the largest |pq| + |rs| over the pairings of four points; no point costs less
+    a, b, c, d = pts
+    return max(math.dist(a, b) + math.dist(c, d), math.dist(a, c) + math.dist(b, d), math.dist(a, d) + math.dist(b, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pts=st.integers(3, 4).flatmap(lambda m: st.lists(st.tuples(_COORD, _COORD), min_size=m, max_size=m, unique=True)))
+def test_fermat_euclidean_closed_forms_match_grid_property(pts):
+    value = fermat_value(pts, "euclidean")
+    assert value == pytest.approx(grid_fermat(pts, "euclidean"), abs=1e-4)
+    centroid = (sum(x for x, _ in pts) / len(pts), sum(y for _, y in pts) / len(pts))
+    assert value <= sum(math.dist(p, centroid) for p in pts) * (1 + 1e-12)
+    # below: the largest pairing sum, or for a triangle half its perimeter
+    lower = _pairing_sum(pts) if len(pts) == 4 else sum(map(math.dist, pts, pts[1:] + pts[:1])) / 2
+    assert value >= lower * (1 - 1e-12)
+
+
+@st.composite
+def _up_to_four_points(draw):
+    # one to four points drawn from a pool of at most four, so repeats are common
+    pool = draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=4))
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=_up_to_four_points())
+@example(pts=((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)))
+@example(pts=((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)))
+@example(pts=((0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (2.0, 0.0)))
+@example(pts=((0.3, 0.1), (0.3, 0.1), (-0.7, 1.9), (-0.7, 1.9)))
+@example(pts=((0.3, 0.1), (-0.7, 1.9)))
+def test_fermat_euclidean_never_iterates_up_to_four_points(pts):
+    # with no Weiszfeld step allowed, the vertex test and the closed forms alone give the minimum
+    with mock.patch.object(geometry, "_WEISZFELD_MAX_ITER", 0):
+        value = fermat_value(pts, "euclidean")
+    assert value == pytest.approx(grid_fermat(pts, "euclidean"), abs=1e-4)
+
+
+def test_fermat_euclidean_convex_quadrilateral_is_the_diagonal_sum():
+    # Weiszfeld read 2.6639562125071565 here, 3.0e-6 relative above the minimum
+    p, q, r, s = (
+        (0.9646671056345488, 0.9493415415298865),
+        (0.505108173884381, -0.45416117436551473),
+        (0.8706689381263921, 0.7625465483284963),
+        (0.5258111744191101, -0.37326073267569426),
+    )
+    value = fermat_value((p, q, r, s), "euclidean")
+    assert value == math.dist(q, r) + math.dist(s, p) == _pairing_sum((p, q, r, s))
+    assert value == 2.6639482843117097
+
+
+def test_fermat_euclidean_wide_angle_costs_the_two_sides_at_it():
+    # at an angle of at least 120 degrees the vertex is the minimizer
+    v, p, q = (0.0, 0.0), (1.0, 0.0), (-0.5, 0.5)  # 135 degrees at v
+    assert fermat_value((p, v, q), "euclidean") == math.dist(v, p) + math.dist(v, q)
+    # exactly 120 degrees: the vertex and the Torricelli formula agree
+    q = (-0.5, math.sqrt(3) / 2)
+    assert fermat_value((p, v, q), "euclidean") == pytest.approx(2.0, rel=1e-15)
+
+
 def test_fermat_chebyshev():
     rng = random.Random(17)
     for _ in range(12):
