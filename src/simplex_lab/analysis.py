@@ -24,9 +24,10 @@ order, so the ratio depends only on the multiset of t and on z, and the
 sorted tuple is the lexicographically smallest of its orbit.  The lower
 bound, witness and indices are those of the scan over every ordered tuple;
 the axiom and property checks, which verify the symmetry, still enumerate
-every tuple, except that ``core.check_simplex`` folds the entry's type
-list where one exists, and so does the strong check with the entry's
-``strong_list`` (the partition and value-set entries,
+every tuple (the repetition check every expansion of every label set),
+except that ``core.check_simplex`` folds the entry's type list where one
+exists, and so does the strong check with the entry's ``strong_list`` (the
+partition and value-set entries, and every hooked entry at k = n,
 ``properties.check_strong_k_simplex``); ``core.check_identity`` and
 ``core.check_symmetry`` (also with the 0/1-gap tuples of the ``gap_pairs``
 entries) walk the permutations of ``CatalogEntry.axiom_tuples``, and the

@@ -100,18 +100,21 @@ class CatalogEntry:
     def arity(self) -> int:
         return self.distance.arity
 
-    def type_list(self, space: Space) -> Sequence[tuple[tuple, Point]] | None:
-        """The ``type_pairs`` list on ``space``, or None.
+    def type_list(self, space: Space, n: int | None = None) -> Sequence[tuple[tuple, Point]] | None:
+        """The ``type_pairs`` list of arity ``n`` (default the entry's own) on ``space``, or None.
 
         None without a hook, off the entry's own space kind (every space
         is an "any" entry's own), and where the hook's reduction does not
         reach n.  Estimates fold the list as exact, ``core.check_simplex``
-        decides axiom (iii) on it, and ``axiom_tuples`` builds on it.
+        decides axiom (iii) on it, ``axiom_tuples`` builds on it, and
+        ``strong_list`` reads it at the check's k.  Every hook call of an
+        entry goes through here.
         """
         hook = self.type_pairs
         if hook is None or self.distance.space_kind not in ("any", space.kind):
             return None
-        return hook(space, self.arity, self.anchors) if self.anchors else hook(space, self.arity)
+        n = self.arity if n is None else n
+        return hook(space, n, self.anchors) if self.anchors else hook(space, n)
 
     def axiom_tuples(self, space: Space) -> tuple[tuple, ...] | None:
         """The tuples whose distinct permutations decide identity and symmetry, or None.
@@ -258,37 +261,37 @@ class CatalogEntry:
         against the k block sections d_c(section_j(v, z)), which put z in
         place of the j-th block.
 
-        * Partition entries: ``partition_pairs(space, k, anchors)``.
-          d_c(f(v)) = d_c(v) for every injection f that fixes the anchors
-          still holds, so d_c's ratio depends only on which of (v_1..v_k, z)
-          are equal and which are anchors, although d_c is not symmetric: a
-          permutation pi of the positions moves the composition along,
-          d_c(v) = d_{pi c}(pi v), and the sections with it.  Any (v, z) is
-          such a pi away from a listed pair, of the composition pi c, and the
-          check folds every composition, so together the folds cover every
-          (values, z).
+        * Partition entries: ``type_list(space, k)``, that is
+          ``partition_pairs(space, k, anchors)``.  d_c(f(v)) = d_c(v) for
+          every injection f that fixes the anchors still holds, so d_c's
+          ratio depends only on which of (v_1..v_k, z) are equal and which
+          are anchors, although d_c is not symmetric: a permutation pi of the
+          positions moves the composition along, d_c(v) = d_{pi c}(pi v), and
+          the sections with it.  Any (v, z) is such a pi away from a listed
+          pair, of the composition pi c, and the check folds every
+          composition, so together the folds cover every (values, z).
         * Value-set entries, whose distance ``core.value_set_distance`` built
-          from f: the hook's arity-k list ``type_pairs(space, k)`` on the
-          entry's own space kind.  Expanding v keeps its set of values, so
-          d_c(v) = f(set(v)) = d_k(v), d_k the arity-k member, the same f on
-          k arguments; and the j-th block section is d_k(section_j(v, z)).
-          So each composition's inequality is the arity-k simplex inequality
-          of d_k, the same for every c, and M*_{n,k}(d) = K*_k(d_k).  The
-          hook's docstring proves that its arity-k list carries K*_k of d_k,
-          for every k >= 2 (``gap_pairs`` below 2^p too), so the max of the
-          fold is M*_{n,k}.
+          from f: ``type_list(space, k)``, the hook's arity-k list.
+          Expanding v keeps its set of values, so d_c(v) = f(set(v)) = d_k(v),
+          d_k the arity-k member, the same f on k arguments; and the j-th
+          block section is d_k(section_j(v, z)).  So each composition's
+          inequality is the arity-k simplex inequality of d_k, the same for
+          every c, and M*_{n,k}(d) = K*_k(d_k).  The hook's docstring proves
+          that its arity-k list carries K*_k of d_k, for every k >= 2
+          (``gap_pairs`` below 2^p too), so the max of the fold is M*_{n,k}.
+        * Every other hooked entry at k = n: ``type_list(space)``.  The only
+          composition is (1, ..., 1), so d_c = d, and the strong inequality
+          is the simplex inequality that the type list decides.
 
-        Either way the listed pairs are real configurations, so a
-        counterexample is genuine.  None for every other entry, off a
-        value-set entry's space kind, and where the hook gives None
-        (``partition_pairs`` past its point limit, ``linear_space_pairs``
-        from k = 6); the check then samples.
+        The listed pairs are real configurations, so a counterexample is
+        genuine.  None for every other entry and k, and wherever
+        ``type_list`` is None (off the entry's space kind,
+        ``partition_pairs`` past its point limit, ``linear_space_pairs`` from
+        k = 6); the check then samples.
         """
-        hook = self.type_pairs
-        if hook is partition_pairs:
-            return partition_pairs(space, k, self.anchors)
-        on_set = isinstance(self.distance, ValueSetDistance) and self.distance.space_kind in ("any", space.kind)
-        return hook(space, k) if on_set and hook is not None else None
+        if self.type_pairs is partition_pairs or k == self.arity or isinstance(self.distance, ValueSetDistance):
+            return self.type_list(space, k)
+        return None
 
     def __call__(self, *points: Point) -> float:
         return self.distance(*points)

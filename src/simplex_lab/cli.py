@@ -554,12 +554,10 @@ def run_multidistance(args) -> dict:
     # at least 64 candidates for each member's triangle scan
     budget = max(64 * len(members), args.budget // 5)
     verdicts = [properties.check_multidistance(members, space, budget=budget, seed=seed)]
-    two = members[0].distance.evaluator
-    g = lambda x, z: two((x, z))
     for member in members:
         if member.arity < 3:
             continue
-        v = properties.check_multi_to_ndistance(member, g, space, budget=args.budget // 5, seed=seed)
+        v = properties.check_multi_to_ndistance(member, members[0], space, budget=args.budget // 5, seed=seed)
         verdicts.append(dataclasses.replace(v, property=f"{v.property}(n={member.arity})"))
     config = _base_config(args, seed, family=args.family, arities=arities, space=space_json(space))
     return make_report("multidistance", config, [], [verdict_json(v) for v in verdicts])

@@ -20,9 +20,7 @@ from fractions import Fraction
 
 from .analysis import scan
 from .catalog import CatalogEntry, partition_pairs
-from .core import FiniteSpace, NDistance, distinct_count
-
-_S_TOL = 1e-12
+from .core import EQUAL_TOL, FiniteSpace, NDistance, distinct_count
 
 
 def single_anchor_distance(base: CatalogEntry, e: str, s: float, space: FiniteSpace) -> CatalogEntry:
@@ -49,7 +47,7 @@ def single_anchor_distance(base: CatalogEntry, e: str, s: float, space: FiniteSp
         raise ValueError("the base distance must be standard")
     if base.type_pairs is not partition_pairs:
         raise ValueError("the base distance must see only which arguments are equal (a partition_pairs entry)")
-    if not 1.0 / (n - 1) - _S_TOL <= s <= 1.0 + _S_TOL:
+    if not 1.0 / (n - 1) - EQUAL_TOL <= s <= 1.0 + EQUAL_TOL:
         raise ValueError(f"s must lie in [1/(n-1), 1] = [{1.0 / (n - 1)}, 1], got {s}")
 
     ev = base_dist.evaluator
@@ -67,7 +65,7 @@ def single_anchor_distance(base: CatalogEntry, e: str, s: float, space: FiniteSp
     dist = NDistance(f"single-anchor[{base_dist.name},s={s:g}]", n, "finite", scaled)
     return CatalogEntry(
         dist,
-        standard=abs(s - 1.0 / (n - 1)) < _S_TOL,
+        standard=abs(s - 1.0 / (n - 1)) < EQUAL_TOL,
         repetition_invariant=base.repetition_invariant,
         nonincreasing=None,
         type_pairs=partition_pairs,
@@ -96,7 +94,7 @@ def two_anchor_distance(a: str, b: str, s: float, n: int, space: FiniteSpace) ->
     if n < 2:
         raise ValueError("needs n >= 2")
     upper = float("inf") if n == 2 else 1.0 / (n - 2)
-    if not 1.0 / (n - 1) - _S_TOL <= s < upper:
+    if not 1.0 / (n - 1) - EQUAL_TOL <= s < upper:
         raise ValueError(f"s must lie in [1/(n-1), 1/(n-2)) = [{1.0 / (n - 1)}, {upper}), got {s}")
     scale = 2.0 / (1.0 / s - n + 2)
 
@@ -110,7 +108,7 @@ def two_anchor_distance(a: str, b: str, s: float, n: int, space: FiniteSpace) ->
     dist = NDistance(f"two-anchor[s={s:g}]", n, "finite", three_valued)
     return CatalogEntry(
         dist,
-        standard=abs(s - 1.0 / (n - 1)) < _S_TOL,
+        standard=abs(s - 1.0 / (n - 1)) < EQUAL_TOL,
         repetition_invariant=True,
         nonincreasing=True,
         type_pairs=partition_pairs,

@@ -32,7 +32,7 @@ SPACE_KINDS = ("finite", "real-line", "plane")
 
 # Every result the package checks is an inequality, tested up to a slack.
 TOL = 1e-9  # violation slack of every inequality check: a > b fails only when a - b > TOL
-EQUAL_TOL = 1e-12  # value-equality slack on continuous spaces; finite spaces compare exactly
+EQUAL_TOL = 1e-12  # value-equality slack on continuous spaces (finite spaces compare exactly) and of constructions' s
 
 
 class DegenerateTupleError(ValueError):
@@ -313,13 +313,7 @@ def z_candidates(space: Space, t: tuple) -> list[Point]:
             a, b = distinct[0], distinct[1]
             zs.append(((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0))
         zs.append((0.0, 0.0))  # center of the canonical circle configurations
-    seen: set = set()
-    uniq = []
-    for z in zs:
-        if z not in seen:
-            seen.add(z)
-            uniq.append(z)
-    return uniq
+    return list(dict.fromkeys(zs))
 
 
 def structured_pairs(space: Space, n: int) -> list[tuple[tuple, Point]]:

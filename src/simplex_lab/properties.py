@@ -8,11 +8,13 @@ the k collapsed values from the shared candidate stream, ``core.iter_pairs``,
 except where the entry has a proven list for the check.  Each check asks
 the entry for it, and its verdict is then exact: the strong check folds
 ``CatalogEntry.strong_list`` for every composition (the entries that see
-only which arguments are equal, and the value-set entries, whose value
-depends only on the set of their arguments), the nonincreasing check walks
-the permutations of ``CatalogEntry.identification_tuples``, and the
-multidistance check folds each member's ``CatalogEntry.triangle_list``.
-No check here names a hook.
+only which arguments are equal, the value-set entries, whose value
+depends only on the set of their arguments, and every hooked entry at
+k = n), the nonincreasing check walks the permutations of
+``CatalogEntry.identification_tuples``, and the multidistance check folds
+each member's ``CatalogEntry.triangle_list``.  No check here names a hook,
+and each searches only its own property: the one check that calls others
+is ``check_multi_to_ndistance``, on its hypothesis and its conclusion.
 """
 
 from __future__ import annotations
@@ -225,34 +227,30 @@ def _canonical_value_sets(space: Space, n: int, budget: int, seed: int) -> list[
 def check_repetition_invariance(
     entry: CatalogEntry, space: Space, budget: int = 200, seed: int = 0
 ) -> PropertyVerdict:
-    """d depends only on the underlying set of values, not on multiplicities."""
+    """d depends only on the underlying set of values, not on multiplicities.
+
+    Each value set of ``_canonical_value_sets`` is expanded over every
+    composition of n into as many blocks, and each expansion is compared
+    with the first expansion of its set.  On a small finite space the sets
+    are every set of 2..n labels, so the check is exhaustive for a symmetric
+    d.  It never permutes a tuple: that is ``core.check_symmetry``'s search.
+    """
     n = entry.arity
     prop = "repetition-invariance"
     ev = entry.distance.evaluator
     tol = 0.0 if space.kind == "finite" else EQUAL_TOL
-    # (value set, tuple) pairs: every tuple of a small finite space, else the
-    # expansions of canonical value sets over all compositions
-    if space.kind == "finite" and space.size ** n <= 100_000:
-        keyed = ((frozenset(t), t) for t in space.iter_tuples(n))
-    else:
-        keyed = (
-            (values, expand_composition(values, comp))
-            for values in _canonical_value_sets(space, n, budget, seed)
-            for comp in compositions(n, len(values))
-        )
     checked = 0
-    ce = None
-    groups: dict = {}  # value set -> its first (tuple, value)
-    for key, t in keyed:
-        if len(key) < 2:
-            continue
-        v = ev(t)
-        checked += 1
-        ref_t, ref_v = groups.setdefault(key, (t, v))
-        if abs(v - ref_v) > tol:
-            ce = {"tuple_a": ref_t, "value_a": ref_v, "tuple_b": t, "value_b": v}
-            break
-    return PropertyVerdict.of(prop, {"checked": checked}, ce)
+    for values in _canonical_value_sets(space, n, budget, seed):
+        first = None  # the set's first (tuple, value)
+        for comp in compositions(n, len(values)):
+            t = expand_composition(values, comp)
+            v = ev(t)
+            checked += 1
+            first = first or (t, v)
+            if abs(v - first[1]) > tol:
+                ce = {"tuple_a": first[0], "value_a": first[1], "tuple_b": t, "value_b": v}
+                return PropertyVerdict.of(prop, {"checked": checked}, ce)
+    return PropertyVerdict.of(prop, {"checked": checked})
 
 
 def check_nonincreasing_identification(
@@ -260,10 +258,10 @@ def check_nonincreasing_identification(
 ) -> PropertyVerdict:
     """Replacing any argument by another already-present one never increases d.
 
-    This implies repetition invariance, so a pass here is cross-checked
-    against the repetition check and demoted to FAIL on contradiction.
-
-    The tuples are ``budget`` of ``iter_tuples``, except where the entry's
+    The verdict comes from one walk over tuples t and their identifications
+    u, t with one argument replaced by another of its values, and a
+    counterexample is such a pair with d(u) > d(t) + ``tol``.  The tuples
+    are ``budget`` of ``iter_tuples``, except where the entry's
     ``identification_tuples(space)`` is a list (the ``partition_pairs``
     entries; that method's docstring has the proof): there the check walks
     every distinct permutation of each listed tuple, ignores ``budget`` and
@@ -296,13 +294,7 @@ def check_nonincreasing_identification(
                         first_ce = ce
         if first_ce is not None:
             break
-    details = _with_method({"checked": checked}, tuples is not None)
-    if first_ce is None:
-        rep = check_repetition_invariance(entry, space, seed=seed)
-        if rep.failed:
-            first_ce = rep.counterexample
-            details["reason"] = "repetition invariance is implied but fails"
-    return PropertyVerdict.of(prop, details, first_ce)
+    return PropertyVerdict.of(prop, _with_method({"checked": checked}, tuples is not None), first_ce)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +330,7 @@ def check_multidistance(
     for a, b in zip(members, members[1:]):
         if b.arity != a.arity + 1:
             raise ValueError("member arities must be contiguous from 2")
-    two = members[0].distance.evaluator
-    g = lambda x, z: two((x, z))
+    g = members[0].distance.evaluator
     prop = "multidistance"
     per_arity = {}
     total = 0
@@ -360,7 +351,7 @@ def check_multidistance(
             if distinct_count(t) < 2:
                 continue
             lhs = ev(t)
-            rhs = sum(g(x, z) for x in t)
+            rhs = sum(g((x, z)) for x in t)
             checked += 1
             if lhs > rhs + TOL:
                 ce = {"arity": n, "tuple": t, "z": z, "lhs": lhs, "rhs": rhs}
@@ -371,7 +362,7 @@ def check_multidistance(
             if x == z:
                 continue
             dn = ev((x,) + (z,) * (n - 1))
-            gz = g(x, z)
+            gz = g((x, z))
             if dn > gz + TOL:
                 suff_holds = False
             if abs(dn - gz) > TOL:
@@ -394,42 +385,37 @@ def check_multidistance(
 
 def check_multi_to_ndistance(
     entry: CatalogEntry,
-    d2: Callable[[Point, Point], float],
+    two: CatalogEntry,
     space: Space,
     budget: int = 20_000,
     seed: int = 0,
 ) -> PropertyVerdict:
     """Converse direction: a nonincreasing multidistance member dominating
-    its own restriction g(x, z) <= d_n(x, z, ..., z) satisfies the simplex
-    inequality with constant 1.  Hypotheses are verified first; failures of
-    a hypothesis yield NOT_APPLICABLE rather than FAIL.  A budget of 0
-    checks nothing after the hypotheses, and the verdict is NOT_APPLICABLE.
-    Otherwise ``core.check_simplex`` folds the entry's ``type_list`` where
-    it has one, and reports ``method: exact``, or samples ``budget``
-    candidates.
+    its own restriction g(x, z) <= d_n(x, z, ..., z), g the arity-2 member
+    ``two``, satisfies the simplex inequality with constant 1.  Hypotheses
+    are verified first; failures of a hypothesis yield NOT_APPLICABLE rather
+    than FAIL.  A budget of 0 checks nothing after the hypotheses, and the
+    verdict is NOT_APPLICABLE.  Otherwise ``core.check_simplex`` folds the
+    entry's ``type_list`` where it has one, and reports ``method: exact``,
+    or samples ``budget`` candidates.
     """
     from .core import check_simplex
 
+    if two.arity != 2:
+        raise ValueError(f"the binary member must have arity 2, got {two.arity}")
     n = entry.arity
     prop = "multidistance-to-ndistance"
     noninc = check_nonincreasing_identification(entry, space, budget // 4, seed, tol=TOL)
     if noninc.failed:
         return PropertyVerdict.of(prop, {"reason": "not nonincreasing", "counterexample": noninc.counterexample})
-    ev = entry.distance.evaluator
+    ev, g = entry.distance.evaluator, two.distance.evaluator
     for x, z in iter_tuples(space, 2, max(1, budget // 4), derive_seed(seed, 800)):
         if x == z:
             continue
-        if d2(x, z) > ev((x,) + (z,) * (n - 1)) + TOL:
-            return PropertyVerdict.of(
-                prop,
-                {
-                    "reason": "g exceeds the repeated-argument value",
-                    "x": x,
-                    "z": z,
-                    "g": d2(x, z),
-                    "dn": ev((x,) + (z,) * (n - 1)),
-                },
-            )
+        gz, dn = g((x, z)), ev((x,) + (z,) * (n - 1))
+        if gz > dn + TOL:
+            reason = "g exceeds the repeated-argument value"
+            return PropertyVerdict.of(prop, {"reason": reason, "x": x, "z": z, "g": gz, "dn": dn})
     if budget < 1:
         return PropertyVerdict.of(prop, {"checked": 0})
     simplex = check_simplex(entry, space, budget=budget, seed=seed)

@@ -252,6 +252,22 @@ def test_variants_cover_the_catalog():
     assert {dist_id for dist_id, _ in _VARIANTS} == set(catalog.available_ids())
 
 
+def _assert_structural_fails_recompute(entry, rep, noninc):
+    # each FAIL is a witness of its own property: one identification that raises d,
+    # or two tuples on one value set with different multiplicities and values
+    ev = entry.distance.evaluator
+    if noninc.failed:
+        ce = noninc.counterexample
+        t, u = ce["tuple"], ce["identified"]
+        (i,) = [i for i in range(entry.arity) if t[i] != u[i]]
+        assert u[i] in t and ev(t) == ce["before"] < ce["after"] == ev(u), entry.name
+    if rep.failed:
+        ce = rep.counterexample
+        a, b = ce["tuple_a"], ce["tuple_b"]
+        assert set(a) == set(b) and sorted(a) != sorted(b), entry.name
+        assert ev(a) == ce["value_a"] != ce["value_b"] == ev(b), entry.name
+
+
 @pytest.mark.parametrize("dist_id, params", _VARIANTS, ids=_VARIANT_IDS)
 def test_flags_are_the_checkers_verdicts(dist_id, params):
     # every known flag at every arity the variant has in 2..5; standard where
@@ -267,6 +283,7 @@ def test_flags_are_the_checkers_verdicts(dist_id, params):
         for flag, verdict in ((entry.repetition_invariant, rep), (entry.nonincreasing, noninc)):
             if flag is not None:
                 assert verdict.passed == flag, (entry.name, verdict.property, verdict.counterexample)
+        _assert_structural_fails_recompute(entry, rep, noninc)
         est = estimate_best_constant(entry, space, budget=1)
         if entry.standard is not None and est.method == EXACT:
             assert (est.lower_bound == 1 / (n - 1)) == entry.standard, (entry.name, est.lower_bound)
@@ -1060,9 +1077,8 @@ def test_strong_check_of_value_set_entries_folds_the_arity_k_list(vid):
         entry = catalog.make(dist_id, n, **params)
         space = default_space_for(entry.distance.space_kind)
         plain = NDistance(entry.name, n, entry.distance.space_kind, lambda t, ev=entry.distance.evaluator: ev(t))
-        unwrapped = dataclasses.replace(entry, distance=plain)
-        if entry.type_pairs is catalog.partition_pairs:  # which holds without the wrapper
-            unwrapped = dataclasses.replace(unwrapped, type_pairs=None)
+        # neither the wrapper nor a hook: at k = n a hooked entry folds its type list
+        unwrapped = dataclasses.replace(entry, distance=plain, type_pairs=None)
         for k in range(2, n + 1):
             comps = compositions(n, k)
             v = check_strong_k_simplex(entry, k, 1.0, space, budget=1)
@@ -1080,6 +1096,24 @@ def test_strong_check_of_value_set_entries_folds_the_arity_k_list(vid):
             ev = reduced_evaluator(entry, ce["composition"])
             total = math.fsum(ev(section(ce["values"], i, ce["z"])) for i in range(1, k + 1))
             assert ce["lhs"] == ev(ce["values"]) and ce["rhs"] == half * total and ce["lhs"] > ce["rhs"]
+
+
+@pytest.mark.parametrize("dist_id, params, space", [
+    ("sum-based", {"d2": "abs"}, RealLine()),
+    ("arithmetic-mean", {}, RealLine()),
+    ("fermat", {"d2": "abs"}, RealLine()),
+    ("fermat", {"d2": "chebyshev"}, Plane()),
+    ("sum-based", {"d2": "euclidean"}, Plane()),
+], ids=["sum-based[abs]", "arithmetic-mean", "fermat[abs]", "fermat[chebyshev]", "sum-based[euclidean]"])
+def test_strong_check_at_k_equals_n_folds_the_type_list(dist_id, params, space):
+    # at k = n the only composition is (1, ..., 1), so d_c = d and the type list decides the check
+    for n in range(2, 6):
+        entry = catalog.make(dist_id, n, **params)
+        v = check_strong_k_simplex(entry, n, 1 / (n - 1), space, budget=1)
+        est = estimate_best_constant(entry, space, budget=1)
+        assert v.details["method"] == est.method == EXACT, n
+        assert v.details["checked"] == len(entry.type_list(space)), n
+        assert v.details["max_ratio"] == est.lower_bound, n
 
 
 def test_strong_check_of_gap_entries_is_exact_below_two_to_the_p():

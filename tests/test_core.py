@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import math
@@ -235,6 +236,24 @@ def test_no_public_function_takes_a_candidate_list():
 def test_properties_names_no_hook():
     # the entry says which list decides each check, so properties never tests a hook itself
     assert not {"partition_pairs", "step_pairs"} & set(vars(properties))
+
+
+def test_properties_checks_call_no_other_check():
+    # each structural verdict comes from a search of its own property; the converse
+    # multidistance check alone runs its hypothesis and its conclusion
+    def called(fn):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                if name.startswith("check_"):
+                    yield name
+
+    tree = ast.parse(inspect.getsource(properties))
+    checks = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("check_")]
+    calls = {fn.name: set(called(fn)) for fn in checks}
+    assert {name: c for name, c in calls.items() if c} == {
+        "check_multi_to_ndistance": {"check_nonincreasing_identification", "check_simplex"}
+    }
 
 
 def test_verdict_rule_fails_on_a_counterexample():

@@ -21,6 +21,7 @@ from simplex_lab.core import (
     NDistance,
     Plane,
     RealLine,
+    check_symmetry,
     iter_pairs,
     section,
     step_pairs,
@@ -200,6 +201,24 @@ def test_repetition_invariance_pass_and_fail():
     assert ce["value_a"] != pytest.approx(ce["value_b"])
 
 
+def test_repetition_invariance_expands_every_label_set_of_a_small_finite_space():
+    # every set of 2..5 of the 5 labels, expanded over every composition of 5 into as many blocks
+    v = check_repetition_invariance(catalog.make("cardinality", 5), FiniteSpace(tuple("abcde")))
+    want = sum(math.comb(5, m) * len(compositions(5, m)) for m in range(2, 6))
+    assert v.passed and v.details["checked"] == want == 121
+
+
+def test_each_structural_check_searches_only_its_own_property():
+    # d(a, b) = 1 and d(b, a) = 2: every identification gives 0, so only symmetry fails
+    values = {("a", "b"): 1.0, ("b", "a"): 2.0}
+    entry = CatalogEntry(NDistance("asym", 2, "finite", lambda t: values.get(t, 0.0)))
+    space = FiniteSpace(("a", "b"))
+    noninc = check_nonincreasing_identification(entry, space)
+    assert noninc.passed and noninc.details["checked"] > 0 and "reason" not in noninc.details
+    assert check_repetition_invariance(entry, space).passed
+    assert check_symmetry(entry, space).failed
+
+
 @pytest.mark.parametrize(
     "space", [RealLine(), Plane(), FiniteSpace(tuple("abcdefghijk"))], ids=["line", "plane", "finite-11"]
 )
@@ -373,26 +392,28 @@ def test_multidistance_samples_the_families_outside_the_fold():
 
 def test_multi_to_ndistance_folds_the_type_list():
     # with a budget, the simplex check folds the member's proven list; a budget of 0 checks nothing
-    g = lambda x, z: float(x != z)
+    two = catalog.make("cardinality", 2)  # g(x, z) = [x != z]
     for n in (3, 4, 5):
         entry = catalog.make("cardinality", n)
         space = FiniteSpace(("a", "b", "c", "d"))
-        v = check_multi_to_ndistance(entry, g, space, budget=400, seed=0)
+        v = check_multi_to_ndistance(entry, two, space, budget=400, seed=0)
         assert v.passed and v.details["method"] == EXACT
         assert v.details["checked"] == len(entry.type_list(space))
         assert v.details["max_ratio"] == 1 / (n - 1)
-        empty = check_multi_to_ndistance(entry, g, space, budget=0, seed=0)
+        empty = check_multi_to_ndistance(entry, two, space, budget=0, seed=0)
         assert empty.status == NOT_APPLICABLE and "method" not in empty.details
 
 def test_multi_to_ndistance_converse():
     entry = catalog.make("enclosing-radius", 3)
-    g = lambda x, z: math.hypot(x[0] - z[0], x[1] - z[1]) / 2.0
-    v = check_multi_to_ndistance(entry, g, Plane(), budget=4000, seed=0)
+    two = catalog.make("enclosing-radius", 2)  # g(x, z) = |x - z| / 2
+    v = check_multi_to_ndistance(entry, two, Plane(), budget=4000, seed=0)
     assert v.passed, v.details
+    with pytest.raises(ValueError):
+        check_multi_to_ndistance(entry, entry, Plane())
 
     # the mean is not nonincreasing: hypothesis fails, so no verdict either way
     mean = catalog.make("arithmetic-mean", 3)
-    g2 = lambda x, z: abs(x - z) / 3.0
-    v = check_multi_to_ndistance(mean, g2, UNIT, budget=4000, seed=0)
+    third = CatalogEntry(NDistance("third", 2, "real-line", lambda t: abs(t[0] - t[1]) / 3.0))
+    v = check_multi_to_ndistance(mean, third, UNIT, budget=4000, seed=0)
     assert v.status == NOT_APPLICABLE
     assert v.details["reason"] == "not nonincreasing"
