@@ -124,14 +124,15 @@ class CatalogEntry:
         tuples t of ``type_list(space)``, the constant tuple of each anchor
         that they hold, and the constant tuple of the first listed point that
         is no anchor (the first tuple's last point, for an entry without
-        anchors).  For the ``gap_pairs`` entries on the real line
-        they are the 2^(n-1) - 1 nonconstant sorted tuples from 0 whose
-        consecutive gaps are all 0 or 1, such as (0, 0, 1, 2), and the
-        constant (1, ..., 1).  ``core.check_identity`` requires d = 0 on the
-        constant tuple and d > 0 on every permutation of the others, and
-        ``core.check_symmetry`` requires d to be equal across the
-        permutations of each.  None for every other hook or space, where
-        ``type_list`` is None, and where the permutations number more than
+        anchors).  For the ``gap_pairs`` entries on the real line they are
+        the 2^(n-1) - 1 nonconstant sorted tuples from 0 whose consecutive
+        gaps are all 0 or 1, such as (0, 0, 1, 2), and the constant
+        (1, ..., 1) of the first one's last point.  ``core.check_identity``
+        requires d = 0 on the constant tuple and d > 0 on every permutation
+        of the others, and ``core.check_symmetry`` requires d to be equal
+        across the permutations of each.  None for every other hook or
+        space, where ``type_list`` is None, and at the first tuple whose
+        permutations, with those of the tuples before it, number more than
         ``AXIOM_PERMUTATION_LIMIT``; those checks then sample.
 
         * Partition entries.  d(f(t)) = d(t) for every injection f of the
@@ -177,13 +178,12 @@ class CatalogEntry:
           permutations of the listed tuples are the nonconstant tuples over
           0..n-1 whose sorted gaps are 0 or 1, the generators of every
           cell: Fubini(n) - 1 of them, the ordered set partitions of the n
-          positions into two or more blocks, counted before any tuple is
-          built.  As for the step pairs, d vanishes on every constant if
-          and only if on (1, ..., 1), and d > 0 off the constants if and
-          only if d(e) > 0 at every generator e.  A permutation sigma maps
-          each refined cell, and its generators, onto another, so d o sigma
-          is phi of a linear map on each cell too, and
-          d(sigma t) = phi(sum_s a_s L'(sigma e_s)).  phi is injective, so
+          positions into two or more blocks.  As for the step pairs, d
+          vanishes on every constant if and only if on (1, ..., 1), and
+          d > 0 off the constants if and only if d(e) > 0 at every
+          generator e.  A permutation sigma maps each refined cell, and its
+          generators, onto another, so d o sigma is phi of a linear map on
+          each cell too, and d(sigma t) = phi(sum_s a_s L'(sigma e_s)).  phi is injective, so
           if d agrees across the permutations of each listed tuple, then
           L'(sigma e) = L(e) at every generator and d(sigma t) = d(t).
         """
@@ -193,14 +193,15 @@ class CatalogEntry:
         pairs = self.type_list(space)
         if pairs is None:
             return None
-        if hook is gap_pairs:
-            return _gap_tuples(self.arity)
-        tuples = tuple(dict.fromkeys(t for t, _ in pairs))
-        if sum(map(_permutation_count, tuples)) > AXIOM_PERMUTATION_LIMIT:
-            return None
+        tuples, perms = [], 0
+        for t in _gap_tuples(self.arity) if hook is gap_pairs else dict.fromkeys(t for t, _ in pairs):
+            perms += _permutation_count(t)
+            if perms > AXIOM_PERMUTATION_LIMIT:
+                return None
+            tuples.append(t)
         points = dict.fromkeys(x for t in tuples for x in reversed(t))
         ends = [x for x in points if x in self.anchors] + [x for x in points if x not in self.anchors][:1]
-        return tuples + tuple((x,) * self.arity for x in ends)
+        return tuple(tuples) + tuple((x,) * self.arity for x in ends)
 
     def identification_tuples(self, space: Space) -> tuple[tuple, ...] | None:
         """The tuples whose distinct permutations decide the nonincreasing check, or None.
@@ -299,28 +300,21 @@ class CatalogEntry:
 
 # the most distinct permutations of ``axiom_tuples`` that the identity and
 # symmetry checks walk, about as many tuples as they sample at the CLI's default
-# budget; their number grows faster than n!, and a partition entry on the
-# line has 95,502 at n = 8 and 871,029 at n = 9, a gap entry 47,292 at n = 7
-# and 545,834 at n = 8
+# budget; ``axiom_tuples`` counts them tuple by tuple and stops at the first past
+# it.  Their number grows faster than n!: a partition entry on the line has
+# 95,502 at n = 8 and 871,029 at n = 9, a gap entry 47,292 at n = 7 and
+# 545,834 at n = 8
 AXIOM_PERMUTATION_LIMIT = 100_000
 
 
-@functools.cache
-def _gap_tuples(n: int) -> tuple[tuple, ...] | None:
-    """The sorted 0/1-gap tuples of ``CatalogEntry.axiom_tuples`` and (1, ..., 1), or None past the limit.
+def _gap_tuples(n: int) -> Iterator[tuple]:
+    """The nonconstant sorted 0/1-gap tuples of ``CatalogEntry.axiom_tuples``, lazily.
 
     Their permutations number Fubini(n) - 1: 74, 540, 4,682 and 47,292 at
     n = 4..7 and 545,834 at n = 8, so from n = 8 on the checks sample.
-    Fubini(m) = sum_k C(m, k) Fubini(m - k) grows with m, so the count
-    stops at the first m past the limit, before any tuple is built.
     """
-    fubini = [1]
-    for m in range(1, n + 1):
-        fubini.append(sum(math.comb(m, k) * fubini[m - k] for k in range(1, m + 1)))
-        if fubini[m] - 1 > AXIOM_PERMUTATION_LIMIT:
-            return None
     gaps = (c for c in itertools.product((0.0, 1.0), repeat=n - 1) if any(c))
-    return tuple(tuple(itertools.accumulate(c, initial=0.0)) for c in gaps) + ((1.0,) * n,)
+    return (tuple(itertools.accumulate(c, initial=0.0)) for c in gaps)
 
 
 def _permutation_count(t: tuple) -> int:
@@ -628,80 +622,67 @@ def partition_pairs(space: Space, n: int, anchors: tuple = ()) -> tuple[tuple[tu
     sorted labels of a finite space, 0, 1, ..., n on the line and (0, 0),
     (1, 0), ..., (n, 0) on the plane.  The list is an immutable tuple,
     built once per (labels, n, anchors), or None where its pairs would hold
-    more than ``PARTITION_POINT_LIMIT`` points, counted first.
+    more than ``PARTITION_POINT_LIMIT`` points; the walk over the types
+    counts them and stops at the first type past the limit, before any
+    tuple is built, and the None is kept too.
     """
-    anchors = tuple(sorted(set(anchors).intersection(space.labels))) if space.kind == "finite" else ()
-    labels = sorted(set(space.labels).difference(anchors)) if space.kind == "finite" else range(n + 1)
-    if _too_many_points(n, len(labels), len(anchors)):
-        return None
-    if space.kind != "finite":
-        labels = [float(i) if space.kind == "real-line" else (float(i), 0.0) for i in labels]
-    return _partition_pairs(tuple(labels), n, anchors)
+    if space.kind == "finite":
+        anchors = tuple(sorted(set(anchors).intersection(space.labels)))
+        labels = sorted(set(space.labels).difference(anchors))
+    else:
+        anchors, labels = (), [float(i) if space.kind == "real-line" else (float(i), 0.0) for i in range(n + 1)]
+    return _partition_pairs(tuple(labels), n, anchors, PARTITION_POINT_LIMIT)
 
 
-# the most points in the pairs of ``partition_pairs``, about 32 MB of references;
-# the line passes it from n = 37 (120,768 pairs), three labels from n = 251
+# the most points in the pairs of ``partition_pairs``, about 32 MB of references,
+# counted on the walk over the types that builds them; the line passes it from
+# n = 37 (120,768 pairs), three labels from n = 251
 PARTITION_POINT_LIMIT = 4 * 10**6
 
 
-def _too_many_points(n: int, labels: int, anchors: int = 0) -> bool:
-    """Whether the pairs of ``partition_pairs`` hold over ``PARTITION_POINT_LIMIT`` points.
+def _integer_partitions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into at most ``parts`` parts, largest first part first.
 
-    ``labels`` counts the labels that are no anchor, ``anchors`` the
-    anchors, A.  With s of the n points on the anchors, in C(s + A - 1, s)
-    ways, a partition of r = n - s into b parts gives A pairs with z an
-    anchor, one per distinct part size, and one more where b < ``labels``.
-    Conjugation maps the partitions into at most L parts onto those into
-    parts of at most L, and keeps the number of distinct part sizes; those
-    that hold the part k are the partitions of r - k with one more k.  So
-    with P_L(m) the partitions of m into parts of at most L, r gives
-    A P_L(r) + P_L(r-1) + ... + P_L(r-L) + P_{L-1}(r) pairs.  Less those
-    of the constant tuples: A + 2 for r = n, b = 1 (A + 1 on one label),
-    and A + 1 for each anchor alone (A on no label).  P_L comes from
-    P_{L-1} in O(n), and the walk stops at the first L whose P_L(n) - 1
-    tuples alone pass the limit.
+    Each is non-increasing.  The next one lowers by one the last part a_i
+    that leaves room for the rest, r, in parts of at most a_i - 1 after it,
+    and fills r in greedily.
     """
-    cap = PARTITION_POINT_LIMIT // n
-    if n // 2 > cap:  # the partitions into two parts alone
-        return True
-    top = min(n + 1, labels)
-    ways, fewer = [1] + [0] * n, [0] * (n + 1)
-    for size in range(1, top + 1):
-        fewer = ways[:]
-        for j in range(size, n + 1):
-            ways[j] += ways[j - size]
-        if ways[n] - 1 > cap:
-            return True
-    spread = [math.comb(n - r + anchors - 1, n - r) if anchors else r == n for r in range(n + 1)]
-    pairs = sum(w * (anchors * ways[r] + sum(ways[max(r - top, 0):r]) + fewer[r]) for r, w in enumerate(spread))
-    return pairs - (top > 0) * (anchors + 1 + (top > 1)) - anchors * (anchors + (top > 0)) > cap
-
-
-def _integer_partitions(n: int, largest: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """The partitions of n into at most ``parts`` parts of at most ``largest``, largest first part first.
-
-    Each is non-increasing; a first part below n/parts would leave too much for the other parts.
-    """
-    if n == 0:
-        yield ()
-    elif parts:
-        for first in range(min(n, largest), -(-n // parts) - 1, -1):
-            for rest in _integer_partitions(n - first, first, parts - 1):
-                yield (first,) + rest
+    a = [n] if n else []
+    if len(a) > parts:
+        return
+    while True:
+        yield tuple(a)
+        r, i = 1, len(a) - 1
+        while i >= 0 and not (1 < a[i] and r <= (a[i] - 1) * (parts - i - 1)):
+            r += a[i]
+            i -= 1
+        if i < 0:
+            return
+        v = a[i] - 1
+        q, m = divmod(r, v)
+        a[i:] = [v] * (q + 1) + [m] * (m > 0)
 
 
 @functools.cache
-def _partition_pairs(labels: tuple, n: int, anchors: tuple = ()) -> tuple[tuple[tuple, Point], ...]:
-    out = []
-    for s in range(n + 1):  # s points on the anchors, held as a sorted multiset of them
+def _partition_pairs(labels: tuple, n: int, anchors: tuple, limit: int) -> tuple[tuple[tuple, Point], ...] | None:
+    types, points = [], 0
+    # s points on the anchors, held as a sorted multiset of them; without other labels they hold all n
+    for s in range(0 if labels else n, n + 1):
         for held in itertools.combinations_with_replacement(anchors, s):
-            for sizes in _integer_partitions(n - s, n - s, len(labels)):
-                b = len(sizes)
-                if b + len(set(held)) < 2:
+            for sizes in _integer_partitions(n - s, len(labels)):
+                if len(sizes) + len(set(held)) < 2:
                     continue
-                t = tuple(sorted(held + tuple(labels[j] for j, m in enumerate(sizes) for _ in range(m))))
-                zs = [labels[j] for j, m in enumerate(sizes) if j == 0 or sizes[j - 1] != m] + list(labels[b:b + 1])
-                out.extend((t, z) for z in anchors + tuple(zs))
+                # z is each anchor, the first block of each distinct size, or the next unused label
+                points += n * (len(anchors) + len(set(sizes)) + (len(sizes) < len(labels)))
+                if points > limit:
+                    return None
+                types.append((held, sizes))
+    out = []
+    for held, sizes in types:
+        b = len(sizes)
+        t = tuple(sorted(held + tuple(labels[j] for j, m in enumerate(sizes) for _ in range(m))))
+        zs = [labels[j] for j, m in enumerate(sizes) if j == 0 or sizes[j - 1] != m] + list(labels[b:b + 1])
+        out.extend((t, z) for z in anchors + tuple(zs))
     return tuple(out)
 
 

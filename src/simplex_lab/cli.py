@@ -89,7 +89,10 @@ def parse_space(spec: str) -> Space:
             if not 2 <= size <= len(_LETTERS):
                 raise ValueError(f"finite space size must be in 2..{len(_LETTERS)}, got {size}")
             return FiniteSpace(tuple(_LETTERS[:size]))
-        return FiniteSpace(tuple(x.strip() for x in tail.split(",")))
+        labels = tuple(x.strip() for x in tail.split(","))
+        if "" in labels:
+            raise ValueError(f"finite space labels must not be empty, got {spec!r}")
+        return FiniteSpace(labels)
     if name in ("real", "real-line", "line"):
         cls = RealLine
     elif name == "plane":

@@ -473,8 +473,8 @@ def check_symmetry(entry: CatalogEntry, space: Space, budget: int = 512, seed: i
     The check compares d on each of the entry's ``axiom_tuples`` with d on
     its other distinct permutations, proven to decide the axiom, and
     reports ``method: exact``; where that is None, on each of ``budget``
-    tuples of ``iter_tuples`` with its other permutations (all of them for
-    n <= 4, ten seeded shuffles beyond).  ``checked`` counts the tuples
+    tuples of ``iter_tuples`` with its other permutations (every distinct
+    one for n <= 4, ten seeded shuffles beyond).  ``checked`` counts the tuples
     whose permutations all agreed.  For the gap entries (inner-interval and
     inner-interval-power) the tuples have every sorted gap 0 or 1: d is a
     strictly increasing function of one gap on each cell of one order and
@@ -492,11 +492,9 @@ def check_symmetry(entry: CatalogEntry, space: Space, budget: int = 512, seed: i
     ce = None
     for t in iter_tuples(space, n, budget, seed) if tuples is None else tuples:
         base = d.evaluator(t)
-        if tuples is not None:
-            perms = itertools.islice(distinct_permutations(t), 1, None)
-        elif n <= 4:
+        if tuples is not None or n <= 4:
             # the first permutation is t itself, already evaluated as base
-            perms = itertools.islice(itertools.permutations(t), 1, None)
+            perms = itertools.islice(distinct_permutations(t), 1, None)
         else:
             perms = []
             for _ in range(10):

@@ -352,8 +352,7 @@ def _weiszfeld(pts: list) -> float:
         return sum(math.hypot(p[0] - q[0], p[1] - q[1]) for p in pts)
 
     counts = Counter(pts)
-    v = min(counts, key=cost)
-    best = cost(v)
+    best, v = min((cost(q), q) for q in counts)  # a tie goes to the smallest point
     # Vardi & Zhang: v is a minimizer iff the unit vectors towards the other
     # points, weighted by multiplicity, sum to a length of at most k_v
     gx = gy = 0.0

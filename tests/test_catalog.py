@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import itertools
 import math
 import operator
@@ -423,7 +425,7 @@ def test_integer_partitions_stop_at_the_label_count():
         every = sorted((c for m in range(1, n + 1) for c in itertools.combinations_with_replacement(range(n, 0, -1), m)
                         if sum(c) == n), reverse=True)
         for parts in range(1, 8):
-            assert list(catalog._integer_partitions(n, n, parts)) == [c for c in every if len(c) <= parts], (n, parts)
+            assert list(catalog._integer_partitions(n, parts)) == [c for c in every if len(c) <= parts], (n, parts)
     # the walk never enters the 4e12 partitions of 200 with more than 3 parts
     start = time.perf_counter()
     pairs = catalog.partition_pairs(FiniteSpace(("a", "b", "c")), 200)
@@ -432,8 +434,9 @@ def test_integer_partitions_stop_at_the_label_count():
 
 
 def test_partition_pairs_stop_at_the_point_limit():
-    # counted before any tuple is built: 50,000 two-label tuples of 10^5 points, p(60) - 1 tuples of 60 on the
-    # line, and the 120,768 pairs of 37 points on the line, whose p(37) - 1 distinct tuples hold only 0.8M
+    # counted on the walk over the types, before any tuple is built: 50,000 two-label tuples of 10^5 points,
+    # p(60) - 1 tuples of 60 on the line, and the 120,768 pairs of 37 points on the line, whose p(37) - 1 distinct
+    # tuples hold only 0.8M
     for space, n in ((FiniteSpace(("a", "b")), 10**5), (RealLine(), 60), (RealLine(), 37)):
         tracemalloc.start()
         start = time.perf_counter()
@@ -457,7 +460,8 @@ def test_partition_point_limit_counts_the_points_of_the_pairs(monkeypatch):
     for n in range(2, 12):
         for size in range(2, n + 3):
             space = FiniteSpace(tuple(range(size)))
-            points = n * len(catalog._partition_pairs(tuple(range(size)), n))
+            monkeypatch.setattr(catalog, "PARTITION_POINT_LIMIT", 10**9)
+            points = n * len(catalog.partition_pairs(space, n))
             monkeypatch.setattr(catalog, "PARTITION_POINT_LIMIT", points)
             assert catalog.partition_pairs(space, n) is not None, (n, size)
             monkeypatch.setattr(catalog, "PARTITION_POINT_LIMIT", points - 1)
@@ -465,13 +469,14 @@ def test_partition_point_limit_counts_the_points_of_the_pairs(monkeypatch):
     monkeypatch.undo()
     # 99,131 pairs of 36 points on the line (n + 1 labels), 120,768 of 37; 15,874 pairs of 250 points on three
     # labels, 16,000 of 251
-    assert not catalog._too_many_points(36, 37) and catalog._too_many_points(37, 38)
-    assert not catalog._too_many_points(250, 3) and catalog._too_many_points(251, 3)
+    three = FiniteSpace(("a", "b", "c"))
+    assert catalog.partition_pairs(RealLine(), 36) is not None and catalog.partition_pairs(RealLine(), 37) is None
+    assert catalog.partition_pairs(three, 250) is not None and catalog.partition_pairs(three, 251) is None
 
 
 def test_partition_point_limit_counts_the_anchored_pairs(monkeypatch):
-    # the count before any tuple is built: at the built list's points it is built, one point fewer and it is
-    # refused, with one or two anchors and as few as no other label
+    # at the built list's points it is built, one point fewer and it is refused, with one or two anchors and as
+    # few as no other label
     for n in range(2, 10):
         for size in range(2, n + 4):
             space = FiniteSpace(tuple(chr(97 + i) for i in range(size)))
@@ -484,8 +489,41 @@ def test_partition_point_limit_counts_the_anchored_pairs(monkeypatch):
                 assert catalog.partition_pairs(space, n, anchors) is None, (n, size, anchors)
     monkeypatch.undo()
     # at the default limit: two anchors and 24 other labels from n = 24, one anchor and two others from n = 174
-    assert not catalog._too_many_points(23, 24, 2) and catalog._too_many_points(24, 24, 2)
-    assert not catalog._too_many_points(173, 2, 1) and catalog._too_many_points(174, 2, 1)
+    letters = FiniteSpace(tuple(chr(97 + i) for i in range(26)))
+    assert catalog.partition_pairs(letters, 23, ("a", "b")) is not None
+    assert catalog.partition_pairs(letters, 24, ("a", "b")) is None
+    three = FiniteSpace(("a", "b", "c"))
+    assert catalog.partition_pairs(three, 173, ("a",)) is not None and catalog.partition_pairs(three, 174, ("a",)) is None
+
+
+def test_partition_pairs_keep_a_refused_list(monkeypatch):
+    # the walk that refuses a list runs once: the second call is a cache hit
+    catalog._partition_pairs.cache_clear()
+    three = FiniteSpace(("a", "b", "c"))
+    assert catalog.partition_pairs(three, 251) is None
+    assert catalog._partition_pairs.cache_info().hits == 0
+    assert catalog.partition_pairs(three, 251) is None
+    assert catalog._partition_pairs.cache_info().hits == 1
+    # the limit is part of the key, so a larger one builds the list
+    monkeypatch.setattr(catalog, "PARTITION_POINT_LIMIT", 10**9)
+    assert len(catalog.partition_pairs(three, 251)) == 16_000
+
+
+def test_catalog_reads_each_size_limit_in_one_place():
+    # each limit is decided on the walk over its own list, so no second model of a list's size reads it
+    readers = {}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id.endswith("_LIMIT"):
+                readers.setdefault(child.id, set()).add(where)
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}".lstrip(".") if named else where)
+
+    visit(ast.parse(inspect.getsource(catalog)), "")
+    assert readers == {
+        "PARTITION_POINT_LIMIT": {"partition_pairs"}, "AXIOM_PERMUTATION_LIMIT": {"CatalogEntry.axiom_tuples"},
+    }
 
 
 @pytest.mark.parametrize("vid", sorted(_PARTITION_IDS))
@@ -600,7 +638,10 @@ _FUBINI = (1, 1, 3, 13, 75, 541, 4683, 47293)  # ordered set partitions of n pos
 
 
 def test_gap_axiom_tuples_realise_every_0_1_gap_tuple_once():
-    # the coverage half of the gap proof: every nonconstant tuple over 0..n-1 whose sorted gaps are 0 or 1
+    # the coverage half of the gap proof: every nonconstant tuple over 0..n-1 whose sorted gaps are 0 or 1, as
+    # many as the ordered set partitions into two or more blocks, Fubini(m) = sum_k C(m, k) Fubini(m - k)
+    for m in range(1, len(_FUBINI)):
+        assert _FUBINI[m] == sum(math.comb(m, k) * _FUBINI[m - k] for k in range(1, m + 1))
     for n in range(2, 8):
         expected = {tuple(map(float, u)) for u in itertools.product(range(n), repeat=n)
                     if 0 < max(u) and set(u) == set(range(max(u) + 1))}

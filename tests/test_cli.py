@@ -107,6 +107,9 @@ def test_config_error_exit_two():
         # values that overflow a float on the box: the gap's p-th power, the enclosing circle's cubic terms
         ("verify", "--distance", "inner-interval-power:p=2", "--n", "4", "--space", "real:-1e160,1e160", "--budget", "200"),
         ("verify", "--distance", "enclosing-radius", "--n", "3", "--space", "plane:-1e110,1e110", "--budget", "200"),
+        # an empty label in a comma list: a trailing or doubled comma would add the label ""
+        ("verify", "--distance", "drastic", "--space", "finite:a,b,", "--n", "3"),
+        ("verify", "--distance", "drastic", "--space", "finite:a,,b", "--n", "3"),
     ],
 )
 def test_bad_input_exits_two_without_traceback(args):
@@ -195,6 +198,13 @@ def test_parsers_return_or_raise_value_error(text):
             parse(text)
         except ValueError:
             pass
+
+
+def test_finite_space_labels_are_stripped_and_nonempty():
+    assert parse_space("finite: a , b").labels == ("a", "b")
+    for spec in ("finite:a,b,", "finite:a,,b", "finite:,"):
+        with pytest.raises(ValueError, match="must not be empty"):
+            parse_space(spec)
 
 
 def test_int_list_checks_a_range_before_expanding_it():

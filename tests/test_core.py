@@ -188,13 +188,14 @@ def test_check_symmetry_catches_violation():
 
 
 def test_check_symmetry_evaluates_each_permutation_once():
-    # n <= 4: the base value plus the n! - 1 permutations other than t itself
+    # n <= 4: the base value plus the distinct permutations other than t itself, so on the 27 tuples of
+    # ABC^3 one call for each of the 3 constants, 3 for each of the 18 with two points, 6 for each of the 6 with three
     calls = []
     entry = catalog.make("cardinality", 3)
     d = NDistance("counted", 3, "any", lambda t: calls.append(t) or entry.distance.evaluator(t))
     v = check_symmetry(CatalogEntry(d), ABC, budget=27)
     assert v.passed and v.details["checked"] == 27
-    assert len(calls) == 27 * 6
+    assert len(calls) == 3 + 18 * 3 + 6 * 6
 
 
 def test_check_simplex_pass_and_fail():
