@@ -8,6 +8,7 @@ Exit codes: 0 all checks pass, 1 at least one check failed, 2 config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -404,7 +405,9 @@ def resolve_strong_constant(entry: catalog.CatalogEntry, n: int, k: int, explici
 
     Order: explicit flag; the optimal formula for standard repetition-
     invariant distances; the best k-constant for nonincreasing distances
-    with known partial constants.  Anything else needs the flag.
+    with known partial constants; the general formula from the best
+    constant K*_n alone, for n - 1/K*_n < k < n.  Anything else needs the
+    flag.
     """
     if explicit is not None:
         constant = float(explicit)
@@ -415,6 +418,9 @@ def resolve_strong_constant(entry: catalog.CatalogEntry, n: int, k: int, explici
         return properties.strong_constant_standard(n, k), "standard-formula"
     if entry.nonincreasing is True and k in entry.constants:
         return entry.constants[k], "best-k-constant"
+    if n in entry.constants:
+        with contextlib.suppress(ValueError):  # k outside the general formula's range
+            return properties.strong_constant_general(n, k, entry.constants[n]), "general-formula"
     raise ValueError(f"no strong constant known for {entry.name} at k={k}; pass --strong-constant")
 
 

@@ -5,7 +5,10 @@ The smallest enclosing circle uses the randomized incremental construction
 fixed-seed shuffle, so every result is a deterministic function of the point
 set alone.  That shuffle's permutation depends only on the number of points,
 so it is drawn once per length and cached (Welzl 1991 needs a random order,
-not a fresh one per call).
+not a fresh one per call).  One or two distinct points return their circle
+without the shuffle, and the loop skips the steps whose outcome is known
+(the first diameter circle of each rebuild, and the rebuilding point
+itself), so every result is the float the full construction gives.
 
 The euclidean Fermat value first tests the cheapest data point for
 optimality (Vardi & Zhang 2000).  When that fails, up to four points have
@@ -55,11 +58,28 @@ def smallest_enclosing_circle(points) -> Circle:
     Coordinates must lie within +-``ENCLOSING_COORD_LIMIT`` = 2^340, about
     2.2e102.  There the circumcircle's cubic terms, at most 12 L^3 for
     coordinates within +-L, stay below 2^1024.  Past about 1e103 they
-    overflow, and three distinct points can get radius 0.0.
+    overflow, and three distinct points can get a nan radius.
+
+    The loop is Welzl's with the steps whose outcome is known taken out,
+    so it returns the same floats.  One distinct point is its own circle,
+    of radius 0.0, and two are their diameter circle, which the shuffled
+    loop would reach through the same ``_diameter_circle`` call.  When the
+    i-th point p falls outside, the circle is rebuilt with p on its
+    boundary: the first step, j = 0, always gives the diameter circle of p
+    and the first point, which are distinct, and every circle built from
+    then on holds p within its radius, which is the largest distance from
+    its center to the points that define it, p among them.  So the inner
+    loop starts at j = 1 with that circle, always has a radius above 0.0,
+    and stops before j = i, where p would be found inside.
     """
     pts = sorted({(float(p[0]), float(p[1])) for p in points})
     if not pts:
         raise ValueError("at least one point required")
+    if len(pts) == 1:
+        return Circle(pts[0], 0.0)
+    if len(pts) == 2:
+        cx, cy, r = _diameter_circle(pts[0], pts[1])
+        return Circle((cx, cy), r)
     pts = [pts[i] for i in _shuffle_order(len(pts))]
     hypot = math.hypot
     (cx, cy), r = pts[0], 0.0
@@ -68,15 +88,12 @@ def smallest_enclosing_circle(points) -> Circle:
         if hypot(p[0] - cx, p[1] - cy) <= r * _REL_EPS:
             continue
         # smallest circle of pts[: i + 1] with p on the boundary
-        (cx, cy), r = p, 0.0
-        for j in range(i + 1):
+        cx, cy, r = _diameter_circle(p, pts[0])
+        for j in range(1, i):
             q = pts[j]
             if hypot(q[0] - cx, q[1] - cy) <= r * _REL_EPS:
                 continue
-            if r == 0.0:
-                cx, cy, r = _diameter_circle(p, q)
-            else:
-                cx, cy, r = _circle_two_boundary(pts[: j + 1], p, q)
+            cx, cy, r = _circle_two_boundary(pts[: j + 1], p, q)
     return Circle((cx, cy), r)
 
 

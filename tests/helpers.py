@@ -154,6 +154,34 @@ def ordered_scan_by_k(ev, pairs, n):
     return best
 
 
+def full_identification_walk(ev, tuples, tol=core.EQUAL_TOL):
+    """(walked tuples, first counterexample) of every identification of every tuple.
+
+    ``properties.check_nonincreasing_identification``'s walk written out
+    without its value-set shortcut: for each tuple with two or more points,
+    every ordered (i, j) with t_i != t_j, in the order of i, then j, puts
+    t_j in place of t_i, n(n-1) identifications for n distinct points, and
+    the walk stops after the first tuple where one of them raises d by more
+    than ``tol``.
+    """
+    walked, first = [], None
+    for t in tuples:
+        if len(set(t)) < 2:
+            continue
+        walked.append(t)
+        base = ev(t)
+        for i, j in itertools.permutations(range(len(t)), 2):
+            if t[i] == t[j]:
+                continue
+            u = t[:i] + (t[j],) + t[i + 1:]
+            after = ev(u)
+            if first is None and after > base + tol:
+                first = {"tuple": t, "identified": u, "before": base, "after": after}
+        if first is not None:
+            break
+    return walked, first
+
+
 # ---------------------------------------------------------------------------
 # the smallest enclosing circle as a recursion of helpers, the reference for
 # the flat loop of geometry.smallest_enclosing_circle: the same operations in

@@ -14,15 +14,16 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_circle, ordered_scan_by_k
+from helpers import brute_circle, full_identification_walk, ordered_scan_by_k
 from simplex_lab import catalog
 from simplex_lab.analysis import EXACT, estimate_best_constant, estimate_partial_constant, scan
 from simplex_lab.cli import default_space_for
 from simplex_lab.core import (
-    CIRCLE_POINTS, PASS, FiniteSpace, NDistance, Plane, RealLine, ValueSetDistance, check_axioms, check_identity,
-    check_simplex, check_symmetry, distinct_permutations, evaluate, iter_pairs, section, step_pairs,
+    CIRCLE_POINTS, FAIL, PASS, FiniteSpace, NDistance, Plane, RealLine, ValueSetDistance, check_axioms,
+    check_identity, check_simplex, check_symmetry, derive_seed, distinct_permutations, evaluate, iter_pairs,
+    iter_tuples, section, step_pairs,
 )
-from simplex_lab.geometry import GROUND_KINDS, count_lines, ground_distance, smallest_enclosing_circle
+from simplex_lab.geometry import GROUND_KINDS, Circle, count_lines, ground_distance, smallest_enclosing_circle
 from simplex_lab.properties import (
     check_nonincreasing_identification, check_repetition_invariance, check_strong_k_simplex, compositions,
     reduced_evaluator,
@@ -1096,6 +1097,44 @@ def test_value_set_entries_see_only_the_set_of_their_arguments(vid, data):
     ev = entry.distance.evaluator
     assert ev(t) == _BY_HAND[vid](t)
     assert ev(u) == ev(t)
+
+
+@pytest.mark.parametrize("vid", sorted(_BY_HAND))
+def test_nonincreasing_walks_the_sets_of_value_set_entries(vid):
+    # one identification per value that occurs once gives the verdict and first counterexample of all of them
+    dist_id, params = _VARIANT_BY_ID[vid]
+    for n in range(max(3, 2 ** params.get("p", 1)), 6):
+        entry = catalog.make(dist_id, n, **params)
+        kind = entry.distance.space_kind
+        space = FiniteSpace(tuple("abcd")) if kind == "any" else default_space_for(kind)
+        listed = entry.identification_tuples(space)
+        for seed in range(5):
+            v = check_nonincreasing_identification(entry, space, budget=200, seed=seed)
+            if listed is None:
+                tuples = iter_tuples(space, n, 200, derive_seed(seed, 500))
+            else:
+                tuples = (u for t in listed for u in distinct_permutations(t))
+            walked, first = full_identification_walk(entry.distance.evaluator, tuples)
+            assert v.status == (FAIL if first else PASS), (n, seed)
+            assert v.counterexample == first, (n, seed)
+            # checked counts one identification per position whose value occurs once
+            assert v.details["checked"] == sum(t.count(x) == 1 for t in walked for x in t), (n, seed)
+            assert ("method" in v.details) == (listed is not None)
+
+
+def test_enclosing_evaluators_call_the_catalog_circle(monkeypatch):
+    # the bench tracer times the circle by patching this name, so the evaluators must look it up there
+    calls = []
+
+    def counted(points):
+        calls.append(points)
+        return Circle((0.0, 0.0), 3.0)
+
+    monkeypatch.setattr(catalog, "smallest_enclosing_circle", counted)
+    t = ((0.0, 0.0), (2.0, 0.0), (0.0, 2.0))
+    assert catalog.make("enclosing-radius", 3)(*t) == 3.0
+    assert catalog.make("enclosing-area", 3)(*t) == math.pi * 3.0 * 3.0
+    assert calls == [sorted(t)] * 2
 
 
 def _arity_k_member(vid, k):

@@ -476,8 +476,9 @@ def test_verify_strong_checks_sum_based_at_n_3():
 
 
 def test_verify_strong_checks_explicit_constant():
-    # the mean has no derivable constant (not repetition-invariant, not
-    # nonincreasing), so one must be given; without it the config fails
+    # the mean is neither repetition-invariant nor nonincreasing, so at
+    # k = n, where the general formula stops, a constant must be given;
+    # without it the config fails
     r = run_cli(
         "verify", "--distance", "arithmetic-mean", "--n", "4", "--checks", "strong",
         "--k", "3", "--strong-constant", "1/2", "--budget", "8000",
@@ -487,9 +488,27 @@ def test_verify_strong_checks_explicit_constant():
     assert report["status"] == "pass"
     r = run_cli(
         "verify", "--distance", "arithmetic-mean", "--n", "4", "--checks", "strong",
-        "--k", "3", "--budget", "8000",
+        "--k", "4", "--budget", "8000",
     )
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("dist_id, prop", [
+    # K*_4 = 1/2, so n - 1/K*_4 = 2 < k = 3: (3/2)/1 - (1/2)/3
+    ("inner-interval", "strong-simplex(k=3, M=1.33333)"),
+    # K*_4 = 1/3: the general formula is the standard one, 1/2 + 1/18
+    ("arithmetic-mean", "strong-simplex(k=3, M=0.555556)"),
+])
+def test_verify_strong_checks_general_formula(dist_id, prop):
+    # neither repetition-invariant and standard nor nonincreasing: the best constant alone gives M
+    r = run_cli("verify", "--distance", dist_id, "--n", "4", "--checks", "strong", "--k", "3", "--budget", "8000")
+    assert r.returncode == 0, r.stderr
+    (v,) = json.loads(r.stdout)["verdicts"]
+    assert (v["property"], v["status"], v["details"]["constant_origin"]) == (prop, "pass", "general-formula")
+    # k = 2 is not above n - 1/K*_4 = 2 for inner-interval, and k = 4 is not below n
+    r = run_cli("verify", "--distance", dist_id, "--n", "4", "--checks", "strong",
+                "--k", "2" if dist_id == "inner-interval" else "4")
+    assert r.returncode == 2 and "pass --strong-constant" in r.stderr
 
 
 def test_space_parser_variants():

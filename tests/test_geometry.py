@@ -126,8 +126,24 @@ def _near_collinear_points(draw):
     return pts
 
 
+_INT_POINT = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def _few_distinct_points(draw):
+    # one or two distinct points, float or int, each drawn once or more, in any order
+    pool = draw(st.lists(_POINT | _INT_POINT, min_size=1, max_size=2, unique_by=lambda p: (float(p[0]), float(p[1]))))
+    return draw(st.permutations(pool + draw(st.lists(st.sampled_from(pool), max_size=4))))
+
+
 @settings(max_examples=500, deadline=None)
-@given(pts=st.lists(_POINT, min_size=1, max_size=7) | _points_with_repeats() | _near_collinear_points())
+@given(
+    pts=st.lists(_POINT, min_size=1, max_size=7)
+    | _points_with_repeats()
+    | _near_collinear_points()
+    | _few_distinct_points()
+    | st.lists(_INT_POINT, min_size=1, max_size=7)
+)
 def test_circle_matches_the_reference_bit_for_bit(pts):
     c = smallest_enclosing_circle(pts)
     got = (c.center[0], c.center[1], c.radius)
@@ -136,7 +152,7 @@ def test_circle_matches_the_reference_bit_for_bit(pts):
 
 @pytest.mark.parametrize("scale", [1e102, geometry.ENCLOSING_COORD_LIMIT])
 def test_circle_is_correct_up_to_the_coordinate_limit(scale):
-    # the circumcircle's cubic terms stay finite within +-2^340; at 1e103 this radius came out 0.0
+    # the circumcircle's cubic terms stay finite within +-2^340; at 1e103 this radius overflows
     # (5, 0), (-4, 3) and (-3, -4): an acute triangle, so its circumcircle is the enclosing one
     pts = [(scale * x / 5.0, scale * y / 5.0) for x, y in (CIRCLE_POINTS[0], CIRCLE_POINTS[3], CIRCLE_POINTS[5])]
     c = smallest_enclosing_circle(pts)

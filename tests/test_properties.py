@@ -39,7 +39,6 @@ from simplex_lab.properties import (
     reduced_evaluator,
     strong_constant_general,
     strong_constant_standard,
-    strong_threshold,
 )
 
 ABC = FiniteSpace(("a", "b", "c"))
@@ -113,12 +112,6 @@ def test_strong_constant_general_domain():
     got = strong_constant_general(4, 3, 2 / 5)
     assert got == pytest.approx((2 / 5 + 1) / (5 / 2 - 4 + 3) - (2 / 5) / 3)
     assert got == pytest.approx(14 / 15 - 2 / 15)
-
-
-def test_strong_threshold():
-    # strong constant at most 1 once k >= n + 2 - 1/K*
-    assert strong_threshold(4, 1 / 3) == pytest.approx(3.0)
-    assert strong_threshold(5, 1 / 4) == pytest.approx(3.0)
 
 
 def test_strong_k_simplex_arith_mean():
