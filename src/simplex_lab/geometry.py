@@ -5,10 +5,12 @@ The smallest enclosing circle uses the randomized incremental construction
 fixed-seed shuffle, so every result is a deterministic function of the point
 set alone.  That shuffle's permutation depends only on the number of points,
 so it is drawn once per length and cached (Welzl 1991 needs a random order,
-not a fresh one per call).  One or two distinct points return their circle
-without the shuffle, and the loop skips the steps whose outcome is known
-(the first diameter circle of each rebuild, and the rebuilding point
-itself), so every result is the float the full construction gives.
+not a fresh one per call).  Two distinct points return their diameter
+circle without the shuffle, and the loop skips the steps whose outcome is
+known (the first diameter circle of each rebuild, and the rebuilding point
+itself), so every result is the float the full construction gives.  A
+circumcircle that overflows, which coordinates past ``ENCLOSING_COORD_LIMIT``
+can cause, raises ValueError instead of returning a wrong circle.
 
 The euclidean Fermat value first tests the cheapest data point for
 optimality (Vardi & Zhang 2000).  When that fails, up to four points have
@@ -57,26 +59,29 @@ def smallest_enclosing_circle(points) -> Circle:
 
     Coordinates must lie within +-``ENCLOSING_COORD_LIMIT`` = 2^340, about
     2.2e102.  There the circumcircle's cubic terms, at most 12 L^3 for
-    coordinates within +-L, stay below 2^1024.  Past about 1e103 they
-    overflow, and three distinct points can get a nan radius.
+    coordinates within +-L, stay below 2^1024.  Past about 1e103 they can
+    overflow, and the loop would go on from a nan radius to a wrong circle
+    (a radius 5% short at 1e155), so a circumcircle that is not finite
+    raises ValueError when one of its points lies past the limit.  Within
+    it, a not finite circumcircle comes only from nearly collinear points
+    and loses to the other candidates as before.  Past about 8.9e307 the
+    midpoints overflow too, and the radius comes out inf.
 
     The loop is Welzl's with the steps whose outcome is known taken out,
-    so it returns the same floats.  One distinct point is its own circle,
-    of radius 0.0, and two are their diameter circle, which the shuffled
-    loop would reach through the same ``_diameter_circle`` call.  When the
-    i-th point p falls outside, the circle is rebuilt with p on its
-    boundary: the first step, j = 0, always gives the diameter circle of p
-    and the first point, which are distinct, and every circle built from
-    then on holds p within its radius, which is the largest distance from
-    its center to the points that define it, p among them.  So the inner
-    loop starts at j = 1 with that circle, always has a radius above 0.0,
-    and stops before j = i, where p would be found inside.
+    so it returns the same floats.  Two distinct points are their diameter
+    circle, which the shuffled loop would reach through the same
+    ``_diameter_circle`` call.  When the i-th point p falls outside, the
+    circle is rebuilt with p on its boundary: the first step, j = 0,
+    always gives the diameter circle of p and the first point, which are
+    distinct, and every circle built from then on holds p within its
+    radius, which is the largest distance from its center to the points
+    that define it, p among them.  So the inner loop starts at j = 1 with
+    that circle, always has a radius above 0.0, and stops before j = i,
+    where p would be found inside.
     """
     pts = sorted({(float(p[0]), float(p[1])) for p in points})
     if not pts:
         raise ValueError("at least one point required")
-    if len(pts) == 1:
-        return Circle(pts[0], 0.0)
     if len(pts) == 2:
         cx, cy, r = _diameter_circle(pts[0], pts[1])
         return Circle((cx, cy), r)
@@ -155,6 +160,9 @@ def _circumcircle(a: tuple, b: tuple, c: tuple) -> tuple | None:
     x = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay) + (cx * cx + cy * cy) * (ay - by)) / d
     y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx) + (cx * cx + cy * cy) * (bx - ax)) / d
     r = max(math.hypot(x - p[0], y - p[1]) for p in (a, b, c))
+    # r is nan or inf exactly when x or y is; past the limit the cubic terms overflowed
+    if not r < math.inf and max(map(abs, (*a, *b, *c))) > ENCLOSING_COORD_LIMIT:
+        raise ValueError(f"circumcircle overflows; coordinates must lie within +-{ENCLOSING_COORD_LIMIT:.3g} (2^340)")
     return (x, y, r)
 
 

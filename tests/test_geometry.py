@@ -152,12 +152,28 @@ def test_circle_matches_the_reference_bit_for_bit(pts):
 
 @pytest.mark.parametrize("scale", [1e102, geometry.ENCLOSING_COORD_LIMIT])
 def test_circle_is_correct_up_to_the_coordinate_limit(scale):
-    # the circumcircle's cubic terms stay finite within +-2^340; at 1e103 this radius overflows
+    # the circumcircle's cubic terms stay finite within +-2^340
     # (5, 0), (-4, 3) and (-3, -4): an acute triangle, so its circumcircle is the enclosing one
     pts = [(scale * x / 5.0, scale * y / 5.0) for x, y in (CIRCLE_POINTS[0], CIRCLE_POINTS[3], CIRCLE_POINTS[5])]
     c = smallest_enclosing_circle(pts)
     assert c.radius == pytest.approx(scale, rel=1e-12)
     assert c.center == (pytest.approx(0.0, abs=1e-12 * scale), pytest.approx(0.0, abs=1e-12 * scale))
+
+
+@pytest.mark.parametrize("scale", [1e103, 1e155])
+def test_circle_refuses_an_overflowing_circumcircle_past_the_limit(scale):
+    # the same triangle: at 1e103 its circumcircle is nan, and at 1e155 the loop
+    # went on from the nan to a radius 5% short
+    pts = [(scale * x / 5.0, scale * y / 5.0) for x, y in (CIRCLE_POINTS[0], CIRCLE_POINTS[3], CIRCLE_POINTS[5])]
+    with pytest.raises(ValueError, match=r"2\^340"):
+        smallest_enclosing_circle(pts)
+
+
+def test_circle_passes_over_an_infinite_circumcircle_within_the_limit():
+    # nearly collinear points well within the limit have a circumcircle centered at -inf
+    a, b, c = (-1e10, 0.0), (1e10, 0.0), (0.0, 1e-290)
+    assert geometry._circumcircle(a, c, b) == (0.0, -math.inf, math.inf)
+    assert smallest_enclosing_circle([a, b, c]) == geometry.Circle((0.0, 0.0), 1e10)
 
 
 def test_circle_points_lie_on_radius_five():
