@@ -4,9 +4,8 @@ Every ratio in the package comes from one kernel, ``scan``: it evaluates d
 on each nondegenerate (tuple, z) candidate and on the candidate's sections,
 folds the ratio into a running best, and records the first and the largest
 violation of a given constant.  The best-constant estimates, the simplex
-and strong-simplex checks, the partial-existence check and the calibration
-of single-anchor (a fold of its anchored type list) differ only in the
-candidates they feed it.
+and strong-simplex checks and the calibration of single-anchor (a fold of
+its anchored type list) differ only in the candidates they feed it.
 
 Estimates are certified lower bounds: every reported value is realized by a
 stored witness whose ratio can be recomputed from the witness alone.  The
@@ -22,17 +21,21 @@ folds one sorted tuple per multiset against every z: an n-distance is
 symmetric (axiom (ii)) and section sums are ``math.fsum``, independent of
 order, so the ratio depends only on the multiset of t and on z, and the
 sorted tuple is the lexicographically smallest of its orbit.  The lower
-bound, witness and indices are those of the scan over every ordered tuple;
-the axiom and property checks, which verify the symmetry, still enumerate
-every tuple (the repetition check every expansion of every label set),
-except that ``core.check_simplex`` folds the entry's type list where one
-exists, and so does the strong check with the entry's ``strong_list`` (the
-partition and value-set entries, and every hooked entry at k = n,
-``properties.check_strong_k_simplex``); ``core.check_identity`` and
-``core.check_symmetry`` (also with the 0/1-gap tuples of the ``gap_pairs``
-entries) walk the permutations of ``CatalogEntry.axiom_tuples``, and the
-nonincreasing check those of ``identification_tuples``.  Each check reads
-these lists from the entry it is given.
+bound, witness and indices are those of the scan over every ordered tuple.
+``core.check_symmetry`` and the repetition check answer a value-set entry
+by construction (``method: construction``: the wrapper evaluates f on the
+sorted set of its arguments, ``core.ValueSetDistance`` has the proof) and
+evaluate nothing.  Otherwise the axiom and property checks, which verify
+the symmetry, still enumerate every tuple (the repetition check every
+expansion of every label set), except that ``core.check_simplex`` folds
+the entry's type list where one exists, and so does the strong check with
+the entry's ``strong_list`` (the partition and value-set entries, and
+every hooked entry at k = n, ``properties.check_strong_k_simplex``);
+``core.check_identity`` and ``core.check_symmetry`` (also with the 0/1-gap
+tuples of the ``gap_pairs`` entries) walk the permutations of
+``CatalogEntry.axiom_tuples``, and the nonincreasing check those of
+``identification_tuples``.  Each check reads these lists from the entry it
+is given.
 ``core.step_pairs`` gives the 2(n-1) step pairs for the
 entries linear on every order cell of (x_1..x_n, z) on the line
 (diameter[abs], sum-based[abs], arithmetic-mean, fermat[abs],
@@ -314,33 +317,6 @@ def _refine(ev: Callable[[tuple], float], space: Space, n: int, k: int, best):
                     cur_best = found
         step *= 0.5
     return cur_best
-
-
-# ---------------------------------------------------------------------------
-# existence of a finite partial constant
-
-
-def check_partial_existence(
-    entry: CatalogEntry, space: Space, k: int, budget: int = 4096, seed: int = 0
-) -> PropertyVerdict:
-    """Search for an infinite partial ratio: a witness killing every k-term sum.
-
-    k = 1 always fails on a genuine n-distance (take t = (x, z, ..., z)); for
-    k >= 2 at most one section can vanish, so the check passes.  The whole
-    budget is scanned, and a failure reports the lexicographically smallest
-    infinite-ratio witness.
-    """
-    d = entry.distance
-    n = d.arity
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}")
-    prop = f"partial-constant-exists(k={k})"
-    best, _, _, checked = scan(d.evaluator, iter_pairs(space, n, budget, seed), k)
-    ce = None
-    if best is not None and math.isinf(best[0]):
-        _, t, z, idx = best
-        ce = {"tuple": t, "z": z, "indices": idx, "ratio": "inf"}
-    return PropertyVerdict.of(prop, {"checked": checked}, ce)
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,27 @@ def evaluate(d: NDistance, t: tuple) -> float:
 class ValueSetDistance(NDistance):
     """An ``NDistance`` that ``value_set_distance`` built: d(t) depends only on set(t).
 
+    Such a d is symmetric (axiom (ii)) and repetition-invariant by
+    construction, so ``check_symmetry`` and
+    ``properties.check_repetition_invariance`` answer PASS for it without
+    evaluating anything (``PropertyVerdict.by_construction``).  Proof: the
+    evaluator calls f on s = sorted(set(t)), or returns 0.0 where s has one
+    point.  A permutation of t, or a tuple with other multiplicities of the
+    same values, has the same set, and sorting a set of pairwise distinct,
+    totally ordered points gives one list whatever order the set iterates
+    in.  So f sees the same list and returns the same float, bit for bit.
+    The argument rests on two premises:
+
+    - points are totally ordered: no coordinate is NaN, which compares
+      unequal to itself and leaves ``sorted`` order-dependent;
+    - ``-0.0`` and ``0.0`` (as a coordinate of a planar point too) are one
+      element to ``set()``, which keeps whichever comes first, and every
+      catalog f reads them the same way.
+
+    Identity is not answered here: d(t) > 0 for two or more distinct points
+    is a property of f, not of the wrapper.  Neither are the simplex, strong
+    and nonincreasing properties, which f may fail.
+
     ``dataclasses.replace`` keeps the class, so a copy may wrap the
     evaluator only in something that keeps its values, such as a timer.
     """
@@ -231,7 +252,8 @@ class PropertyVerdict:
 
         A counterexample fails.  Otherwise a ``"reason"`` in ``details``
         (a precondition that was not met) or ``checked == 0`` (no candidate
-        was checked) is NOT_APPLICABLE.  Anything else passes.
+        was checked) is NOT_APPLICABLE.  Anything else passes, a verdict
+        ``by_construction`` among them.
         """
         if counterexample is not None:
             status = FAIL
@@ -241,6 +263,15 @@ class PropertyVerdict:
         else:
             status = PASS
         return cls(prop, status, counterexample, worst, details)
+
+    @classmethod
+    def by_construction(cls, prop: str) -> PropertyVerdict:
+        """PASS for a property that ``value_set_distance`` guarantees; ``ValueSetDistance`` has the proof.
+
+        Its details name the construction and carry no ``checked`` count:
+        nothing was evaluated, so the verdict does not read like a walk.
+        """
+        return cls.of(prop, {"method": "construction", "construction": "core.value_set_distance"})
 
     @property
     def passed(self) -> bool:
@@ -470,20 +501,28 @@ def check_identity(entry: CatalogEntry, space: Space, budget: int = 4096, seed: 
 def check_symmetry(entry: CatalogEntry, space: Space, budget: int = 512, seed: int = 0) -> PropertyVerdict:
     """Axiom (ii): invariance under permutation of the arguments.
 
-    The check compares d on each of the entry's ``axiom_tuples`` with d on
-    its other distinct permutations, proven to decide the axiom, and
-    reports ``method: exact``; where that is None, on each of ``budget``
-    tuples of ``iter_tuples`` with its other permutations (every distinct
-    one for n <= 4, ten seeded shuffles beyond).  ``checked`` counts the tuples
+    A value-set entry, one that ``value_set_distance`` built, is symmetric
+    by construction (``ValueSetDistance`` has the proof): the check answers
+    PASS with ``method: construction`` and no ``checked`` count, before any
+    list or budget is read.  For every other entry the check compares d on
+    each of the entry's ``axiom_tuples`` with d on its other distinct
+    permutations, proven to decide the axiom, and reports ``method:
+    exact``; where that is None, on each of ``budget`` tuples of
+    ``iter_tuples`` with its other permutations (every distinct one for
+    n <= 4, ten seeded shuffles beyond).  ``checked`` counts the tuples
     whose permutations all agreed.  For the gap entries (inner-interval and
-    inner-interval-power) the tuples have every sorted gap 0 or 1: d is a
-    strictly increasing function of one gap on each cell of one order and
-    one largest gap, their permutations generate every such cell, and a
-    permutation maps cells onto cells, so agreement on them is symmetry
-    everywhere (``CatalogEntry.axiom_tuples`` has the proof).
+    inner-interval-power, whose evaluators reach this walk only through a
+    copy that is not a ``ValueSetDistance``) the tuples have every sorted
+    gap 0 or 1: d is a strictly increasing function of one gap on each cell
+    of one order and one largest gap, their permutations generate every
+    such cell, and a permutation maps cells onto cells, so agreement on
+    them is symmetry everywhere (``CatalogEntry.axiom_tuples`` has the
+    proof).
     """
     d = entry.distance
     prop = f"symmetry({d.name})"
+    if isinstance(d, ValueSetDistance):
+        return PropertyVerdict.by_construction(prop)
     tol = 0.0 if space.kind == "finite" else EQUAL_TOL
     n = d.arity
     tuples = entry.axiom_tuples(space)

@@ -12,9 +12,11 @@ only which arguments are equal, the value-set entries, whose value
 depends only on the set of their arguments, and every hooked entry at
 k = n), the nonincreasing check walks the permutations of
 ``CatalogEntry.identification_tuples``, and the multidistance check folds
-each member's ``CatalogEntry.triangle_list``.  No check here names a hook,
-and each searches only its own property: the one check that calls others
-is ``check_multi_to_ndistance``, on its hypothesis and its conclusion.
+each member's ``CatalogEntry.triangle_list``.  The repetition check
+answers a value-set entry by construction (``method: construction``), as
+``core.check_symmetry`` does.  No check here names a hook, and each
+searches only its own property: the one check that calls others is
+``check_multi_to_ndistance``, on its hypothesis and its conclusion.
 """
 
 from __future__ import annotations
@@ -225,7 +227,11 @@ def check_repetition_invariance(
 ) -> PropertyVerdict:
     """d depends only on the underlying set of values, not on multiplicities.
 
-    Each value set of ``_canonical_value_sets`` is expanded over every
+    A value-set entry, one that ``core.value_set_distance`` built, is
+    repetition-invariant by construction (``core.ValueSetDistance`` has the
+    proof): the check answers PASS with ``method: construction`` and no
+    ``checked`` count, and evaluates nothing.  For every other entry, each
+    value set of ``_canonical_value_sets`` is expanded over every
     composition of n into as many blocks, and each expansion is compared
     with the first expansion of its set.  On a small finite space the sets
     are every set of 2..n labels, so the check is exhaustive for a symmetric
@@ -233,6 +239,8 @@ def check_repetition_invariance(
     """
     n = entry.arity
     prop = "repetition-invariance"
+    if isinstance(entry.distance, ValueSetDistance):
+        return PropertyVerdict.by_construction(prop)
     ev = entry.distance.evaluator
     tol = 0.0 if space.kind == "finite" else EQUAL_TOL
     checked = 0

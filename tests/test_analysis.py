@@ -18,7 +18,6 @@ from simplex_lab.analysis import (
     _eval_candidate,
     check_attainment_transfer,
     check_partial_bound,
-    check_partial_existence,
     check_sufficient_standard,
     check_symmetrization,
     estimate_best_constant,
@@ -425,15 +424,6 @@ def test_exhaustive_tie_break_is_lexicographic():
     assert est.method == EXACT
     assert est.lower_bound == 0.25
     assert (est.witness.points, est.witness.z) == (("e", "e", "e", "e", "y1"), "e")
-
-
-def test_partial_existence():
-    entry = catalog.make("cardinality", 4)
-    v1 = check_partial_existence(entry, ABC, k=1)
-    assert v1.failed
-    assert v1.counterexample["ratio"] == "inf"
-    for k in (2, 3, 4):
-        assert check_partial_existence(entry, ABC, k=k).passed
 
 
 def test_partial_bound_chain_standard():

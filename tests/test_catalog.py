@@ -292,16 +292,54 @@ def test_flags_are_the_checkers_verdicts(dist_id, params):
             assert (est.lower_bound == 1 / (n - 1)) == entry.standard, (entry.name, est.lower_bound)
 
 
+_CONSTRUCTION = {"method": "construction", "construction": "core.value_set_distance"}
+
+
+def _unwrapped(entry):
+    """The entry with the same evaluator in a plain ``NDistance``: no check answers it by construction."""
+    d = entry.distance
+    return dataclasses.replace(entry, distance=NDistance(d.name, d.arity, d.space_kind, d.evaluator))
+
+
 @pytest.mark.parametrize("dist_id, params", _VARIANTS, ids=_VARIANT_IDS)
 def test_identity_and_symmetry_on_the_default_space(dist_id, params):
     entry = catalog.make(dist_id, 4, **params)
     space = default_space_for(entry.distance.space_kind)
-    for e in (entry, dataclasses.replace(entry, type_pairs=None)):
-        for v in (
-            check_identity(e, space, budget=4096, seed=42),
-            check_symmetry(e, space, budget=512, seed=42),
-        ):
-            assert v.status == PASS and v.details["checked"] > 0, (v.property, v.counterexample, v.details)
+    value_set = isinstance(entry.distance, ValueSetDistance)
+    for e in (entry, dataclasses.replace(entry, type_pairs=None)) + ((_unwrapped(entry),) if value_set else ()):
+        identity = check_identity(e, space, budget=4096, seed=42)
+        symmetry = check_symmetry(e, space, budget=512, seed=42)
+        assert identity.status == PASS and identity.details["checked"] > 0, (identity.counterexample, identity.details)
+        assert symmetry.status == PASS, (symmetry.counterexample, symmetry.details)
+        if isinstance(e.distance, ValueSetDistance):
+            assert symmetry.details == _CONSTRUCTION
+        else:
+            assert symmetry.details["checked"] > 0, symmetry.details
+
+
+@pytest.mark.parametrize("dist_id, params", _VARIANTS, ids=_VARIANT_IDS)
+def test_symmetry_and_repetition_answer_only_value_set_entries_by_construction(dist_id, params):
+    # a timed copy, whose evaluator keeps its values and whose distance keeps its class, as the bench
+    # tracer makes it, is answered as the entry is; the unwrapped copy walks or samples to the same status
+    entry = catalog.make(dist_id, 4, **params)
+    space = default_space_for(entry.distance.space_kind)
+    value_set = isinstance(entry.distance, ValueSetDistance)
+    calls = []
+
+    def timed_ev(t, ev=entry.distance.evaluator):
+        calls.append(t)
+        return ev(t)
+
+    timed = dataclasses.replace(entry, distance=dataclasses.replace(entry.distance, evaluator=timed_ev))
+    for check in (check_symmetry, check_repetition_invariance):
+        v, v_timed, walked = (check(e, space, seed=42) for e in (entry, timed, _unwrapped(entry)))
+        assert v.status == v_timed.status == walked.status, (v, walked)
+        assert walked.details["checked"] > 0 and walked.details.get("method") != "construction"
+        if value_set:
+            assert v.status == PASS and v.details == v_timed.details == _CONSTRUCTION
+        else:
+            assert v.details.get("method") != "construction" and v.details["checked"] > 0
+    assert (calls == []) == value_set
 
 
 # K*_n of the README's catalog table; None where the table says "bracketed",
@@ -602,8 +640,10 @@ def test_type_list_only_on_the_entrys_own_space_kind():
     entry = catalog.make("inner-interval", 8)
     identity, symmetry, simplex = check_axioms(entry, RealLine(), budget=64)
     assert simplex.details == {"checked": 1, "max_ratio": 0.25, "method": EXACT}
-    assert "method" not in identity.details and "method" not in symmetry.details
-    assert all("method" not in v.details for v in check_axioms(dataclasses.replace(entry, type_pairs=None), RealLine()))
+    assert "method" not in identity.details and symmetry.details == _CONSTRUCTION
+    assert "method" not in check_symmetry(_unwrapped(entry), RealLine(), budget=64).details
+    hookless = dataclasses.replace(_unwrapped(entry), type_pairs=None)
+    assert all("method" not in v.details for v in check_axioms(hookless, RealLine()))
 
 
 
@@ -712,7 +752,9 @@ def test_gap_axiom_tuples_stop_at_the_permutation_limit():
         assert tracemalloc.get_traced_memory()[1] < 50e6
     finally:
         tracemalloc.stop()
-    identity, symmetry, _ = check_axioms(catalog.make("inner-interval-power", 8, p=2), RealLine(), budget=64)
+    # the unwrapped copy, since the entry itself answers symmetry by construction
+    entry = _unwrapped(catalog.make("inner-interval-power", 8, p=2))
+    identity, symmetry, _ = check_axioms(entry, RealLine(), budget=64)
     assert identity.passed and symmetry.passed
     assert "method" not in identity.details and "method" not in symmetry.details
 
@@ -750,10 +792,14 @@ def test_identity_and_symmetry_on_the_axiom_tuples_agree_with_sampling(variant):
         for space in _axiom_spaces(entry):
             tuples = entry.axiom_tuples(space)
             perms = sum(1 for t in tuples for _ in distinct_permutations(t))
-            hookless = dataclasses.replace(entry, type_pairs=None)
             for check, budget, checked in ((check_identity, 512, perms), (check_symmetry, 64, len(tuples))):
-                exact = check(entry, space)
-                sampled = check(hookless, space, budget=budget, seed=42)
+                e = entry
+                if check is check_symmetry and isinstance(entry.distance, ValueSetDistance):
+                    # answered by construction; the same evaluator, unwrapped, still walks the tuples
+                    assert check(entry, space).details == _CONSTRUCTION
+                    e = _unwrapped(entry)
+                exact = check(e, space)
+                sampled = check(dataclasses.replace(e, type_pairs=None), space, budget=budget, seed=42)
                 assert exact.status == sampled.status == PASS, (n, space, exact, sampled)
                 assert exact.details["method"] == EXACT and exact.details["checked"] == checked > 0
 
@@ -1072,8 +1118,8 @@ _BY_HAND = {
     "inner-interval": _gap_by_hand,
     **{f"inner-interval-power[p={p}]": lambda t, p=p: _gap_by_hand(t) ** p for p in (1, 2)},
 }
-# small integers put several points on a line and repeat gaps
-_SET_COORD = st.one_of(st.integers(-3, 3).map(float), st.floats(-8.0, 8.0))
+# small integers put several points on a line and repeat gaps; 0.0 and -0.0 are one point to set()
+_SET_COORD = st.one_of(st.integers(-3, 3).map(float), st.sampled_from((0.0, -0.0)), st.floats(-8.0, 8.0))
 _SET_POINTS = {"finite": st.sampled_from("abcde"), "real-line": _SET_COORD, "plane": st.tuples(_SET_COORD, _SET_COORD)}
 
 
@@ -1086,7 +1132,9 @@ def test_value_set_entries_are_the_wrapped_variants():
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_value_set_entries_see_only_the_set_of_their_arguments(vid, data):
-    # the wrapped evaluator is the one written by hand, and equal value sets give equal values
+    # the wrapped evaluator is the one written by hand, and equal value sets give the same float bit for
+    # bit, whichever of 0.0 and -0.0 stands for a zero coordinate: the premises of check_symmetry's and
+    # check_repetition_invariance's answer by construction
     n = data.draw(st.integers(4, 6), label="n")
     entry = _make(vid, n)
     pool = data.draw(st.lists(_SET_POINTS[entry.distance.space_kind], min_size=1, max_size=n), label="pool")
@@ -1094,9 +1142,21 @@ def test_value_set_entries_see_only_the_set_of_their_arguments(vid, data):
     values = list(dict.fromkeys(t))
     extra = data.draw(st.lists(st.sampled_from(values), min_size=n - len(values), max_size=n - len(values)))
     u = tuple(data.draw(st.permutations(values + extra), label="u"))
+    flips = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="flips")
+    u = tuple(_negate_zeros(p) if flip else p for p, flip in zip(u, flips))
+    assert set(u) == set(t)
     ev = entry.distance.evaluator
     assert ev(t) == _BY_HAND[vid](t)
-    assert ev(u) == ev(t)
+    assert repr(ev(u)) == repr(ev(t))
+
+
+def _negate_zeros(p):
+    """The point with each zero coordinate's sign flipped: the same element of a set."""
+    if isinstance(p, str):
+        return p
+    if isinstance(p, tuple):
+        return tuple(map(_negate_zeros, p))
+    return -p if p == 0.0 else p
 
 
 @pytest.mark.parametrize("vid", sorted(_BY_HAND))

@@ -131,25 +131,39 @@ def test_verify_decides_the_simplex_axiom_on_the_type_list():
 
 
 def test_verify_decides_identity_and_symmetry_on_the_axiom_tuples():
-    # the partition, line step-pair and gap entries are exact
-    for dist_id, space, exact in (("cardinality", "finite:3", True), ("arithmetic-mean", "real", True),
-                                  ("inner-interval", "real", True)):
+    # the partition, line step-pair and gap entries are exact; inner-interval, a value-set entry, is
+    # symmetric by construction
+    for dist_id, space, symmetry_method in (("cardinality", "finite:3", "exact"), ("arithmetic-mean", "real", "exact"),
+                                            ("inner-interval", "real", "construction")):
         r = run_cli("verify", "--distance", dist_id, "--n", "4", "--space", space, "--budget", "2000")
         assert r.returncode == 0, r.stderr
         identity, symmetry, _ = json.loads(r.stdout)["verdicts"]
-        for v, prop in ((identity, "identity("), (symmetry, "symmetry(")):
+        for v, prop, method in ((identity, "identity(", "exact"), (symmetry, "symmetry(", symmetry_method)):
             assert v["property"].startswith(prop) and v["status"] == "pass"
-            assert (v["details"].get("method") == "exact") is exact, (dist_id, v)
+            assert v["details"].get("method") == method, (dist_id, v)
+
+
+def test_verify_answers_value_set_symmetry_and_repetition_by_construction():
+    r = run_cli("verify", "--distance", "enclosing-radius", "--n", "4", "--space", "plane",
+                "--checks", "axioms,repetition", "--budget", "800")
+    assert r.returncode == 0, r.stderr
+    identity, symmetry, simplex, repetition = json.loads(r.stdout)["verdicts"]
+    construction = {"method": "construction", "construction": "core.value_set_distance"}
+    for v in (symmetry, repetition):
+        assert v["status"] == "pass" and v["details"] == construction, v
+    assert identity["status"] == "pass" and identity["details"]["checked"] > 0
+    assert simplex["status"] == "pass" and simplex["details"]["method"] == "exact"
 
 
 def test_verify_samples_the_gap_entries_past_the_permutation_limit():
-    # n = 64 has Fubini(64) - 1 permuted 0/1-gap tuples, so identity and symmetry sample the budget
+    # n = 64 has Fubini(64) - 1 permuted 0/1-gap tuples, so identity samples the budget
     r = run_cli("verify", "--distance", "inner-interval", "--n", "64", "--budget", "100")
     assert r.returncode == 0, r.stderr
     identity, symmetry, simplex = json.loads(r.stdout)["verdicts"]
-    for v in (identity, symmetry):
-        assert v["status"] == "pass" and "method" not in v["details"]
+    assert identity["status"] == "pass" and "method" not in identity["details"]
     assert identity["details"]["checked"] == 100 and simplex["details"]["method"] == "exact"
+    # symmetry is answered by construction, past the limit too
+    assert symmetry["status"] == "pass" and symmetry["details"]["method"] == "construction"
 
 
 def test_line_count_passes_at_its_exact_lower_bracket_end():
