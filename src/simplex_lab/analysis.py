@@ -386,14 +386,15 @@ def check_symmetrization(
 
 
 def check_attainment_transfer(
-    entry: CatalogEntry, witness: Witness, k: int, kstar: float | None = None
+    entry: CatalogEntry, witness: Witness | None, k: int, kstar: float | None = None
 ) -> PropertyVerdict:
     """Equality transfer from a K*_n-attaining witness to partial sums.
 
     At a witness (t, z) attaining K*_n, the k-term sum bound
     1/(1/K*_n - n + k) is attained by an index set S exactly when every
     section outside S leaves the value unchanged.  Verified over all k-sets.
-    ``kstar`` defaults to the entry's known K*_n.
+    ``kstar`` defaults to the entry's known K*_n; without one, or without a
+    witness, the verdict is not applicable.
     """
     d = entry.distance
     n = d.arity
@@ -401,7 +402,9 @@ def check_attainment_transfer(
     if kstar is None:
         kstar = entry.constants.get(n)
     if kstar is None:
-        raise ValueError("the best constant is needed (no metadata, none given)")
+        return PropertyVerdict.of(prop, {"reason": "no known best constant K*_n"})
+    if witness is None:
+        return PropertyVerdict.of(prop, {"reason": "no witness"})
     if not (n - 1.0 / kstar < k <= n):
         return PropertyVerdict.of(prop, {"reason": "k outside (n - 1/K*, n]"})
     if abs(witness.ratio - kstar) > TOL:
@@ -441,13 +444,17 @@ def check_sufficient_standard(
     If (a) K*_n < 1/(n-k) and is attained at a witness whose value is kept
     by at least n-k sections, and (b) the k-term partial inequality holds
     with constant 1/(k-1), then the distance is standard.  Cross-checked
-    against the estimated K*_n.
+    against the estimated K*_n.  Both constants must be known: exact or
+    analytic.  A sampled estimate only bounds its constant below, which
+    shows neither (a) nor (b).
     """
     d = entry.distance
     n, k = full.n, partial.k
     prop = f"sufficient-standard(k={k})"
     if k >= n:
         return PropertyVerdict.of(prop, {"reason": "needs k < n"})
+    if any(e.method != EXACT and e.analytic is None for e in (full, partial)):
+        return PropertyVerdict.of(prop, {"reason": "a sampled estimate only bounds its constant below"})
     kn = _estimate_value(full)
     cond_a_bound = kn < 1.0 / (n - k) - TOL
     cond_a_witness = False

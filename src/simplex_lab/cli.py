@@ -102,7 +102,9 @@ def parse_space(spec: str) -> Space:
         raise ValueError(f"unknown space spec {spec!r}")
     if not tail:
         return cls()
-    low, _, high = tail.partition(",")
+    low, comma, high = tail.partition(",")
+    if not (comma and low.strip() and high.strip()):
+        raise ValueError(f"expected {name}:LOW,HIGH with both ends, got {spec!r}")
     return cls(float(low), float(high))
 
 
@@ -127,7 +129,7 @@ def tolerance_value(text: str) -> float:
 
 
 def parse_int_list(text: str, low: int, high: int, what: str = "k") -> list[int]:
-    """'3' | '2,3' | '2..5' -> validated list of ints in [low, high]; a range's ends are checked first."""
+    """'3' | '2,3' | '2..5' -> validated list of distinct ints in [low, high]; a range's ends are checked first."""
     start, dots, stop = text.partition("..")
     values = [int(start), int(stop)] if dots else [int(x) for x in text.split(",")]
     for v in values:
@@ -135,6 +137,8 @@ def parse_int_list(text: str, low: int, high: int, what: str = "k") -> list[int]
             raise ValueError(f"{what}={v} out of range [{low}, {high}]")
     if dots:
         values = list(range(values[0], values[1] + 1))
+    elif len(set(values)) < len(values):
+        raise ValueError(f"repeated {what} in {text!r}")
     if not values:
         raise ValueError(f"empty {what} list")
     return values
@@ -485,6 +489,8 @@ def run_constants(args) -> dict:
         rows.append(constant_row(f"K*_{n},{k}", part, tol))
         verdicts.append(analysis.check_partial_bound(full, part, tol=max(tol, analysis.RELATION_TOL)))
         verdicts.append(analysis.check_symmetrization(full, part, tol=max(tol, analysis.RELATION_TOL)))
+        verdicts.append(analysis.check_attainment_transfer(entry, full.witness, k))
+        verdicts.append(analysis.check_sufficient_standard(entry, full, part))
 
     config = _base_config(
         args, seed, space=space_json(space), n=args.n, distance=dist_id, params=params, k=ks, tolerance=args.tolerance,

@@ -15,7 +15,8 @@ can cause, raises ValueError instead of returning a wrong circle.
 The euclidean Fermat value first tests the cheapest data point for
 optimality (Vardi & Zhang 2000).  When that fails, up to four points have
 closed forms (Fermat-Torricelli for three, Plastria 2006 for four), and
-Weiszfeld runs only from five points on.
+Weiszfeld runs only from five points on.  Up to four points, the pairwise
+distances are computed once and serve the costs, the test and the closed form.
 Line counts are exact.  When the floating-point orientation test of
 Shewchuk (1997), inside the window where its error bound holds, certifies
 every triple non-collinear, the count is C(m, 2) for m distinct points.
@@ -342,10 +343,22 @@ def fermat_value(points, ground: str = "abs") -> float:
       120 degrees or on a flattened quadrilateral it meets the vertex
       cost, so a test that fails by rounding still returns the minimum.
 
+      Up to four points the pairwise distances are computed once, six
+      hypot calls for four points, and serve the vertex costs, the vertex
+      test and the pairing sum.  Each cost is the left-to-right sum of the
+      distances in sorted order; the zero self-distance is skipped, which
+      is exact.  From Python 3.12 on, ``sum()`` of floats is compensated,
+      which is why the order is stated.  A tie goes to the smallest point.
+
       From five points on, Weiszfeld iteration with vertex-stall handling:
       it stops when a step moves less than ``_WEISZFELD_TOL`` (1e-10) or
       after ``_WEISZFELD_MAX_ITER`` (10^4) iterations; the best value found
-      is returned even if the iteration did not converge.
+      is returned even if the iteration did not converge.  That value is
+      the cost of a real point, so it is an upper bound on the minimum and
+      never below it.  In a ratio d(t) / (sum of sections) the numerator
+      and every section may each read high, so the ratio's error has no
+      known sign: a numerator read high raises it, a denominator read
+      high lowers it.
     * ``chebyshev`` (plane): exact via the rotation u = x+y, v = x-y, which
       makes the objective separable into two median problems.
     * ``discrete`` (finite labels): exact, the minimizer is a modal label.
@@ -362,7 +375,7 @@ def fermat_value(points, ground: str = "abs") -> float:
         vs = sorted(x - y for x, y in pts)
         return (_median_cost(us) + _median_cost(vs)) / 2.0
     if ground == "euclidean":
-        return _weiszfeld(pts)
+        return _small_fermat(pts) if len(pts) <= 4 else _weiszfeld(pts)
     raise ValueError(f"unknown ground distance: {ground}")
 
 
@@ -372,7 +385,71 @@ def _median_cost(xs: list) -> float:
     return sum(abs(x - m) for x in xs)
 
 
+def _runs(equal: tuple) -> tuple:
+    """(first index, multiplicity) of each run of sorted points; ``equal[j]``: points j and j + 1 are equal."""
+    runs = [[0, 1]]
+    for j, same in enumerate(equal, 1):
+        if same:
+            runs[-1][1] += 1
+        else:
+            runs.append([j, 1])
+    return tuple(map(tuple, runs))
+
+
+# the runs of three or four sorted points, keyed by which neighbours are equal
+_RUNS = {equal: _runs(equal) for r in (2, 3) for equal in itertools.product((False, True), repeat=r)}
+
+
+def _small_fermat(pts: list) -> float:
+    """The euclidean Fermat value of one to four sorted points, from their pairwise distances."""
+    m = len(pts)
+    if m == 1:
+        return 0.0
+    hypot = math.hypot
+    (ax, ay), (bx, by) = pts[0], pts[1]
+    ab = hypot(bx - ax, by - ay)
+    if m == 2:
+        return ab
+    cx, cy = pts[2]
+    ac = hypot(cx - ax, cy - ay)
+    bc = hypot(cx - bx, cy - by)
+    # a zero distance marks equal neighbours: for finite floats x - y == 0 only when x == y
+    if m == 3:
+        rows = ((0.0, ab, ac), (ab, 0.0, bc), (ac, bc, 0.0))
+        costs = (ab + ac, ab + bc, ac + bc)
+        runs = _RUNS[ab == 0.0, bc == 0.0]
+    else:
+        dx, dy = pts[3]
+        ad = hypot(dx - ax, dy - ay)
+        bd = hypot(dx - bx, dy - by)
+        cd = hypot(dx - cx, dy - cy)
+        rows = ((0.0, ab, ac, ad), (ab, 0.0, bc, bd), (ac, bc, 0.0, cd), (ad, bd, cd, 0.0))
+        costs = (ab + ac + ad, ab + bc + bd, ac + bc + cd, ad + bd + cd)
+        runs = _RUNS[ab == 0.0, bc == 0.0, cd == 0.0]
+    best = min(costs)
+    i = costs.index(best)  # the first of its run: equal points cost the same
+    vx, vy = pts[i]
+    row = rows[i]
+    gx = gy = 0.0  # the vertex test, over the runs in sorted order
+    for j, k in runs:
+        if j == i:
+            kv = k
+        else:
+            px, py = pts[j]
+            gx += k * (px - vx) / row[j]
+            gy += k * (py - vy) / row[j]
+    if hypot(gx, gy) <= kv:
+        return best
+    if m == 3:
+        squares = (bx - ax) ** 2 + (by - ay) ** 2 + (cx - bx) ** 2 + (cy - by) ** 2 + (cx - ax) ** 2 + (cy - ay) ** 2
+        twice_area = abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+        return math.sqrt(squares / 2.0 + math.sqrt(3.0) * twice_area)
+    return max(ab + cd, ac + bd, ad + bc)
+
+
 def _weiszfeld(pts: list) -> float:
+    """The euclidean Fermat value of five or more sorted points."""
+
     def cost(q: tuple) -> float:
         return sum(math.hypot(p[0] - q[0], p[1] - q[1]) for p in pts)
 
@@ -386,18 +463,9 @@ def _weiszfeld(pts: list) -> float:
             d = math.hypot(p[0] - v[0], p[1] - v[1])
             gx += k * (p[0] - v[0]) / d
             gy += k * (p[1] - v[1]) / d
-    m = len(pts)
-    if m <= 2 or math.hypot(gx, gy) <= counts[v]:
+    if math.hypot(gx, gy) <= counts[v]:
         return best
-    if m == 3:
-        (ax, ay), (bx, by), (cx, cy) = pts
-        squares = (bx - ax) ** 2 + (by - ay) ** 2 + (cx - bx) ** 2 + (cy - by) ** 2 + (cx - ax) ** 2 + (cy - ay) ** 2
-        twice_area = abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-        return math.sqrt(squares / 2.0 + math.sqrt(3.0) * twice_area)
-    if m == 4:
-        a, b, c, d = pts
-        dist = math.dist
-        return max(dist(a, b) + dist(c, d), dist(a, c) + dist(b, d), dist(a, d) + dist(b, c))
+    m = len(pts)
     x = (sum(p[0] for p in pts) / m, sum(p[1] for p in pts) / m)
     best = min(best, cost(x))
     for _ in range(_WEISZFELD_MAX_ITER):

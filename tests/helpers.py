@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from simplex_lab import core
@@ -116,6 +117,45 @@ def grid_fermat(points, ground="abs", rounds=8):
         return _golden_min(lambda y: sum(g(p, (x, y)) for p in pts), min(ys) - 1.0, max(ys) + 1.0)
 
     return _golden_min(column_min, min(xs) - 1.0, max(xs) + 1.0)
+
+
+def reference_small_fermat(points):
+    """Euclidean Fermat value of one to four planar points, the vertex search and closed forms as
+    ``geometry.fermat_value`` computed them before it read the six pairwise distances once.
+
+    Each cost is summed left to right by a loop where the copied code called ``sum()``: the
+    two are the same float below Python 3.12, and from 3.12 on ``sum()`` of floats is
+    compensated, so the loop keeps the reference one float on every version.
+    """
+    pts = sorted(points)
+    if not 1 <= len(pts) <= 4:
+        raise ValueError("one to four points")
+
+    def cost(q):
+        total = 0
+        for p in pts:
+            total += math.hypot(p[0] - q[0], p[1] - q[1])
+        return total
+
+    counts = Counter(pts)
+    best, v = min((cost(q), q) for q in counts)  # a tie goes to the smallest point
+    gx = gy = 0.0
+    for p, k in counts.items():
+        if p != v:
+            d = math.hypot(p[0] - v[0], p[1] - v[1])
+            gx += k * (p[0] - v[0]) / d
+            gy += k * (p[1] - v[1]) / d
+    m = len(pts)
+    if m <= 2 or math.hypot(gx, gy) <= counts[v]:
+        return best
+    if m == 3:
+        (ax, ay), (bx, by), (cx, cy) = pts
+        squares = (bx - ax) ** 2 + (by - ay) ** 2 + (cx - bx) ** 2 + (cy - by) ** 2 + (cx - ax) ** 2 + (cy - ay) ** 2
+        twice_area = abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+        return math.sqrt(squares / 2.0 + math.sqrt(3.0) * twice_area)
+    a, b, c, d = pts
+    dist = math.dist
+    return max(dist(a, b) + dist(c, d), dist(a, c) + dist(b, d), dist(a, d) + dist(b, c))
 
 
 def product_scan(entry, space, k):

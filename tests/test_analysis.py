@@ -479,6 +479,15 @@ def test_attainment_transfer_requires_attaining_witness():
     assert v.status == NOT_APPLICABLE
 
 
+def test_attainment_transfer_needs_a_known_constant_and_a_witness():
+    entry = catalog.make("fermat", 4, d2="euclidean")  # no closed-form K*_4
+    w = Witness(((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0)), (1.0, 0.0), 1 / 3, (1, 2, 3, 4))
+    v = check_attainment_transfer(entry, w, k=3)
+    assert v.status == NOT_APPLICABLE and v.details["reason"] == "no known best constant K*_n"
+    v = check_attainment_transfer(entry, None, k=3, kstar=1 / 3)
+    assert v.status == NOT_APPLICABLE and v.details["reason"] == "no witness"
+
+
 def test_sufficient_standard():
     entry = catalog.make("cardinality", 4)
     full = estimate_best_constant(entry, ABC)

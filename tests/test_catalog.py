@@ -1197,6 +1197,22 @@ def test_enclosing_evaluators_call_the_catalog_circle(monkeypatch):
     assert calls == [sorted(t)] * 2
 
 
+def test_fermat_evaluators_call_the_catalog_fermat_value(monkeypatch):
+    # the bench tracer times the euclidean Fermat value by patching this name, so the evaluators must look it up there
+    calls = []
+
+    def counted(points, ground="abs"):
+        calls.append((points, ground))
+        return 7.0
+
+    monkeypatch.setattr(catalog, "fermat_value", counted)
+    plane, line = ((0.0, 0.0), (2.0, 0.0), (0.0, 2.0)), (0.0, 2.0, 5.0)
+    expected = [(plane, "euclidean"), (line, "abs"), (plane, "chebyshev")]
+    for t, ground in expected:
+        assert catalog.make("fermat", 3, d2=ground)(*t) == 7.0
+    assert calls == expected
+
+
 def _arity_k_member(vid, k):
     # enclosing-area is built from arity 3 on, inner-interval-power[p] from 2^p; below that it is the same map of
     # the set of k points, and gap_pairs still carries its constants

@@ -234,6 +234,55 @@ def test_int_list_checks_a_range_before_expanding_it():
         assert r.returncode == 2 and "out of range" in r.stderr, (argv, r.stderr)
 
 
+def test_int_lists_reject_repeated_values():
+    # a repeated k would repeat its row and its verdicts
+    with pytest.raises(ValueError, match=r"repeated k in '2,2'"):
+        parse_int_list("2,2", 2, 4)
+    with pytest.raises(ValueError, match="repeated arity"):
+        parse_int_list("2,3,2", 2, 12, what="arity")
+    assert parse_int_list("3,2", 2, 4) == [3, 2]
+    for argv in (("constants", "--distance", "line-count", "--n", "4", "--k", "2,2", "--budget", "100"),
+                 ("multidistance", "--family", "drastic", "--arities", "2,3,3", "--budget", "100")):
+        r = run_cli(*argv)
+        assert r.returncode == 2 and "repeated" in r.stderr and r.stdout == "", (argv, r.stderr)
+
+
+def test_one_sided_space_range_names_the_expected_form():
+    for spec in ("real:5", "plane:5", "real:5,", "plane:,5", "line: ,1"):
+        with pytest.raises(ValueError, match="LOW,HIGH"):
+            parse_space(spec)
+    assert parse_space("real:0,5").high == 5.0
+    r = run_cli("constants", "--distance", "diameter", "--space", "real:5")
+    assert r.returncode == 2 and "expected real:LOW,HIGH" in r.stderr, r.stderr
+
+
+def test_constants_k_runs_the_attainment_and_sufficient_checks():
+    # each --k adds attainment-transfer at the full witness and sufficient-standard to its verdicts
+    def verdicts(*args):
+        r = run_cli("constants", *args, "--k", "2,3", "--budget", "2000")
+        assert r.returncode == 0, r.stderr
+        return {v["property"]: v for v in json.loads(r.stdout)["verdicts"]}
+
+    for args in (("--distance", "sum-based:d2=abs", "--n", "4"),
+                 ("--distance", "cardinality", "--space", "finite:5", "--n", "4")):
+        got = verdicts(*args)
+        assert list(got) == [f"{name}(k={k})" for k in (2, 3) for name in
+                             ("partial-bound", "symmetrization", "attainment-transfer", "sufficient-standard")]
+        assert all(v["status"] == "pass" for v in got.values()), (args, got)
+    got = verdicts("--distance", "inner-interval", "--n", "4")
+    assert got["attainment-transfer(k=2)"]["status"] == "not-applicable"
+    assert got["attainment-transfer(k=3)"]["status"] == "pass"
+    assert got["sufficient-standard(k=2)"]["status"] == got["sufficient-standard(k=3)"]["status"] == "not-applicable"
+    # no known K*_n: not applicable with a reason, where the check once raised; and sampled
+    # estimates, only lower bounds, imply no standardness (K*_4 of fermat[euclidean] is open)
+    got = verdicts("--distance", "fermat:d2=euclidean", "--n", "4")
+    for k in (2, 3):
+        v = got[f"attainment-transfer(k={k})"]
+        assert v["status"] == "not-applicable" and v["details"]["reason"] == "no known best constant K*_n"
+        v = got[f"sufficient-standard(k={k})"]
+        assert v["status"] == "not-applicable" and "sampled" in v["details"]["reason"]
+
+
 def test_unknown_distance_exit_two():
     r = run_cli("constants", "--distance", "no-such-thing", "--n", "3")
     assert r.returncode == 2

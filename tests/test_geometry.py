@@ -14,6 +14,7 @@ from helpers import (
     linear_space_class,
     linear_spaces,
     reference_circle,
+    reference_small_fermat,
 )
 from simplex_lab import geometry
 from simplex_lab.core import CIRCLE_POINTS, Plane
@@ -366,6 +367,31 @@ def test_fermat_euclidean_never_iterates_up_to_four_points(pts):
     with mock.patch.object(geometry, "_WEISZFELD_MAX_ITER", 0):
         value = fermat_value(pts, "euclidean")
     assert value == pytest.approx(grid_fermat(pts, "euclidean"), abs=1e-4)
+
+
+@st.composite
+def _scaled_lattice_points(draw):
+    # one to four points from a pool of at most four lattice points, so repeats, collinear
+    # triples and ties are common; kept as ints or scaled by one power of ten
+    lattice = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    pool = draw(st.lists(lattice, min_size=1, max_size=4))
+    pts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    exponent = draw(st.none() | st.integers(-300, 100))
+    if exponent is None:
+        return tuple(pts)
+    scale = 10.0**exponent
+    return tuple((x * scale, y * scale) for x, y in pts)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pts=_scaled_lattice_points() | _up_to_four_points())
+# the middle of a collinear triple with a doubled end: near a tie, the weight 2 decides the vertex test
+@example(pts=((2, -2), (2, -2), (-2, 2), (-1, 1)))
+# a convex quadrilateral whose diagonals are the pairing {a, d}, {b, c} of the sorted points
+@example(pts=((0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)))
+def test_fermat_euclidean_is_the_reference_float_up_to_four_points(pts):
+    # the six pairwise distances read once give the float the vertex search and closed forms gave
+    assert repr(fermat_value(pts, "euclidean")) == repr(reference_small_fermat(pts))
 
 
 def test_fermat_euclidean_convex_quadrilateral_is_the_diagonal_sum():
