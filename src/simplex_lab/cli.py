@@ -401,7 +401,7 @@ def _base_config(args, seed: int, **extra) -> dict:
     return {"command": args.command, "budget": args.budget, "seed": seed, "format": args.format, **extra}
 
 
-_VERIFY_CHECKS = ("axioms", "repetition", "nonincreasing", "strong")
+_VERIFY_CHECKS = ("axioms", "repetition", "nonincreasing", "strong", "mixed")
 
 
 def resolve_strong_constant(entry: catalog.CatalogEntry, n: int, k: int, explicit: float | None) -> tuple[float, str]:
@@ -433,10 +433,12 @@ def run_verify(args) -> dict:
     dist_id, params = parse_distance_spec(args.distance)
     space = parse_space(args.space) if args.space else None
     entry, space = build_distance(dist_id, params, args.n, space)
-    checks = [c.strip() for c in (args.checks or "axioms").split(",") if c.strip()]
+    checks = [c.strip() for c in args.checks.split(",")]
     for c in checks:
         if c not in _VERIFY_CHECKS:
-            raise ValueError(f"unknown check {c!r}; known: {', '.join(_VERIFY_CHECKS)}")
+            raise ValueError(f"unknown check {c!r} in {args.checks!r}; known: {', '.join(_VERIFY_CHECKS)}")
+    if len(set(checks)) < len(checks):
+        raise ValueError(f"repeated check in {args.checks!r}")
     if "strong" not in checks and (args.k is not None or args.strong_constant is not None):
         raise ValueError("--k and --strong-constant need the strong check (--checks strong)")
     ks = parse_int_list(args.k, 2, entry.arity) if args.k else list(range(2, entry.arity + 1))
@@ -457,6 +459,16 @@ def run_verify(args) -> dict:
                     entry, space, budget=max(64, args.budget // 5), seed=seed
                 )
             )
+        elif c == "mixed":
+            if entry.arity < 3:
+                raise ValueError("--checks mixed needs n >= 3")
+            for k in range(2, entry.arity):
+                for p in range(entry.arity - k + 1):
+                    verdicts.append(
+                        properties.check_lemma_mixed_bound(
+                            entry, k, p, space, budget=max(64, args.budget // 2), seed=seed
+                        )
+                    )
         else:  # strong
             for k in ks:
                 constant, origin = resolve_strong_constant(entry, entry.arity, k, args.strong_constant)

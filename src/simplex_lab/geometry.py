@@ -5,12 +5,13 @@ The smallest enclosing circle uses the randomized incremental construction
 fixed-seed shuffle, so every result is a deterministic function of the point
 set alone.  That shuffle's permutation depends only on the number of points,
 so it is drawn once per length and cached (Welzl 1991 needs a random order,
-not a fresh one per call).  Two distinct points return their diameter
-circle without the shuffle, and the loop skips the steps whose outcome is
-known (the first diameter circle of each rebuild, and the rebuilding point
-itself), so every result is the float the full construction gives.  A
-circumcircle that overflows, which coordinates past ``ENCLOSING_COORD_LIMIT``
-can cause, raises ValueError instead of returning a wrong circle.
+not a fresh one per call).  An input of two or three distinct points takes
+a straight-line path that makes the loop's own calls in its order, and the
+loop skips the steps whose outcome is known (its first rebuild, the first
+diameter circle of each rebuild, and the rebuilding point itself), so every
+result is the float the full construction gives.  A circumcircle that
+overflows, which coordinates past ``ENCLOSING_COORD_LIMIT`` can cause,
+raises ValueError instead of returning a wrong circle.
 
 The euclidean Fermat value first tests the cheapest data point for
 optimality (Vardi & Zhang 2000).  When that fails, up to four points have
@@ -33,7 +34,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _SHUFFLE_SEED = 0x5EC0FFEE  # fixed: identical input sets give identical circles
 _REL_EPS = 1 + 1e-14  # multiplicative slack for boundary membership tests
@@ -49,8 +50,7 @@ ENCLOSING_COORD_LIMIT = 2.0**340
 GROUND_KINDS = ("abs", "euclidean", "chebyshev", "discrete")
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(NamedTuple):
     center: tuple[float, float]
     radius: float
 
@@ -68,28 +68,58 @@ def smallest_enclosing_circle(points) -> Circle:
     and loses to the other candidates as before.  Past about 8.9e307 the
     midpoints overflow too, and the radius comes out inf.
 
-    The loop is Welzl's with the steps whose outcome is known taken out,
-    so it returns the same floats.  Two distinct points are their diameter
-    circle, which the shuffled loop would reach through the same
-    ``_diameter_circle`` call.  When the i-th point p falls outside, the
-    circle is rebuilt with p on its boundary: the first step, j = 0,
-    always gives the diameter circle of p and the first point, which are
-    distinct, and every circle built from then on holds p within its
-    radius, which is the largest distance from its center to the points
-    that define it, p among them.  So the inner loop starts at j = 1 with
-    that circle, always has a radius above 0.0, and stops before j = i,
-    where p would be found inside.
+    Each input takes one of three paths, and each returns the floats of
+    Welzl's loop on the sorted, shuffled set of distinct points:
+
+    * Two points that differ as floats: their diameter circle, the one call
+      the loop makes on them, made with the smaller point first as sorting
+      does (the order shows only where an infinite coordinate makes a nan).
+    * Three distinct points: sorted into the order a, b, c that
+      ``_shuffle_order(3)`` gives, then the loop unrolled, with the same
+      calls and comparisons: the diameter circle of b and a; if c falls
+      outside it, that of c and a; if b falls outside that,
+      ``_circle_two_boundary([a, b], c, b)``.
+    * Any other input (repeats, four or more points): the set, sorted and
+      shuffled.  One distinct point is the loop's zero-radius start.  From
+      two on, the loop runs with the steps whose outcome is known taken
+      out.  Its second point always falls outside that start, as the
+      distance between distinct points is never <= 0.0, so the loop
+      starts from their diameter circle.  When the i-th point p falls
+      outside, the circle is rebuilt with p on its boundary: the first
+      step, j = 0, always gives the diameter circle of p and the first
+      point, which are distinct, and every circle built from then on holds
+      p within its radius, which is the largest distance from its center
+      to the points that define it, p among them.  So the inner loop
+      starts at j = 1 with that circle and stops before j = i, where p
+      would be found inside.
     """
-    pts = sorted({(float(p[0]), float(p[1])) for p in points})
+    pts = [(float(p[0]), float(p[1])) for p in points]
+    m = len(pts)
+    if m == 2:
+        a, b = pts
+        if a != b:
+            cx, cy, r = _diameter_circle(a, b) if a < b else _diameter_circle(b, a)
+            return Circle((cx, cy), r)
+    if m == 3:
+        c, a, b = sorted(pts)  # a, b, c: the order of _shuffle_order(3) = (1, 2, 0)
+        if c != a != b:
+            cx, cy, r = _diameter_circle(b, a)
+            if math.hypot(c[0] - cx, c[1] - cy) <= r * _REL_EPS:
+                return Circle((cx, cy), r)
+            cx, cy, r = _diameter_circle(c, a)
+            if math.hypot(b[0] - cx, b[1] - cy) <= r * _REL_EPS:
+                return Circle((cx, cy), r)
+            cx, cy, r = _circle_two_boundary([a, b], c, b)
+            return Circle((cx, cy), r)
+    pts = sorted(set(pts))
     if not pts:
         raise ValueError("at least one point required")
-    if len(pts) == 2:
-        cx, cy, r = _diameter_circle(pts[0], pts[1])
-        return Circle((cx, cy), r)
+    if len(pts) == 1:
+        return Circle(pts[0], 0.0)
     pts = [pts[i] for i in _shuffle_order(len(pts))]
     hypot = math.hypot
-    (cx, cy), r = pts[0], 0.0
-    for i in range(1, len(pts)):
+    cx, cy, r = _diameter_circle(pts[1], pts[0])
+    for i in range(2, len(pts)):
         p = pts[i]
         if hypot(p[0] - cx, p[1] - cy) <= r * _REL_EPS:
             continue

@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 from simplex_lab import core
-from simplex_lab.geometry import _REL_EPS, _SHUFFLE_SEED, _circumcircle, _diameter_circle
+from simplex_lab.geometry import _REL_EPS, _SHUFFLE_SEED, Circle, _circumcircle, _diameter_circle, _shuffle_order
 
 
 def brute_circle(points):
@@ -239,6 +239,34 @@ def reference_circle(points):
         if c is None or not _inside(c, p):
             c = _circle_one_boundary(pts[: i + 1], p)
     return c
+
+
+def reference_enclosing_circle(points):
+    """``geometry.smallest_enclosing_circle`` before it gave two and three points their own paths.
+
+    The loop is copied verbatim; its ``_circle_two_boundary`` is this module's.
+    """
+    pts = sorted({(float(p[0]), float(p[1])) for p in points})
+    if not pts:
+        raise ValueError("at least one point required")
+    if len(pts) == 2:
+        cx, cy, r = _diameter_circle(pts[0], pts[1])
+        return Circle((cx, cy), r)
+    pts = [pts[i] for i in _shuffle_order(len(pts))]
+    hypot = math.hypot
+    (cx, cy), r = pts[0], 0.0
+    for i in range(1, len(pts)):
+        p = pts[i]
+        if hypot(p[0] - cx, p[1] - cy) <= r * _REL_EPS:
+            continue
+        # smallest circle of pts[: i + 1] with p on the boundary
+        cx, cy, r = _diameter_circle(p, pts[0])
+        for j in range(1, i):
+            q = pts[j]
+            if hypot(q[0] - cx, q[1] - cy) <= r * _REL_EPS:
+                continue
+            cx, cy, r = _circle_two_boundary(pts[: j + 1], p, q)
+    return Circle((cx, cy), r)
 
 
 def _inside(c, p):

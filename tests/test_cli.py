@@ -247,6 +247,43 @@ def test_int_lists_reject_repeated_values():
         assert r.returncode == 2 and "repeated" in r.stderr and r.stdout == "", (argv, r.stderr)
 
 
+def test_verify_checks_reject_repeated_and_empty_items():
+    # a repeated check repeated its verdicts, an empty item was skipped, and "" read as axioms
+    for checks, message in (
+        ("axioms,axioms", "repeated check in 'axioms,axioms'"),
+        ("strong, axioms,strong", "repeated check"),
+        ("axioms,,strong", "unknown check '' in 'axioms,,strong'"),
+        ("", "unknown check ''"),
+        (",", "unknown check ''"),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--distance", "cardinality", "--n", "3", "--checks", checks, "--budget", "20"])
+        assert code == 2 and message in err.getvalue() and out.getvalue() == "", (checks, err.getvalue())
+
+
+def test_verify_mixed_runs_the_lemma_for_each_k_and_p():
+    def verdicts(*args):
+        r = run_cli("verify", "--checks", "mixed", "--budget", "400", *args)
+        assert r.returncode == 0, r.stderr
+        return [(v["property"], v["status"], v["details"]) for v in json.loads(r.stdout)["verdicts"]]
+
+    props = ["mixed-bound(k=2, p=0)", "mixed-bound(k=2, p=1)", "mixed-bound(k=2, p=2)",
+             "mixed-bound(k=3, p=0)", "mixed-bound(k=3, p=1)"]
+    for dist in ("enclosing-radius", "diameter", "cardinality"):
+        got = verdicts("--distance", dist, "--n", "4")
+        assert [(p, s) for p, s, _ in got] == [(p, "pass") for p in props], dist
+        assert all(d["checked"] > 0 for _, _, d in got), dist
+    # not both standard and repetition-invariant: not applicable, with the check's own reason
+    got = verdicts("--distance", "arithmetic-mean", "--n", "4")
+    assert [(p, s, d["reason"]) for p, s, d in got] == [
+        (p, "not-applicable", "needs standard=True and repetition_invariant=True") for p in props
+    ]
+    assert [p for p, _, _ in verdicts("--distance", "diameter", "--n", "3")] == props[:2]
+    r = run_cli("verify", "--distance", "diameter", "--n", "2", "--checks", "mixed")
+    assert r.returncode == 2 and "needs n >= 3" in r.stderr
+
+
 def test_one_sided_space_range_names_the_expected_form():
     for spec in ("real:5", "plane:5", "real:5,", "plane:,5", "line: ,1"):
         with pytest.raises(ValueError, match="LOW,HIGH"):
@@ -620,7 +657,9 @@ _FLAG_VALUES = {
     "--n": ("1", "2", "3", "4", "5"),
     "--k": ("2", "3", "2..3", "2,4", "5", "1", "x"),
     "--arities": ("2", "2..3", "2..5", "2,3,4", "3..4", "2..x"),
-    "--checks": ("axioms", "repetition", "nonincreasing", "strong", "axioms,strong", "bogus", ""),
+    "--checks": (
+        "axioms", "repetition", "nonincreasing", "strong", "mixed", "axioms,strong", "axioms,axioms", "bogus", "",
+    ),
     "--strong-constant": ("1/2", "1", "nan", "inf", "x"),
     "--tolerance": ("1e-9", "0", "100", "x"),
     "--budget": ("1", "4", "20", "0"),

@@ -257,6 +257,18 @@ def test_properties_checks_call_no_other_check():
     }
 
 
+def test_every_public_check_has_a_caller_in_src():
+    # no relation the package can check is reachable only from the tests
+    defined, called = set(), set()
+    for path in Path(core.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith(("check_", "strong_constant_")):
+                defined.add(node.name)
+            elif isinstance(node, ast.Call):
+                called.add(getattr(node.func, "id", getattr(node.func, "attr", "")))
+    assert "check_lemma_mixed_bound" in defined and not defined - called, defined - called
+
+
 def test_verdict_rule_fails_on_a_counterexample():
     # a counterexample decides, whatever else the details say
     ce, worst = {"tuple": ("a", "b")}, {"tuple": ("b", "a")}

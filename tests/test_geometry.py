@@ -14,6 +14,7 @@ from helpers import (
     linear_space_class,
     linear_spaces,
     reference_circle,
+    reference_enclosing_circle,
     reference_small_fermat,
 )
 from simplex_lab import geometry
@@ -149,6 +150,37 @@ def test_circle_matches_the_reference_bit_for_bit(pts):
     c = smallest_enclosing_circle(pts)
     got = (c.center[0], c.center[1], c.radius)
     assert [x.hex() for x in got] == [x.hex() for x in reference_circle(pts)]
+
+
+@st.composite
+def _circle_oracle_points(draw):
+    # 1-6 points from a pool of at most four, so repeats are common: ints, small-integer
+    # floats, or floats in [-2, 2] scaled by one power of ten within the coordinate limit
+    scale = 10.0 ** draw(st.integers(-320, 101))
+    coord = st.integers(-3, 3) | st.integers(-3, 3).map(float) | st.floats(-2, 2).map(lambda x: x * scale)
+    pool = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pts=_circle_oracle_points(), as_generator=st.booleans())
+# three points: the third inside the first diameter circle, the second inside the second,
+# the circumcircle, and collinear points whose two-boundary step keeps the diameter circle
+@example(pts=[(0, 0), (1, -3), (1, 3)], as_generator=False)
+@example(pts=[(0, 0), (2, -1), (2, -0.5)], as_generator=False)
+@example(pts=[(0, 0), (1, 2), (2, 0)], as_generator=False)
+@example(pts=[(0, 0), (1, 0), (3, 0)], as_generator=False)
+# -0.0 and 0.0 are one point, kept as given first
+@example(pts=[(-0.0, 0.0), (0.0, 0.0)], as_generator=False)
+@example(pts=[(0.0, 1.0), (-0.0, 1.0), (2.0, 3.0)], as_generator=False)
+# two equal points past 8.9e307, where their midpoint would overflow
+@example(pts=[(1e308, -1e308), (1e308, -1e308)], as_generator=False)
+@example(pts=[(0, 0), (2, -1), (2, -0.5)], as_generator=True)
+def test_circle_is_the_reference_loop_bit_for_bit(pts, as_generator):
+    # each path, two points, three points and the loop, gives the floats of the loop it replaced
+    c = smallest_enclosing_circle((p for p in pts) if as_generator else pts)
+    want = reference_enclosing_circle(pts)
+    assert repr((c.center, c.radius)) == repr((want.center, want.radius))
 
 
 @pytest.mark.parametrize("scale", [1e102, geometry.ENCLOSING_COORD_LIMIT])
